@@ -36,7 +36,7 @@ print("class of the m=2i+1 truncation:",
 # the class-bound report compares the computed class with every bound
 rep = check_class_bounds(spec)
 print("report:", {k: rep[k] for k in ("i", "lambda", "class", "violations")})
-print("general bound 3 + (2p-8)/(i-(p-2)) =", rep["bounds"]["general"])
+print("general bound 3 + (2p-8)/(i-(p-2)) =", rep["bounds"]["general"], "(exact fraction)")
 
 # the shift i -> i+(p-1) moves lambda by exactly 3(p-1)
 g2 = GammaCoeffs.from_integers(ctx, i + 4, [1])

@@ -2,8 +2,8 @@
 # Groups from Lie rings: truncated BCH products through the nilpotency class.
 from maxclass import (
     GammaCoeffs, LieRingSpec, PrimeContext, bch_multiply, build_bch_table,
-    group_commutator, group_commutator_closed3, group_lcs, group_power,
-    jacobi_exponent, lcs_profile, theta_map,
+    group_commutator, group_commutator_closed3, group_lcs, jacobi_exponent,
+    lcs_profile, theta_power_map,
 )
 
 # the BCH table ships as data through degree 8 and can be regenerated;
@@ -29,7 +29,7 @@ print("x o y != x + y:", xy != x + y)            # class 3: brackets contribute
 
 # powers in the group are scalar multiples in the ring
 x3 = bch_multiply(bch_multiply(x, x, table), x, table)
-print("x o x o x == 3x:", x3 == group_power(x, 3))
+print("x o x o x == 3x:", x3 == x * 3)
 
 # the group commutator composed from products agrees with the closed
 # class-3 formula [a,b] + ([b,[b,a]] - [a,[a,b]])/2
@@ -39,7 +39,8 @@ print("commutator two ways agree:", c1 == c2)
 
 # multiplication by theta is an automorphism of both structures
 print("theta respects products:",
-      theta_map(xy) == bch_multiply(theta_map(x), theta_map(y), table))
+      theta_power_map(xy, 1)
+      == bch_multiply(theta_power_map(x, 1), theta_power_map(y, 1), table))
 
 # the lower central series of the group and of the ring coincide
 print("group lcs:", list(group_lcs(spec, table).exponents))

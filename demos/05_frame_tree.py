@@ -2,7 +2,7 @@
 # The semidirect products S_(i,m) and the frame tree over a coefficient grid.
 from maxclass import (
     GammaCoeffs, LieRingSpec, PrimeContext, SGroup, classify, enumerate_frame,
-    jacobi_exponent, quotient_edge, s_group_lcs, verify_maximal_class,
+    is_maximal_class_chain, jacobi_exponent, quotient_edge, s_group_lcs,
 )
 
 ctx = PrimeContext(5, 40)
@@ -14,8 +14,10 @@ lam = jacobi_exponent(g, i)
 # its order is p^(m-i+1) and it always has maximal class
 group = SGroup(LieRingSpec(ctx, i, 18, g, lam=lam))
 print("order exponent:", group.order_exp)
-print("central series exponents:", list(s_group_lcs(group).exponents))
-print("maximal class:", verify_maximal_class(group))
+# maximal class: the central series exponents step by exactly one
+prof = s_group_lcs(group)
+print("central series exponents:", list(prof.exponents))
+print("maximal class:", is_maximal_class_chain(prof))
 
 # the generator of the theta-factor has order p
 pg = group.p_generator()

@@ -45,7 +45,7 @@ from .liering import (
     jacobi_exponent,
     jacobiator,
     lcs_profile,
-    lie_bracket,
+    lower_central_series,
 )
 from .lazard import (
     BchTable,
@@ -54,10 +54,8 @@ from .lazard import (
     generate_bch_table,
     group_commutator,
     group_commutator_closed3,
-    group_inverse,
     group_lcs,
-    group_power,
-    theta_map,
+    theta_power_map,
 )
 from .frame import (
     FrameNode,
@@ -66,9 +64,9 @@ from .frame import (
     SGroup,
     classify,
     enumerate_frame,
+    is_maximal_class_chain,
     quotient_edge,
     s_group_lcs,
-    s_multiply,
     verify_maximal_class,
 )
 from .isom import (

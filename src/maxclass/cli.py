@@ -23,8 +23,8 @@ from .cyclotomic import (
 from .homs import GammaCoeffs, NotInHhat, images_to_coeffs, in_Hhat
 from .isom import _coeff_key
 from .lazard import BCH_DATA_VERSION, generate_bch_table
-from .liering import LieRingSpec, jacobi_exponent, lcs_profile
-from .frame import SGroup, classify, enumerate_frame, s_group_lcs, verify_maximal_class
+from .liering import LieRingSpec, jacobi_exponent
+from .frame import SGroup, classify, enumerate_frame, is_maximal_class_chain, s_group_lcs
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -158,9 +158,9 @@ def cmd_build(cfg: RunConfig, images_json: str | None = None) -> int:
             f"m={cfg.m} exceeds lambda{'=' if lam.exact else ' bound '}{lam.value}; refusing")
     spec = LieRingSpec(ctx, cfg.i, cfg.m, g, lam=lam)
     group = SGroup(spec)
-    maximal = verify_maximal_class(group)
     s_prof = s_group_lcs(group)
-    l_prof = lcs_profile(spec)
+    maximal = is_maximal_class_chain(s_prof)
+    l_prof = spec.lcs_profile()
     payload = {
         "p": cfg.p, "i": cfg.i, "m": cfg.m, "m_work": m_work,
         "gamma": g.to_json(),
@@ -235,8 +235,8 @@ def cmd_scan_conjecture1(cfg: RunConfig, i_max: int) -> int:
     text = [
         f"conjecture-1 evidence scan: p={cfg.p}, i <= {i_max}, grid mod P^{cfg.coeff_mod}, "
         f"M_work={m_work}",
-        f"{len(report['entries'])} members of Hhat_i, "
-        f"{report['unresolved_atleast']} unresolved AtLeast outcomes",
+        f"{len(report['entries'])} grid points in Hhat_i or undecided, "
+        f"{report['unresolved_atleast']} unresolved (AtLeast lambda or undecided membership)",
         f"slack histogram lambda - (3i+3-p): {report['slack_histogram']}",
         report["note"],
     ]

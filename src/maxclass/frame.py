@@ -22,7 +22,7 @@ from .cyclotomic import (
 from .homs import GammaCoeffs, NotInHhat, in_Hhat
 from .isom import IsoMove, _coeff_key, find_certified_move
 from .lazard import BchTable, bch_multiply, build_bch_table, theta_power_map
-from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent
+from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, lower_central_series
 
 
 MAINLINE = "mainline"
@@ -125,10 +125,6 @@ class GroupElt:
         return f"GroupElt(g={self.g!r}, t={self.t})"
 
 
-def s_multiply(x: GroupElt, y: GroupElt) -> GroupElt:
-    return x.group.multiply(x, y)
-
-
 def s_group_lcs(group: SGroup) -> LcsProfile:
     """Exponent chain of the lower central series of S.
 
@@ -139,10 +135,9 @@ def s_group_lcs(group: SGroup) -> LcsProfile:
     """
     spec = group.spec
     gens = group.generators()
-    exps = [spec.i]
-    while exps[-1] < spec.m:
-        layer = [group.element(spec.ctx.kappa_power(exps[-1] + r), 0)
-                 for r in range(spec.ctx.d)]
+
+    def step(w: int) -> Valuation:
+        layer = [group.element(spec.ctx.kappa_power(w + r), 0) for r in range(spec.ctx.d)]
         vals = []
         for a in layer:
             for b in gens:
@@ -150,19 +145,19 @@ def s_group_lcs(group: SGroup) -> LcsProfile:
                 if c.t != 0:
                     raise MaxclassError("commutator escaped the G-part")
                 vals.append(c.g.valuation())
-        nxt = Valuation.minimum(vals)
-        w = min(nxt.value, spec.m)
-        if w <= exps[-1]:
-            raise MaxclassError(f"central series of S stalls at exponent {exps[-1]}")
-        exps.append(w)
-    return LcsProfile(tuple(exps), spec.m)
+        return Valuation.minimum(vals)
+
+    return lower_central_series(spec.i, spec.m, step)
+
+
+def is_maximal_class_chain(prof: LcsProfile) -> bool:
+    """Step-by-1 chain check: exponents i, i+1, ..., m with no gaps."""
+    return prof.exponents == tuple(range(prof.exponents[0], prof.m + 1))
 
 
 def verify_maximal_class(group: SGroup) -> bool:
-    """Step-by-1 chain check: exponents i, i+1, ..., m with no gaps."""
-    prof = s_group_lcs(group)
-    want = tuple(range(group.spec.i, group.spec.m + 1))
-    return prof.exponents == want if group.spec.m > group.spec.i else True
+    """Whether S has maximal class, from one sweep of its central series."""
+    return is_maximal_class_chain(s_group_lcs(group))
 
 
 def quotient_edge(group: SGroup) -> tuple[SGroup, callable]:

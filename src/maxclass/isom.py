@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from .cyclotomic import (
     BudgetExceeded,
     CycElt,
+    InsufficientValuation,
     NonUnit,
+    PrecisionExhausted,
     PrimeContext,
     enumerate_units,
 )
@@ -135,20 +137,20 @@ def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:
 
 def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[CycElt]:
     """Galois-invariant quotients sigma_k(c2_a) / c_a; for such u, rho_a(u) = u."""
-    ctx = c.ctx
+    gen = _generator(c.ctx.p)
     out = []
     for ca, ca2 in zip(c.coeffs, c2.coeffs):
         if ca.is_zero() or ca2.is_zero():
             continue
         try:
             q = ca2.galois(k) / ca
-        except Exception:
+        except (InsufficientValuation, PrecisionExhausted):
             continue
         v = q.valuation()
         if q.den_exp == 0 and v.exact and v.value == 0:
             u = q.num
             # keep only Z_p-fixed candidates, where the rho-twist collapses to u
-            if u.galois(_generator(ctx.p)).congruent(u, u.prec):
+            if u.galois(gen).congruent(u, u.prec):
                 out.append(u)
     return out
 

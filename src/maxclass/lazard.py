@@ -13,10 +13,10 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-from .cyclotomic import MaxclassError, Valuation
+from .cyclotomic import MaxclassError, Valuation, _is_prime
 from . import freelie
 from .freelie import Tree
-from .liering import LcsProfile, LieElt, LieRingSpec, NotNilpotent
+from .liering import LcsProfile, LieElt, LieRingSpec, lower_central_series
 
 BCH_DATA_FILE = "bch_table.json"
 BCH_DATA_VERSION = 1
@@ -87,17 +87,6 @@ class BchTable:
         return cls(mc, terms)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def generate_bch_table(max_class: int) -> BchTable:
     """Regenerate the table from scratch with the free-Lie-algebra oracle."""
     return BchTable(max_class, freelie.bch_coefficients(max_class))
@@ -157,15 +146,6 @@ def bch_multiply(x: LieElt, y: LieElt, table: BchTable) -> LieElt:
     return acc
 
 
-def group_inverse(x: LieElt) -> LieElt:
-    return -x
-
-
-def group_power(x: LieElt, n: int) -> LieElt:
-    """x^n in G(L) is the module multiple n*x."""
-    return x * n
-
-
 def group_commutator(x: LieElt, y: LieElt, table: BchTable) -> LieElt:
     """x^-1 y^-1 x y, composed from BCH products."""
     t = bch_multiply(bch_multiply(bch_multiply(-x, -y, table), x, table), y, table)
@@ -183,13 +163,9 @@ def group_commutator_closed3(x: LieElt, y: LieElt) -> LieElt:
     return ab + (y.bracket(y.bracket(x)) - x.bracket(ab)) * Fraction(1, 2)
 
 
-def theta_map(x: LieElt) -> LieElt:
-    """Multiplication by theta: simultaneously a ring endomorphism of L and an
-    automorphism of G(L), of order p."""
-    return LieElt(x.spec, x.spec.reduce(x.spec.ctx.theta() * x.value))
-
-
 def theta_power_map(x: LieElt, t: int) -> LieElt:
+    """Multiplication by theta^t: simultaneously a ring endomorphism of L and an
+    automorphism of G(L); theta itself has order p."""
     return LieElt(x.spec, x.spec.reduce(x.spec.ctx.theta(t) * x.value))
 
 
@@ -200,13 +176,10 @@ def group_lcs(spec: LieRingSpec, table: BchTable) -> LcsProfile:
     the two central series agree.
     """
     basis = spec.basis()
-    vs = [spec.i]
-    while vs[-1] < spec.m:
-        layer = [spec.element(spec.ctx.kappa_power(vs[-1] + r)) for r in range(spec.ctx.d)]
-        vals = [group_commutator(a, b, table).valuation() for a in layer for b in basis]
-        nxt = Valuation.minimum(vals)
-        w = min(nxt.value, spec.m)
-        if w <= vs[-1]:
-            raise NotNilpotent(f"group lower central series stalls at {vs[-1]}")
-        vs.append(w)
-    return LcsProfile(tuple(vs), spec.m)
+
+    def step(w: int) -> Valuation:
+        layer = [spec.element(spec.ctx.kappa_power(w + r)) for r in range(spec.ctx.d)]
+        return Valuation.minimum(group_commutator(a, b, table).valuation()
+                                 for a in layer for b in basis)
+
+    return lower_central_series(spec.i, spec.m, step)

@@ -94,6 +94,8 @@ class LieRingSpec:
         self.m = m
         self.gamma = gamma
         self.lam = lam
+        # gamma by value, so specs built from equal coefficient vectors are equal
+        self._gamma_key = tuple((c.den_exp, c.num.prec, c.num.digits) for c in gamma.coeffs)
         self._profile: LcsProfile | None = None
 
     def __repr__(self) -> str:
@@ -103,10 +105,10 @@ class LieRingSpec:
         if not isinstance(other, LieRingSpec):
             return NotImplemented
         return (self.ctx == other.ctx and self.i == other.i and self.m == other.m
-                and self.gamma is other.gamma)
+                and (self.gamma is other.gamma or self._gamma_key == other._gamma_key))
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.i, self.m, id(self.gamma)))
+        return hash((self.ctx, self.i, self.m, self._gamma_key))
 
     # ---- elements ----
 
@@ -214,23 +216,30 @@ class LieElt:
             gamma_eval(self.spec.gamma, self.value, other.value)))
 
 
-def lie_bracket(x: LieElt, y: LieElt) -> LieElt:
-    return x.bracket(y)
+def lower_central_series(i: int, m: int, step) -> LcsProfile:
+    """Exponents w_1 = i < w_2 < ... of a lower central series, clamped at m.
+
+    step(w) is the exponent of the ideal generated by the commutators of the
+    layer kappa^{w+r}, r = 0..p-2, with the generators; L, G(L) and S differ
+    only in the commutator that step applies.
+    """
+    ws = [i]
+    while ws[-1] < m:
+        nxt = step(ws[-1])
+        if not nxt.exact and nxt.value < m:
+            raise PrecisionExhausted(
+                f"next lcs term known only >= {nxt.value}, below m={m}")
+        w = min(nxt.value, m)
+        if w <= ws[-1]:
+            raise NotNilpotent(f"lower central series stalls at exponent {ws[-1]}")
+        ws.append(w)
+    return LcsProfile(tuple(ws), m)
 
 
 def lcs_profile(spec: LieRingSpec) -> LcsProfile:
     """Exponents of the lower central series: w_1 = i, P^{w_{k+1}} = gamma(P^{w_k} ^ P^i)."""
-    ws = [spec.i]
-    while ws[-1] < spec.m:
-        nxt = image_exponent(spec.gamma, ws[-1], spec.i)
-        if not nxt.exact and nxt.value < spec.m:
-            raise PrecisionExhausted(
-                f"next lcs term known only >= {nxt.value}, below m={spec.m}")
-        w = min(nxt.value, spec.m)
-        if w <= ws[-1]:
-            raise NotNilpotent(f"lower central series stalls at exponent {ws[-1]}")
-        ws.append(w)
-    return LcsProfile(tuple(ws), spec.m)
+    return lower_central_series(spec.i, spec.m,
+                                lambda w: image_exponent(spec.gamma, w, spec.i))
 
 
 def check_class_bounds(spec: LieRingSpec) -> dict:
@@ -264,7 +273,7 @@ def check_class_bounds(spec: LieRingSpec) -> dict:
         "lcs": list(profile.exponents),
         "class": cls,
         "bounds": {
-            "general": float(bound),
+            "general": str(bound),
             "class_at_most_p_minus_1": i > p - 1,
             "class_exactly_3": i > 3 * p - 10,
         },

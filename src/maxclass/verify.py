@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import CycElt, PrimeContext, Valuation, enumerate_units
+from .cyclotomic import CycElt, PrecisionExhausted, PrimeContext, Valuation, enumerate_units
 from .homs import (
     CycFrac,
     GammaCoeffs,
@@ -32,10 +32,10 @@ from .lazard import (
     group_commutator,
     group_commutator_closed3,
     group_lcs,
-    theta_map,
+    theta_power_map,
 )
 from .liering import LieRingSpec, check_class_bounds, jacobi_exponent, lcs_profile
-from .frame import SGroup, classify, enumerate_frame, quotient_edge, s_group_lcs, verify_maximal_class
+from .frame import SGroup, classify, quotient_edge, verify_maximal_class
 
 
 @dataclass
@@ -278,13 +278,14 @@ def suite_lazard(p: int, samples: int = 10_000, seed: int = 0, fault: str | None
 
     # theta is an automorphism of the group structure, of order p
     x, y = rnd_elt(), rnd_elt()
-    if theta_map(bch_multiply(x, y, table)) != bch_multiply(theta_map(x), theta_map(y), table):
-        violations.append("theta_map is not a group homomorphism")
+    if theta_power_map(bch_multiply(x, y, table), 1) != \
+            bch_multiply(theta_power_map(x, 1), theta_power_map(y, 1), table):
+        violations.append("theta is not a group homomorphism")
     w = x
     for _ in range(p):
-        w = theta_map(w)
+        w = theta_power_map(w, 1)
     if w != x:
-        violations.append("theta_map does not have order p")
+        violations.append("theta does not have order p")
 
     # the central series of G(L) and L coincide
     for m_test in {2 * i + 1, m}:
@@ -446,7 +447,8 @@ def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = 60,
                      budget: int = 100_000) -> dict:
     """Sweep the coefficient grid and report lambda for every member of Hhat_i.
 
-    AtLeast outcomes are flagged as unresolved, never asserted either way;
+    AtLeast outcomes, and grid points whose Hhat_i membership is undecided at
+    working precision, are flagged as unresolved, never asserted either way;
     exact outcomes are summarized by the slack lambda - (3i+3-p).
     """
     from .frame import _coefficient_grid
@@ -460,7 +462,12 @@ def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = 60,
             try:
                 if not in_Hhat(g, i):
                     continue
-            except Exception:
+            except PrecisionExhausted:
+                unresolved += 1
+                entries.append({"i": i, "coeffs": repr(_coeff_key(g, coeff_mod)),
+                                "lambda": None, "exact": False,
+                                "flag": "Hhat_i membership undecided at working precision; "
+                                        "raise M_work"})
                 continue
             lam = jacobi_exponent(g, i)
             entry = {"i": i, "coeffs": repr(_coeff_key(g, coeff_mod)),

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from maxclass.cli import main
 from maxclass.lazard import BchTable
+from maxclass.verify import scan_conjecture1
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -115,3 +122,27 @@ def test_bch_regen_round_trip(capsys, tmp_path):
     assert code == 0
     tab = BchTable.from_json(json.loads(out_file.read_text()))
     assert tab.max_class == 4 and tab.self_test(4)
+
+
+def test_scan_conjecture1_counts_undecided_membership(capsys):
+    # at M_work = 20, 15 grid points have Hhat_i membership undecided
+    report = scan_conjecture1(5, 12, m_work=20)
+    assert len(report["entries"]) == 55
+    assert report["unresolved_atleast"] == 31
+    undecided = [e for e in report["entries"] if e["lambda"] is None]
+    assert len(undecided) == 15
+    assert all(e["exact"] is False and "undecided" in e["flag"] for e in undecided)
+    code, out, _ = run(capsys, "scan-conjecture1", "--p", "5", "--i-max", "12",
+                       "--m-work", "20")
+    assert code == 0 and "55 grid points" in out and "31 unresolved" in out
+
+
+def test_enumerate_json_independent_of_hash_seed():
+    argv = [sys.executable, "-m", "maxclass.cli", "enumerate", "--p", "5", "--i", "7",
+            "--m-max", "20", "--coeff-mod", "1", "--format", "json"]
+    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+    assert outs[0] and outs[0] == outs[1]

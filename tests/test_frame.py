@@ -13,7 +13,6 @@ from maxclass import (
     jacobi_exponent,
     quotient_edge,
     s_group_lcs,
-    s_multiply,
     verify_maximal_class,
 )
 import oracles
@@ -51,8 +50,8 @@ def test_s_multiply_associative_sampled(group):
     rng = random.Random(0)
     for _ in range(40):
         x, y, z = _rnd(group, rng), _rnd(group, rng), _rnd(group, rng)
-        assert s_multiply(s_multiply(x, y), z) == s_multiply(x, s_multiply(y, z))
-        assert s_multiply(x, x.inverse()).is_identity()
+        assert (x * y) * z == x * (y * z)
+        assert (x * x.inverse()).is_identity()
 
 
 def test_commutator_with_p_generator_raises_valuation(group):

@@ -7,6 +7,7 @@ from maxclass import (
     GammaCoeffs,
     IsoMove,
     NonUnit,
+    PrecisionExhausted,
     PrimeContext,
     apply_move,
     enumerate_units,
@@ -19,7 +20,7 @@ from maxclass import (
     verify_witness,
     witness_map,
 )
-from maxclass.isom import _coeff_key
+from maxclass.isom import _coeff_key, _derived_unit_candidates
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +167,23 @@ def test_move_serialization(ctx, units):
     obj = mv.to_json()
     mv2 = IsoMove.from_json(ctx, obj)
     assert mv2.k == mv.k and mv2.u == mv.u
+
+
+@pytest.mark.parametrize("error", [NonUnit, ValueError])
+def test_derived_candidates_skip_only_undecided_divisions(ctx, monkeypatch, error):
+    c = GammaCoeffs.from_integers(ctx, I, [1])
+    c2 = GammaCoeffs.from_integers(ctx, I, [2])
+    assert len(_derived_unit_candidates(c, c2, 1)) == 1  # the Z_p unit 2
+
+    def undecided(self, other):
+        raise PrecisionExhausted("quotient undecided at working precision")
+
+    monkeypatch.setattr(CycFrac, "__truediv__", undecided)
+    assert _derived_unit_candidates(c, c2, 1) == []
+
+    def broken(self, other):
+        raise error("not a precision limit")
+
+    monkeypatch.setattr(CycFrac, "__truediv__", broken)
+    with pytest.raises(error):
+        _derived_unit_candidates(c, c2, 1)

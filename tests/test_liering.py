@@ -5,15 +5,18 @@ import pytest
 
 from maxclass import (
     GammaCoeffs,
+    LcsProfile,
     LieRingSpec,
+    MaxclassError,
     NotInHhat,
+    NotNilpotent,
+    PrecisionExhausted,
     PrimeContext,
     Valuation,
     check_class_bounds,
     jacobi_exponent,
     jacobiator,
-    lcs_profile,
-    lie_bracket,
+    lower_central_series,
 )
 import oracles
 
@@ -76,7 +79,7 @@ def test_bracket_identities(ctx5, g5):
     spec = LieRingSpec(ctx5, 7, 24, g5)
     basis = spec.basis()
     for x in basis:
-        assert lie_bracket(x, x).is_zero()
+        assert x.bracket(x).is_zero()
     for r, s, t in combinations(range(4), 3):
         x, y, z = basis[r], basis[s], basis[t]
         jac = (x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y)))
@@ -130,6 +133,16 @@ def test_class_bounds_report(ctx5, g5):
     assert rep["lambda"] == 24
     # p = 5, i > 5: 3 + 2/(i-3) < 4 so class must be exactly 3
     assert rep["bounds"]["class_exactly_3"] is True
+    assert rep["bounds"]["general"] == "7/2"
+
+    def has_float(obj):
+        if isinstance(obj, dict):
+            return any(has_float(v) for v in obj.values())
+        if isinstance(obj, (list, tuple)):
+            return any(has_float(v) for v in obj)
+        return isinstance(obj, float)
+
+    assert not has_float(rep)
 
 
 def test_class_bounds_preconditions(ctx5):
@@ -154,3 +167,29 @@ def test_element_valuation_guard(ctx5, g5):
         spec.element(ctx5.kappa_power(3))
     x = spec.element(ctx5.kappa_power(12))
     assert x.is_zero()
+
+
+def test_lower_central_series_guards():
+    step = lambda w: Valuation.exactly(w + 2)  # noqa: E731
+    assert lower_central_series(3, 6, step) == LcsProfile((3, 5, 6), 6)
+    assert lower_central_series(3, 6, lambda w: Valuation.at_least(6)).exponents == (3, 6)
+    with pytest.raises(NotNilpotent):
+        lower_central_series(3, 6, lambda w: Valuation.exactly(w))
+    with pytest.raises(PrecisionExhausted):
+        lower_central_series(3, 6, lambda w: Valuation.at_least(5))
+
+
+def test_spec_equality_by_value(ctx5):
+    a = LieRingSpec(ctx5, 7, 20, GammaCoeffs.from_integers(ctx5, 7, [1]))
+    b = LieRingSpec(ctx5, 7, 20, GammaCoeffs.from_integers(ctx5, 7, [1]))
+    assert a.gamma is not b.gamma
+    assert a == b and hash(a) == hash(b)
+    x, y = a.basis()[0], b.basis()[1]
+    assert x + y == b.element(x.value + y.value)
+    assert x.bracket(y) == b.basis()[0].bracket(a.basis()[1])
+    c = LieRingSpec(ctx5, 7, 20, GammaCoeffs.from_integers(ctx5, 7, [2]))
+    assert a != c
+    with pytest.raises(MaxclassError):
+        x + c.basis()[1]
+    with pytest.raises(MaxclassError):
+        x.bracket(c.basis()[1])
