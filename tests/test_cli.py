@@ -92,6 +92,26 @@ def test_config_file_merging(capsys, tmp_path):
     assert code == 0 and "lambda = 24" in out2
 
 
+def test_config_keys_are_flag_names(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 5\ni = 7\ncoeff = 1\nformat = json\n")
+    code, out, _ = run(capsys, "jacobi", "--config", str(cfgfile))
+    assert code == 0
+    assert json.loads(out)["lambda"] == {"exact": True, "value": 24}
+
+
+@pytest.mark.parametrize("line", ["inject-fault = bhc", "fmt = json", "m_work = 40",
+                                  "no-such-flag = 1"])
+def test_config_errors_exit_like_bad_flags(capsys, tmp_path, line):
+    # a bad value or an unknown key fails in the argument parser, as the flag would
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"p = 5\nquick = yes\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert "overall" not in capsys.readouterr().out
+
+
 def test_scan_conjecture1(capsys):
     code, out, _ = run(capsys, "scan-conjecture1", "--p", "5", "--i-max", "6",
                        "--format", "json")

@@ -11,6 +11,7 @@ from maxclass import (
     classify,
     enumerate_frame,
     jacobi_exponent,
+    liering,
     quotient_edge,
     s_group_lcs,
     verify_maximal_class,
@@ -150,6 +151,22 @@ def test_skeleton_contained_in_frame(ctx):
     for n in skeleton:
         spec = LieRingSpec(ctx, 7, n.m, g, lam=lam)
         assert spec.lcs_profile().nilpotency_class <= 2
+
+
+def test_enumerate_frame_sweeps_lie_series_once_per_gamma(ctx, monkeypatch):
+    # the vertices of one gamma are truncations of one ring, whose series is
+    # computed once at the top level and clamped for every level below
+    sweeps = []
+    real = liering.lcs_profile
+
+    def counting(spec):
+        sweeps.append(spec.m)
+        return real(spec)
+
+    monkeypatch.setattr(liering, "lcs_profile", counting)
+    tree = enumerate_frame(ctx, 7, 20)
+    assert len(tree.nodes) == 14
+    assert sweeps == [20] * 4
 
 
 def test_budget_guard(ctx):

@@ -16,6 +16,8 @@ from maxclass import (
     check_class_bounds,
     jacobi_exponent,
     jacobiator,
+    lcs_profile,
+    liering,
     lower_central_series,
 )
 import oracles
@@ -117,6 +119,39 @@ def test_lcs_prefix_property(ctx5, g5):
     short = LieRingSpec(ctx5, 7, 16, g5, lam=lam).lcs_profile()
     clamped = tuple(min(w, 16) for w in full.exponents[:len(short.exponents)])
     assert short.exponents == clamped
+
+
+@pytest.mark.parametrize("p, i", [(5, 7), (7, 9)])
+def test_truncate_equals_fresh_spec(p, i, monkeypatch):
+    # gamma = theta_2; lambda = 24 at (5, 7) and 32 at (7, 9)
+    ctx = PrimeContext(p, 44)
+    g = GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
+    lam = jacobi_exponent(g, i)
+    assert lam.exact
+    cached = LieRingSpec(ctx, i, lam.value, g, lam=lam)
+    cached.lcs_profile()
+    lazy = LieRingSpec(ctx, i, lam.value, g, lam=lam)
+    chain = oracles.lcs_chain(p, i, {2: 1}, lam.value)
+    fresh = {m: LieRingSpec(ctx, i, m, g, lam=lam) for m in range(i, lam.value + 1)}
+
+    def boom(*args):
+        raise AssertionError("truncate must not recompute Hhat_i membership or lambda")
+
+    monkeypatch.setattr(liering, "in_Hhat", boom)
+    monkeypatch.setattr(liering, "jacobi_exponent", boom)
+    for m, spec in fresh.items():
+        want = lcs_profile(spec)
+        assert want.exponents == tuple(w for w in chain if w < m) + (m,)
+        for top in (cached, lazy):
+            cut = top.truncate(m)
+            assert cut == spec and hash(cut) == hash(spec)
+            assert cut.gamma is g and cut.lam == lam
+            assert cut.lcs_profile() == want
+    for m in (i - 1, lam.value + 1):
+        with pytest.raises(ValueError):
+            cached.truncate(m)
+    with pytest.raises(ValueError):
+        cached.truncate(i + 3).truncate(i + 4)
 
 
 def test_abelian_truncation_class_1(ctx5, g5):

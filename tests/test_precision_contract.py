@@ -1,0 +1,118 @@
+"""The precision contract of CycElt, against the power-basis oracle.
+
+Every digit an operation returns must agree with the exact computation in
+Z[x]/Phi_p(x) modulo P^prec, where prec is the precision the result declares,
+whichever lifts of the input cosets the oracle is given; a question that the
+known precision cannot decide raises PrecisionExhausted.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from maxclass import PrecisionExhausted, PrimeContext
+import oracles
+
+PRIMES = (5, 7, 11, 13)
+M_WORK = 36
+CTX = {p: PrimeContext(p, M_WORK) for p in PRIMES}
+
+contract = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@lru_cache(maxsize=None)
+def kappa_pow(p, j):
+    return oracles.kappa_pow(p, j)
+
+
+def power_basis(x):
+    """The canonical representative of x, as a vector over 1, theta, ..., theta^{p-2}."""
+    p = x.ctx.p
+    out = (0,) * (p - 1)
+    for j, dig in enumerate(x.digits):
+        out = oracles.padd(out, tuple(dig * c for c in kappa_pow(p, j)))
+    return out
+
+
+def agrees(p, a, b, prec):
+    v = oracles.valuation(p, oracles.psub(a, b))
+    return v is None or v >= prec
+
+
+@st.composite
+def cosets(draw, p, unit=False):
+    """An element x + P^prec and a random lift of it to the power basis."""
+    ctx = CTX[p]
+    prec = draw(st.integers(1, M_WORK))
+    digits = draw(st.lists(st.integers(-p ** 9, p ** 9), min_size=ctx.d, max_size=ctx.d))
+    if unit:
+        assume(digits[0] % p)
+    x = ctx.element(digits, prec)
+    r = draw(st.lists(st.integers(-p ** 2, p ** 2), min_size=ctx.d, max_size=ctx.d))
+    return x, oracles.padd(power_basis(x), oracles.pmul(p, kappa_pow(p, prec), tuple(r)))
+
+
+primes = st.sampled_from(PRIMES)
+
+
+@contract
+@given(st.data())
+def test_products_agree_with_oracle(data):
+    p = data.draw(primes)
+    (x, xl), (y, yl) = data.draw(cosets(p)), data.draw(cosets(p))
+    z = x * y
+    assert z.prec >= min(x.prec, y.prec)
+    assert agrees(p, power_basis(z), oracles.pmul(p, xl, yl), z.prec)
+
+
+@contract
+@given(st.data())
+def test_galois_images_agree_with_oracle(data):
+    p = data.draw(primes)
+    x, xl = data.draw(cosets(p))
+    k = data.draw(st.integers(1, p - 1))
+    z = x.galois(k)
+    assert z.prec == x.prec
+    assert agrees(p, power_basis(z), oracles.galois(p, k, xl), z.prec)
+
+
+@contract
+@given(st.data())
+def test_unit_inverse_agrees_with_oracle(data):
+    p = data.draw(primes)
+    x, xl = data.draw(cosets(p, unit=True))
+    y = x.unit_inverse()
+    assert y.prec == x.prec
+    one = (1,) + (0,) * (p - 2)
+    assert agrees(p, oracles.pmul(p, xl, power_basis(y)), one, y.prec)
+
+
+@contract
+@given(st.data())
+def test_div_kappa_agrees_with_oracle(data):
+    p = data.draw(primes)
+    e = data.draw(st.integers(0, M_WORK - 1))
+    z, zl = data.draw(cosets(p))
+    x = CTX[p].kappa_power(e) * z
+    assume(x.prec > e)
+    y = x.div_kappa(e)
+    assert y.prec == x.prec - e
+    # kappa^e * y is known mod P^{x.prec}, like every lift kappa^e * z' of x
+    assert agrees(p, oracles.pmul(p, kappa_pow(p, e), power_basis(y)),
+                  oracles.pmul(p, kappa_pow(p, e), zl), x.prec)
+
+
+@contract
+@given(st.data())
+def test_undecidable_questions_raise(data):
+    p = data.draw(primes)
+    (x, xl), (y, yl) = data.draw(cosets(p)), data.draw(cosets(p))
+    with pytest.raises(PrecisionExhausted):
+        x.div_kappa(data.draw(st.integers(x.prec, M_WORK + 5)))
+    with pytest.raises(PrecisionExhausted):
+        x.congruent(y, data.draw(st.integers(min(x.prec, y.prec) + 1, M_WORK + 5)))
+    # below the known precision the answer is the oracle's
+    m = data.draw(st.integers(0, min(x.prec, y.prec)))
+    v = oracles.valuation(p, oracles.psub(xl, yl))
+    assert x.congruent(y, m) == (v is None or v >= m)
