@@ -60,22 +60,22 @@ class RunConfig:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def _read_config_file(path: str) -> list[str]:
-    """The lines 'key = value' of a config file as flags '--key value'."""
-    argv = []
+def _read_config_file(path: str) -> list[tuple[int, str, list[str]]]:
+    """The lines 'key = value' of a config file as (line number, key, ['--key', value])."""
+    out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"config line is not 'key = value': {line!r}")
+                raise ValueError(f"{path}:{lineno}: config line is not 'key = value': {line!r}")
             key, val = (t.strip() for t in line.split("=", 1))
-            if key == "quick":
-                argv += ["--quick"] if val.lower() in ("1", "true", "yes") else []
-            else:
-                argv += [f"--{key}", val]
-    return argv
+            if key != "quick":
+                out.append((lineno, key, [f"--{key}", val]))
+            elif val.lower() in ("1", "true", "yes"):
+                out.append((lineno, key, ["--quick"]))
+    return out
 
 
 def _parse_coeffs(ctx: PrimeContext, i: int, text: str, check: bool) -> GammaCoeffs:
@@ -247,7 +247,8 @@ def cmd_bch_regen(max_class: int, out: str) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     ap = argparse.ArgumentParser(prog="maxclass",
                                  description="frame computations for p-groups of maximal class")
     # each subcommand matches flags in full, so a config-file key names one flag
@@ -305,17 +306,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="regenerate the packaged BCH coefficient table")
     sp.add_argument("--max-class", type=int, required=True, dest="max_class")
     sp.add_argument("--out", type=str, required=True)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = _build_parser()
+    ap, subparsers = _build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            # the file's flags go first, so the explicit ones win
-            args = ap.parse_args(argv[:1] + _read_config_file(args.config) + argv[1:])
+        path = getattr(args, "config", None)
+        if path:
+            lines = _read_config_file(path)
+            # the file's flags go first, so the explicit ones win; the explicit
+            # ones parsed already, so an unrecognized flag comes from the file
+            args, unknown = ap.parse_known_args(
+                argv[:1] + [f for _, _, flags in lines for f in flags] + argv[1:])
+            for lineno, key, flags in lines:
+                if flags[0] in unknown:
+                    subparsers[args.command].error(f"{path}:{lineno}: unknown key {key!r}")
         if args.command == "bch-regen":
             return cmd_bch_regen(args.max_class, args.out)
         given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}

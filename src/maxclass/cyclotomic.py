@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Iterator
 
@@ -422,18 +423,7 @@ def enumerate_units(ctx: PrimeContext, m: int, budget: int | None = None) -> Ite
     total = (ctx.p - 1) * ctx.p ** (m - 1)
     if budget is not None and total > budget:
         raise BudgetExceeded(f"{total} units of O/P^{m} exceed budget {budget}")
-    mods = ctx.digit_moduli(m)
-    d = ctx.d
-
-    def rec(j: int, digs: list[int]) -> Iterator[CycElt]:
-        if j == d:
-            yield CycElt(ctx, tuple(digs), m)
-            return
-        for v in range(mods[j]):
-            if j == 0 and v % ctx.p == 0:
-                continue
-            digs[j] = v
-            yield from rec(j + 1, digs)
-        digs[j] = 0
-
-    yield from rec(0, [0] * d)
+    mod0, *mods = ctx.digit_moduli(m)
+    ranges = [[v for v in range(mod0) if v % ctx.p]] + [range(n) for n in mods]
+    for digs in product(*ranges):
+        yield CycElt(ctx, digs, m)

@@ -3,14 +3,18 @@
 Each S_{i,m}(gamma) has order p^{m-i+1}; the P-factor acts on the Lazard
 group by multiplication with theta.  The frame of a branch is assembled by
 sweeping a coefficient grid, building one chain of truncations per surviving
-gamma, and merging vertices only when an isomorphism move has been verified:
-vertex counts are therefore upper bounds on the number of isomorphism types.
+gamma (maximal class is verified once, at the top of the chain), and merging
+vertices only when an isomorphism move has been verified: vertex counts are
+therefore upper bounds on the number of isomorphism types.  Pairs are tried
+only within one class of the level below, from level i on, where the classes
+are the move orbits of the coefficient vectors mod P.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import product
 
 from .cyclotomic import (
     BudgetExceeded,
@@ -20,7 +24,7 @@ from .cyclotomic import (
     Valuation,
 )
 from .homs import GammaCoeffs, NotInHhat
-from .isom import _coeff_key, find_certified_move
+from .isom import _coeff_key, find_certified_move, orbit_canonical
 from .lazard import BchTable, bch_multiply, build_bch_table, theta_power_map
 from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, lower_central_series
 
@@ -241,28 +245,9 @@ def _coefficient_grid(ctx: PrimeContext, m_c: int, budget: int):
     count = ctx.p ** (m_c * ctx.l)
     if count > budget:
         raise BudgetExceeded(f"grid of {count} coefficient vectors exceeds budget {budget}")
-    mods = ctx.digit_moduli(m_c)
-
-    def residues():
-        def rec(j, digs):
-            if j == ctx.d:
-                yield ctx.element(digs, ctx.M_work)
-                return
-            for v in range(mods[j]):
-                digs[j] = v
-                yield from rec(j + 1, digs)
-            digs[j] = 0
-        yield from rec(0, [0] * ctx.d)
-
-    def tuples(a):
-        if a == 0:
-            yield []
-            return
-        for rest in tuples(a - 1):
-            for r in residues():
-                yield rest + [r]
-
-    yield from tuples(ctx.l)
+    residues = [ctx.element(digs, ctx.M_work)
+                for digs in product(*map(range, ctx.digit_moduli(m_c)))]
+    yield from product(residues, repeat=ctx.l)
 
 
 def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
@@ -270,9 +255,12 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
 
     Every grid representative passing the Hhat_i test contributes the chain of
-    truncations m = i .. min(lambda, m_max) of one Lie ring; vertices at each
-    level are merged only under certified moves, and each vertex is verified
-    to be a group of maximal class.
+    truncations m = i .. m_top = min(lambda, m_max) of one Lie ring.  Maximal
+    class is verified once per gamma, on S_{i,m_top}(gamma): the vertices below
+    are its quotients, whose central series is the top one clamped at m.
+    Vertices at each level are merged only under certified moves, and a pair is
+    tried only if it lies in one class of the level below; at level i those
+    classes are the move orbits mod P.
     """
     specs: list[LieRingSpec] = []   # one per gamma, at its top level min(lambda, m_max)
     passed = False
@@ -289,11 +277,19 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     if not passed:
         raise MaxclassError(f"no grid coefficient passes the Hhat_{i} test")
     table = build_bch_table(max([1] + [spec.nilpotency_class for spec in specs]), p=ctx.p)
+    for spec in specs:
+        if not verify_maximal_class(SGroup(spec, table)):
+            raise MaxclassError(f"S_({i},{spec.m})(gamma) fails the maximal-class check for "
+                                f"gamma = {_coeff_key(spec.gamma, coeff_mod)!r}")
 
     nodes: list[FrameNode] = []
     edges: list[tuple[str, str]] = []
     merged_by: list[dict] = []
-    prev_class_of: dict[int, str] = {}
+    # grid vectors are integral, Galois acts trivially on O/P and rho_a(u) = u
+    # mod P, so a move certified mod P^m (m >= 1) carries c to c2 mod P: the
+    # classes below level i are the move orbits mod P
+    prev_class_of = {idx: _coeff_key(orbit_canonical(spec.gamma, 1), 1)
+                     for idx, spec in enumerate(specs)}
 
     for m in range(i, m_max + 1):
         members = [idx for idx, spec in enumerate(specs) if spec.m >= m]
@@ -310,11 +306,9 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
 
         for pos, ia in enumerate(members):
             for ib in members[pos + 1:]:
-                if find(ia) == find(ib):
-                    continue
                 # congruence mod P^m implies congruence mod P^{m-1}, so only
-                # pairs already merged at the previous level can merge here
-                if prev_class_of and prev_class_of.get(ia) != prev_class_of.get(ib):
+                # pairs in one class of the level below can merge here
+                if find(ia) == find(ib) or prev_class_of[ia] != prev_class_of[ib]:
                     continue
                 mv = find_certified_move(specs[ia].gamma, specs[ib].gamma, m,
                                          unit_modulus=coeff_mod, budget=budget)
@@ -336,8 +330,6 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         roots = sorted(classes, key=lambda r: _coeff_key(specs[r].gamma, coeff_mod))
         for n, root in enumerate(roots):
             node_id = f"m{m}n{n}"
-            if not verify_maximal_class(SGroup(specs[root].truncate(m), table)):
-                raise MaxclassError(f"vertex {node_id} fails the maximal-class check")
             node = FrameNode(
                 i=i, m=m, gamma=specs[root].gamma,
                 classification=classify(i, m),
@@ -349,7 +341,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
             nodes.append(node)
             for idx in classes[root]:
                 class_of[idx] = node_id
-        if prev_class_of:
+        if m > i:
             seen = set()
             for idx, nid in class_of.items():
                 pid = prev_class_of[idx]

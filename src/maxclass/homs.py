@@ -150,7 +150,8 @@ class GammaCoeffs:
     """A homomorphism given by its coefficient vector (c_2, ..., c_{l+1}).
 
     Frame constructions require membership in Hhat_i (check=True); scan grids
-    may carry raw vectors with check=False.
+    may carry raw vectors with check=False.  in_Hhat_at is i once the check has
+    passed, so a Lie ring built on this gamma at i need not repeat it.
     """
 
     def __init__(self, ctx: PrimeContext, i: int, coeffs, check: bool = True, den_cap: int | None = None):
@@ -166,6 +167,7 @@ class GammaCoeffs:
         self.coeffs = coeffs
         if check and not in_Hhat(self, i):
             raise NotInHhat(f"coefficient vector is not in Hhat_{i}")
+        self.in_Hhat_at = i if check else None
 
     @classmethod
     def from_integers(cls, ctx: PrimeContext, i: int, values, check: bool = True) -> GammaCoeffs:

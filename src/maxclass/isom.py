@@ -137,7 +137,6 @@ def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:
 
 def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[CycElt]:
     """Galois-invariant quotients sigma_k(c2_a) / c_a; for such u, rho_a(u) = u."""
-    gen = _generator(c.ctx.p)
     out = []
     for ca, ca2 in zip(c.coeffs, c2.coeffs):
         if ca.is_zero() or ca2.is_zero():
@@ -149,21 +148,13 @@ def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[Cy
         v = q.valuation()
         if q.den_exp == 0 and v.exact and v.value == 0:
             u = q.num
-            # keep only Z_p-fixed candidates, where the rho-twist collapses to u
-            if u.galois(gen).congruent(u, u.prec):
+            # keep only Z_p-fixed candidates, where the rho-twist collapses to u;
+            # sigma_g(a kappa^j) - a kappa^j has valuation exactly v(a kappa^j)
+            # for 1 <= j <= p-2, distinct for distinct j, so u is Galois-fixed
+            # mod P^prec iff its canonical digits j >= 1 all vanish
+            if not any(u.digits[1:]):
                 out.append(u)
     return out
-
-
-def _generator(p: int) -> int:
-    for g in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise ValueError(f"no generator mod {p}")
 
 
 def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,

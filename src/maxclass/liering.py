@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .cyclotomic import (
     CycElt,
@@ -83,7 +83,7 @@ class LieRingSpec:
             raise ValueError(f"need i <= m, got i={i}, m={m}")
         if ctx.M_work < m:
             raise PrecisionExhausted(f"M_work={ctx.M_work} cannot represent cosets mod P^{m}")
-        if not in_Hhat(gamma, i):
+        if gamma.in_Hhat_at != i and not in_Hhat(gamma, i):
             raise NotInHhat(f"gamma is not in Hhat_{i}")
         if lam is None:
             lam = jacobi_exponent(gamma, i)
@@ -139,15 +139,13 @@ class LieRingSpec:
         if budget is not None and self.ctx.p ** n > budget:
             raise MaxclassError(f"{self.ctx.p}^{n} elements exceed budget {budget}")
 
-        def rec(t: int, acc: CycElt):
-            if t == n:
-                yield self.element(acc)
-                return
-            for a in range(self.ctx.p):
-                term = acc if a == 0 else acc + self.ctx.kappa_power(self.i + t) * a
-                yield from rec(t + 1, term)
-
-        yield from rec(0, self.ctx.zero())
+        powers = [self.ctx.kappa_power(self.i + t) for t in range(n)]
+        for digs in product(range(self.ctx.p), repeat=n):
+            acc = self.ctx.zero()
+            for a, x in zip(digs, powers):
+                if a:
+                    acc = acc + x * a
+            yield self.element(acc)
 
     def truncate(self, m: int) -> LieRingSpec:
         """The quotient L_{i,m}(gamma) of this ring, for i <= m <= self.m.

@@ -112,6 +112,17 @@ def test_config_errors_exit_like_bad_flags(capsys, tmp_path, line):
     assert "overall" not in capsys.readouterr().out
 
 
+def test_config_unknown_key_names_file_and_line(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 5\ni = 7\n# comment\ncoeff = 1\nfmt = xml\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{cfgfile}:5: unknown key 'fmt'" in err
+    assert "maxclass jacobi: error" in err
+
+
 def test_scan_conjecture1(capsys):
     code, out, _ = run(capsys, "scan-conjecture1", "--p", "5", "--i-max", "6",
                        "--format", "json")

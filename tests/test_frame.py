@@ -6,10 +6,14 @@ from maxclass import (
     BudgetExceeded,
     GammaCoeffs,
     LieRingSpec,
+    MaxclassError,
     PrimeContext,
     SGroup,
+    build_bch_table,
     classify,
     enumerate_frame,
+    frame,
+    homs,
     jacobi_exponent,
     liering,
     quotient_edge,
@@ -155,7 +159,8 @@ def test_skeleton_contained_in_frame(ctx):
 
 def test_enumerate_frame_sweeps_lie_series_once_per_gamma(ctx, monkeypatch):
     # the vertices of one gamma are truncations of one ring, whose series is
-    # computed once at the top level and clamped for every level below
+    # computed once at the top level and clamped for every level below; the
+    # same holds for the S-series behind the maximal-class check
     sweeps = []
     real = liering.lcs_profile
 
@@ -163,10 +168,54 @@ def test_enumerate_frame_sweeps_lie_series_once_per_gamma(ctx, monkeypatch):
         sweeps.append(spec.m)
         return real(spec)
 
+    checks = []
+    real_check = frame.verify_maximal_class
+
+    def counting_check(group):
+        checks.append(group.spec.m)
+        return real_check(group)
+
     monkeypatch.setattr(liering, "lcs_profile", counting)
+    monkeypatch.setattr(frame, "verify_maximal_class", counting_check)
     tree = enumerate_frame(ctx, 7, 20)
     assert len(tree.nodes) == 14
     assert sweeps == [20] * 4
+    assert checks == [20] * 4
+
+
+def test_enumerate_frame_tests_hhat_once_per_gamma(monkeypatch):
+    # 5 grid points are tested; the Lie rings of the 4 members do not repeat it
+    calls = []
+    real = homs.in_Hhat
+
+    def counting(g, i=None):
+        calls.append(i)
+        return real(g, i)
+
+    monkeypatch.setattr(homs, "in_Hhat", counting)
+    monkeypatch.setattr(liering, "in_Hhat", counting)
+    enumerate_frame(PrimeContext(5, 40), 7, 20)
+    assert calls == [7] * 5
+
+
+def test_enumerate_frame_checks_maximal_class(ctx, monkeypatch):
+    monkeypatch.setattr(frame, "verify_maximal_class", lambda group: False)
+    with pytest.raises(MaxclassError, match="maximal-class check"):
+        enumerate_frame(ctx, 7, 10)
+
+
+def test_s_series_of_truncation_is_clamped_top_series(ctx):
+    # gamma_k(S/N) = gamma_k(S)N/N: the S-series of every vertex below the top
+    # is the top series clamped at m, which is why enumerate_frame checks
+    # maximal class once per gamma; the per-vertex sweep is the oracle here
+    g = GammaCoeffs.from_integers(ctx, 7, [1])
+    spec = LieRingSpec(ctx, 7, 20, g)
+    table = build_bch_table(spec.nilpotency_class, p=ctx.p)
+    top = s_group_lcs(SGroup(spec, table))
+    assert top.exponents == tuple(range(7, 21))
+    for m in range(7, 21):
+        clamped = tuple(w for w in top.exponents if w < m) + (m,)
+        assert s_group_lcs(SGroup(spec.truncate(m), table)).exponents == clamped
 
 
 def test_budget_guard(ctx):

@@ -7,6 +7,7 @@ from maxclass import (
     GammaCoeffs,
     IsoMove,
     NonUnit,
+    NotInHhat,
     PrecisionExhausted,
     PrimeContext,
     apply_move,
@@ -20,6 +21,7 @@ from maxclass import (
     verify_witness,
     witness_map,
 )
+from maxclass.frame import _coefficient_grid
 from maxclass.isom import _coeff_key, _derived_unit_candidates
 
 
@@ -156,6 +158,25 @@ def test_orbit_count_p5_exhaustive(ctx):
     assert len(cans) == 1
 
 
+def test_no_move_between_orbit_classes_mod_p():
+    # the premise of enumerate_frame's pair filter at level i: a move certified
+    # mod P^m (m >= 1) carries c to c2 mod P, so grid members in different move
+    # orbits mod P never merge
+    ctx = PrimeContext(7, 24)
+    members = []
+    for coeffs in _coefficient_grid(ctx, 1, 10 ** 5):
+        try:
+            members.append(GammaCoeffs(ctx, 9, coeffs))
+        except NotInHhat:
+            pass
+    keys = [_coeff_key(orbit_canonical(g, 1), 1) for g in members]
+    assert len(members) == 42 and len(set(keys)) == 7
+    pairs = [(a, b) for a in range(len(members)) for b in range(len(members))
+             if keys[a] != keys[b]]
+    for a, b in random.Random(0).sample(pairs, 40):
+        assert find_certified_move(members[a], members[b], 9) is None
+
+
 def test_budget_guard(ctx):
     from maxclass import BudgetExceeded
     with pytest.raises(BudgetExceeded):
@@ -167,6 +188,15 @@ def test_move_serialization(ctx, units):
     obj = mv.to_json()
     mv2 = IsoMove.from_json(ctx, obj)
     assert mv2.k == mv.k and mv2.u == mv.u
+
+
+def test_derived_candidates_are_zp_units(ctx):
+    # only Galois-fixed quotients are kept: 2 is, theta and 1 + 5 kappa^3 are not
+    c = GammaCoeffs.from_integers(ctx, I, [1])
+    for x, kept in ((ctx.from_int(2), 1), (ctx.theta(), 0),
+                    (ctx.one() + ctx.kappa_power(3) * 5, 0)):
+        c2 = GammaCoeffs(ctx, I, [x], check=False)
+        assert len(_derived_unit_candidates(c, c2, 1)) == kept
 
 
 @pytest.mark.parametrize("error", [NonUnit, ValueError])

@@ -103,6 +103,32 @@ def test_div_kappa_agrees_with_oracle(data):
                   oracles.pmul(p, kappa_pow(p, e), zl), x.prec)
 
 
+@lru_cache(maxsize=None)
+def primitive_root(p):
+    return next(g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1)
+
+
+@contract
+@given(st.data())
+def test_zp_digit_test_matches_galois_invariance(data):
+    # u is fixed by the Galois group mod P^prec iff its digits j >= 1 vanish;
+    # _derived_unit_candidates relies on this to keep only Z_p units
+    p = data.draw(primes)
+    ctx = CTX[p]
+    if data.draw(st.booleans()):
+        u = data.draw(cosets(p, unit=True))[0]
+        prec = u.prec
+    else:
+        prec = data.draw(st.integers(1, M_WORK))
+        u = ctx.from_int(data.draw(st.integers(-p ** 9, p ** 9).filter(lambda n: n % p)), prec)
+    for _ in range(data.draw(st.integers(0, 2))):
+        j = data.draw(st.integers(1, p - 2))
+        e = data.draw(st.integers(0, prec // (p - 1) + 1))
+        b = data.draw(st.integers(1, p - 1))
+        u = u + ctx.kappa_power(j, prec) * (b * p ** e)
+    assert (not any(u.digits[1:])) == u.galois(primitive_root(p)).congruent(u, u.prec)
+
+
 @contract
 @given(st.data())
 def test_undecidable_questions_raise(data):
