@@ -75,6 +75,11 @@ def _read_config_file(path: str) -> list[tuple[int, str, list[str]]]:
                 out.append((lineno, key, [f"--{key}", val]))
             elif val.lower() in ("1", "true", "yes"):
                 out.append((lineno, key, ["--quick"]))
+            elif val.lower() in ("0", "false", "no"):
+                out.append((lineno, key, ["--no-quick"]))
+            else:
+                raise ValueError(f"{path}:{lineno}: quick must be 1/true/yes or 0/false/no, "
+                                 f"got {val!r}")
     return out
 
 
@@ -292,7 +297,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp = sub.add_parser("verify", allow_abbrev=False,
                         help="run every verification suite")
     common(sp, "p")
-    sp.add_argument("--quick", action="store_true")
+    sp.add_argument("--quick", action=argparse.BooleanOptionalAction, default=False)
     sp.add_argument("--inject-fault", choices=("bch", "epsilon"), default=None,
                     help="deliberately corrupt one ingredient to demonstrate detection")
 

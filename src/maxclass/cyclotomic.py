@@ -112,6 +112,9 @@ class PrimeContext:
         self.kappa_reduction = tuple(-comb(p, j + 1) for j in range(p - 1))
         self._moduli: dict[int, tuple[int, ...]] = {}
         self._galois_pows: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # caches of homs: theta_a tables by a, Vandermonde data by i
+        self._theta_tabs: dict[int, tuple] = {}
+        self._vandermonde: dict[int, object] = {}
         self._kappa_pows: list[tuple[int, ...]] = []
         self._theta_pows: list[tuple[int, ...]] = []
 
@@ -256,7 +259,7 @@ class CycElt:
         return hash((self.ctx.p, self.prec, self.digits))
 
     def _check_ctx(self, other: CycElt) -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch(f"{self.ctx!r} vs {other.ctx!r}")
 
     def is_zero(self) -> bool:

@@ -10,6 +10,8 @@ criterion: (c) V_i B must be integral with at least one unit entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from .cyclotomic import (
     CycElt,
@@ -47,12 +49,38 @@ def epsilon(p: int, a: int, i: int, j: int) -> int:
     return 1 if (i - j) % o_a(p, a) == 0 else 0
 
 
+def _theta_table(ctx: PrimeContext, a: int) -> tuple:
+    """The pairs r < s <= p-2 and, per digit t, the column of theta_a(kappa^r ^ kappa^s).
+
+    Built once per context and a from the cached Galois powers, mod P^M_work.
+    """
+    tab = ctx._theta_tabs.get(a)
+    if tab is None:
+        ga, gb = ctx._galois_powers(a), ctx._galois_powers((1 - a) % ctx.p)
+        pairs = tuple(combinations(range(ctx.d), 2))
+        rows = [ctx._canonical([u - v for u, v in zip(ctx._mul_raw(ga[r], gb[s]),
+                                                      ctx._mul_raw(gb[r], ga[s]))], ctx.M_work)
+                for r, s in pairs]
+        tab = ctx._theta_tabs[a] = (pairs, tuple(zip(*rows)))
+    return tab
+
+
 def theta_a_eval(a: int, x: CycElt, y: CycElt) -> CycElt:
-    p = x.ctx.p
-    if not 2 <= a <= (p - 1) // 2:
-        raise ValueError(f"a must lie in 2..{(p - 1) // 2}, got {a}")
-    b = (1 - a) % p
-    return x.galois(a) * y.galois(b) - x.galois(b) * y.galois(a)
+    """theta_a(x ^ y) = sum_{r<s} (x_r y_s - x_s y_r) theta_a(kappa^r ^ kappa^s) over the digits.
+
+    The precision is that of sigma_a(x) sigma_{1-a}(y); every step is a ring
+    operation modulo P^M_work on the digit representatives, so the digits are
+    those of sigma_a(x) sigma_{1-a}(y) - sigma_{1-a}(x) sigma_a(y).
+    """
+    ctx = x.ctx
+    if not 2 <= a <= (ctx.p - 1) // 2:
+        raise ValueError(f"a must lie in 2..{(ctx.p - 1) // 2}, got {a}")
+    x._check_ctx(y)
+    prec = min(x.prec + y.valuation().bound, y.prec + x.valuation().bound, ctx.M_work)
+    pairs, cols = _theta_table(ctx, a)
+    xd, yd = x.digits, y.digits
+    wedge = [xd[r] * yd[s] - xd[s] * yd[r] for r, s in pairs]
+    return CycElt(ctx, ctx._canonical([sum(map(mul, wedge, col)) for col in cols], prec), prec)
 
 
 class CycFrac:
@@ -215,6 +243,10 @@ class VandermondeData:
 
 
 def vandermonde(ctx: PrimeContext, i: int) -> VandermondeData:
+    """V_i, B and the u_a, built once per context and i."""
+    vd = ctx._vandermonde.get(i)
+    if vd is not None:
+        return vd
     kappa = ctx.kappa_power(1)
     u = []
     for a in range(2, ctx.l + 2):
@@ -226,7 +258,8 @@ def vandermonde(ctx: PrimeContext, i: int) -> VandermondeData:
         t = (ctx.theta(a) - ctx.theta(b)) * u[idx].pow(i)
         v_diag.append(t.div_kappa(2 * i + 1))
     b_mat = [[u[idx].pow(j) for j in range(ctx.l)] for idx in range(ctx.l)]
-    return VandermondeData(ctx, i, v_diag, b_mat, u)
+    vd = ctx._vandermonde[i] = VandermondeData(ctx, i, v_diag, b_mat, u)
+    return vd
 
 
 def _row_times_vib(g: GammaCoeffs, vd: VandermondeData) -> list[CycFrac]:

@@ -41,11 +41,15 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     The Jacobiator is alternating and trilinear over Z_p and kappa^{i+r},
     r = 0..p-2, is a module basis of P^i, so the ideal generated by all
     Jacobiators equals the one generated on the binom(p-1, 3) basis triples.
+    Each basis bracket is evaluated once: gamma(z ^ x) = -gamma(x ^ z) holds
+    in digits and precision alike.
     """
     i = g.i if i is None else i
     ctx = g.ctx
     basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
-    vals = [jacobiator(g, basis[r], basis[s], basis[t]).valuation()
+    br = {(r, s): gamma_eval(g, basis[r], basis[s]) for r, s in combinations(range(ctx.d), 2)}
+    vals = [(gamma_eval(g, br[r, s], basis[t]) + gamma_eval(g, br[s, t], basis[r])
+             + gamma_eval(g, -br[r, t], basis[s])).valuation()
             for r, s, t in combinations(range(ctx.d), 3)]
     return Valuation.minimum(vals)
 

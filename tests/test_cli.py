@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from maxclass import cli
 from maxclass.cli import main
 from maxclass.lazard import BchTable
 from maxclass.verify import scan_conjecture1
@@ -123,6 +125,38 @@ def test_config_unknown_key_names_file_and_line(capsys, tmp_path):
     assert "maxclass jacobi: error" in err
 
 
+@pytest.mark.parametrize("value", ["no", "0", "False"])
+def test_config_false_quick_reaches_the_parser(capsys, tmp_path, value):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"p = 5\ni = 7\ncoeff = 1\nquick = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert f"{cfgfile}:4: unknown key 'quick'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, argv, quick", [
+    ("quick = no", [], False), ("quick = 0", [], False), ("quick = yes", [], True),
+    ("quick = TRUE", [], True), ("", [], False), ("quick = no", ["--quick"], True),
+    ("quick = yes", ["--no-quick"], False)])
+def test_config_quick_sets_verify_quick(capsys, tmp_path, monkeypatch, lines, argv, quick):
+    seen = []
+    monkeypatch.setattr(cli.verify_mod, "run_all",
+                        lambda p, quick, seed, fault: seen.append(quick) or [])
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"p = 5\n{lines}\n")
+    code, _, _ = run(capsys, "verify", "--config", str(cfgfile), *argv)
+    assert code == 0 and seen == [quick]
+
+
+def test_config_quick_bad_value_names_file_and_line(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 5\n\nquick = maybe\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfgfile))
+    assert code == 2 and not out
+    assert f"{cfgfile}:3: quick must be" in err and "'maybe'" in err
+
+
 def test_scan_conjecture1(capsys):
     code, out, _ = run(capsys, "scan-conjecture1", "--p", "5", "--i-max", "6",
                        "--format", "json")
@@ -166,6 +200,15 @@ def test_scan_conjecture1_counts_undecided_membership(capsys):
     code, out, _ = run(capsys, "scan-conjecture1", "--p", "5", "--i-max", "12",
                        "--m-work", "20")
     assert code == 0 and "55 grid points" in out and "31 unresolved" in out
+
+
+def test_undecidable_scan_output_pinned(capsys):
+    # 55 entries, 31 unresolved: 15 undecided Hhat_i points and 16 AtLeast lambda values
+    code, out, _ = run(capsys, "scan-conjecture1", "--p", "5", "--i-max", "12",
+                       "--m-work", "20", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "613e06344e846ccfa0bf5e4570fc3bbde381981575e022f6ef90442b406ddddc")
 
 
 def test_enumerate_json_independent_of_hash_seed():

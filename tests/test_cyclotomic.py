@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from maxclass import (
+    ContextMismatch,
     CycElt,
     InsufficientValuation,
     NonUnit,
@@ -220,3 +221,17 @@ def test_theta_has_order_p(ctx):
         x = x * ctx.theta()
     assert x == ctx.one()
     assert ctx.theta() != ctx.one()
+
+
+def test_equal_contexts_mix_and_others_raise():
+    a, b = PrimeContext(5, 20), PrimeContext(5, 20)
+    x, y = a.theta(2), b.kappa_power(3)
+    assert a is not b and a == b
+    assert (x + y).digits == (x + a.kappa_power(3)).digits
+    assert (x * y).digits == (x * a.kappa_power(3)).digits
+    assert (x - y).digits == (x - a.kappa_power(3)).digits
+    for other in (PrimeContext(7, 20), PrimeContext(5, 21)):
+        z = other.kappa_power(3)
+        for op in (x.__add__, x.__sub__, x.__mul__):
+            with pytest.raises(ContextMismatch):
+                op(z)

@@ -13,6 +13,7 @@ from maxclass import (
     Valuation,
     epsilon,
     gamma_eval,
+    homs,
     images_to_coeffs,
     in_Hhat,
     min_probe_valuation,
@@ -109,6 +110,25 @@ def test_vandermonde_invariants(ctx7):
         assert (vd.u[0] - vd.u[1]).valuation() == Valuation.exactly(2)
         for idx in range(2):
             assert vd.B[idx][0] == ctx7.one().reduce_to(vd.B[idx][0].prec)
+
+
+def test_vandermonde_built_once_per_context_and_i(monkeypatch):
+    built = []
+
+    class Counted(homs.VandermondeData):
+        def __init__(self, ctx, i, *rest):
+            built.append((id(ctx), i))
+            super().__init__(ctx, i, *rest)
+
+    monkeypatch.setattr(homs, "VandermondeData", Counted)
+    ctx, twin = PrimeContext(7, 44), PrimeContext(7, 44)
+    for c, i in [(1, 9), (3, 9), (1, 10), (2, 9), (1, 10), (5, 11)] * 3:
+        in_Hhat(GammaCoeffs.from_integers(ctx, i, [c, 1], check=False))
+    assert sorted(built) == [(id(ctx), 9), (id(ctx), 10), (id(ctx), 11)]
+    # an equal context has its own cache; the cached data equals that fresh build
+    vd, fresh = vandermonde(ctx, 9), vandermonde(twin, 9)
+    assert len(built) == 4 and vd is vandermonde(ctx, 9)
+    assert (fresh.V_diag, fresh.B, fresh.u) == (vd.V_diag, vd.B, vd.u)
 
 
 def test_v_a_factor_is_the_diagonal_entry(ctx7):

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,6 +15,8 @@ from maxclass import (
     PrimeContext,
     Valuation,
     check_class_bounds,
+    gamma_eval,
+    images_to_coeffs,
     jacobi_exponent,
     jacobiator,
     lcs_profile,
@@ -55,6 +58,49 @@ def test_jacobi_exponent_oracle_p7():
         g = GammaCoeffs.from_integers(ctx, 8, [coeffs.get(2, 0), coeffs.get(3, 0)])
         assert jacobi_exponent(g, 8) == Valuation.exactly(want)
         assert oracles.jacobi_exponent(7, 8, coeffs) == want
+
+
+@pytest.mark.parametrize("p, i, evaluations", [(5, 7, 18), (7, 9, 75)])
+def test_jacobi_exponent_brackets_each_basis_pair_once(p, i, evaluations, monkeypatch):
+    # binom(d, 2) basis brackets, then three outer brackets per basis triple
+    ctx = PrimeContext(p, 60)
+    g = GammaCoeffs.from_integers(ctx, i, [1] + [3] * (ctx.l - 1))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gamma_eval(*args)
+
+    monkeypatch.setattr(liering, "gamma_eval", counted)
+    jacobi_exponent(g, i)
+    d = ctx.d
+    assert len(calls) == comb(d, 2) + 3 * comb(d, 3) == evaluations
+
+
+def nested_jacobiator_lambda(g, i):
+    ctx = g.ctx
+    basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+    return Valuation.minimum(jacobiator(g, *(basis[k] for k in rst)).valuation()
+                             for rst in combinations(range(ctx.d), 3))
+
+
+@pytest.mark.parametrize("p, m_work, i", [(5, 44, 7), (5, 20, 12), (7, 40, 9), (7, 24, 9)])
+def test_jacobi_exponent_equals_nested_jacobiators(p, m_work, i):
+    # integer vectors, and at p = 7 probe-image solutions with kappa-denominators;
+    # M_work = 20 and 24 leave lambda undecided (AtLeast)
+    ctx = PrimeContext(p, m_work)
+    rng = random.Random(p * m_work + i)
+    # small coefficients: a sign slip in gamma(z ^ x) shows on vectors such as (0, 1)
+    vectors = [[rng.randrange(-3, 4) for _ in range(ctx.l)] for _ in range(12)]
+    gammas = [GammaCoeffs.from_integers(ctx, i, v, check=False) for v in vectors if any(v)][:6]
+    if p == 7:
+        gammas += [images_to_coeffs(ctx, i, [
+            ctx.kappa_power(2 * i + 1) * ctx.element([rng.randrange(p) for _ in range(ctx.d)])
+            for _ in range(ctx.l)]) for _ in range(4)]
+        assert all(any(c.den_exp > 0 for c in g.coeffs) for g in gammas[6:])
+    lams = [jacobi_exponent(g, i) for g in gammas]
+    assert lams == [nested_jacobiator_lambda(g, i) for g in gammas]
+    assert all(lam.exact for lam in lams) == (m_work >= 40)
 
 
 def test_jacobi_lower_bound_and_shift(ctx5, g5):

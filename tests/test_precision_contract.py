@@ -9,9 +9,9 @@ known precision cannot decide raises PrecisionExhausted.
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
-from maxclass import PrecisionExhausted, PrimeContext
+from maxclass import PrecisionExhausted, PrimeContext, homs, theta_a_eval
 import oracles
 
 PRIMES = (5, 7, 11, 13)
@@ -142,3 +142,54 @@ def test_undecidable_questions_raise(data):
     m = data.draw(st.integers(0, min(x.prec, y.prec)))
     v = oracles.valuation(p, oracles.psub(xl, yl))
     assert x.congruent(y, m) == (v is None or v >= m)
+
+
+@st.composite
+def wedge_factors(draw, p):
+    """x + P^prec with a random lift: random digits, zero (AtLeast), or random digits times kappa^e."""
+    ctx = CTX[p]
+    x, xl = draw(cosets(p))
+    kind = draw(st.sampled_from(("digits", "zero", "kappa")))
+    if kind == "digits":
+        return x, xl
+    if kind == "zero":
+        x = ctx.zero(x.prec)
+    else:
+        x = ctx.kappa_power(draw(st.integers(0, 2 * M_WORK)), x.prec) * x
+    r = draw(st.lists(st.integers(-p ** 2, p ** 2), min_size=ctx.d, max_size=ctx.d))
+    return x, oracles.padd(power_basis(x), oracles.pmul(p, kappa_pow(p, x.prec), tuple(r)))
+
+
+def check_theta_a(p, a, x, xl, y, yl):
+    b = (1 - a) % p
+    z = theta_a_eval(a, x, y)
+    galois_route = x.galois(a) * y.galois(b) - x.galois(b) * y.galois(a)
+    assert (z.digits, z.prec) == (galois_route.digits, galois_route.prec)
+    assert agrees(p, power_basis(z), oracles.theta_a(p, a, xl, yl), z.prec)
+
+
+def theta_a_property(data):
+    p = data.draw(primes)
+    (x, xl), (y, yl) = data.draw(wedge_factors(p)), data.draw(wedge_factors(p))
+    for a in range(2, (p - 1) // 2 + 1):
+        check_theta_a(p, a, x, xl, y, yl)
+
+
+test_theta_a_tables_agree_with_galois_route = contract(given(st.data())(theta_a_property))
+
+
+def test_corrupted_theta_table_row_is_caught(monkeypatch):
+    # one row theta_2(kappa^1 ^ kappa^4) of the p = 7 table off by kappa^3
+    ctx = PrimeContext(7, M_WORK)
+    pairs, cols = homs._theta_table(ctx, 2)
+    k = pairs.index((1, 4))
+    bad = [list(col) for col in cols]
+    bad[3][k] += 1
+    ctx._theta_tabs[2] = (pairs, tuple(map(tuple, bad)))
+    x, y = ctx.kappa_power(1), ctx.kappa_power(4)
+    with pytest.raises(AssertionError):
+        check_theta_a(7, 2, x, power_basis(x), y, power_basis(y))
+    # the property test finds it too (without shrinking, which only costs time)
+    monkeypatch.setitem(CTX, 7, ctx)
+    with pytest.raises(AssertionError):
+        settings(contract, phases=[Phase.generate])(given(st.data())(theta_a_property))()
