@@ -115,6 +115,9 @@ class PrimeContext:
         # caches of homs: theta_a tables by a, Vandermonde data by i
         self._theta_tabs: dict[int, tuple] = {}
         self._vandermonde: dict[int, object] = {}
+        # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u)
+        self._theta_mats: dict[tuple[int, int], tuple] = {}
+        self._rho: dict[tuple, CycElt] = {}
         self._kappa_pows: list[tuple[int, ...]] = []
         self._theta_pows: list[tuple[int, ...]] = []
 

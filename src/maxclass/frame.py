@@ -99,13 +99,15 @@ class SGroup:
                 yield GroupElt(self, g, t)
 
 
-@dataclass(frozen=True)
 class GroupElt:
     """An element (g, theta^t) of S_{i,m}(gamma)."""
 
-    group: SGroup
-    g: LieElt
-    t: int
+    __slots__ = ("group", "g", "t")
+
+    def __init__(self, group: SGroup, g: LieElt, t: int):
+        self.group = group
+        self.g = g
+        self.t = t
 
     def __mul__(self, other: GroupElt) -> GroupElt:
         return self.group.multiply(self, other)
@@ -119,7 +121,7 @@ class GroupElt:
         return self.group is other.group and self.t == other.t and self.g == other.g
 
     def __hash__(self) -> int:
-        return hash((self.t, self.g.value.digits))
+        return hash((self.t, self.g.digits))
 
     def is_identity(self) -> bool:
         return self.t == 0 and self.g.is_zero()
@@ -140,7 +142,7 @@ def s_group_lcs(group: SGroup) -> LcsProfile:
     gens = group.generators()
 
     def step(w: int) -> Valuation:
-        layer = [group.element(spec.ctx.kappa_power(w + r), 0) for r in range(spec.ctx.d)]
+        layer = [group.element(spec.kappa_power(w + r)) for r in range(spec.ctx.d)]
         vals = []
         for a in layer:
             for b in gens:
@@ -169,7 +171,7 @@ def quotient_edge(group: SGroup) -> tuple[SGroup, callable]:
     target = SGroup(target_spec, group.table)
 
     def project(x: GroupElt) -> GroupElt:
-        return target.element(target_spec.element(x.g.value), x.t)
+        return GroupElt(target, LieElt(target_spec, target_spec._canon(x.g.digits)), x.t)
 
     return target, project
 

@@ -232,7 +232,7 @@ def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
 
 
 class VandermondeData:
-    """The unit diagonal V_i, the Vandermonde matrix B, and the u_a."""
+    """The unit diagonal V_i, the Vandermonde matrix B, the u_a, and V_i B (VB)."""
 
     def __init__(self, ctx: PrimeContext, i: int, v_diag, b, u):
         self.ctx = ctx
@@ -240,6 +240,7 @@ class VandermondeData:
         self.V_diag = tuple(v_diag)
         self.B = tuple(tuple(row) for row in b)
         self.u = tuple(u)
+        self.VB = tuple(tuple(v * x for x in row) for v, row in zip(self.V_diag, self.B))
 
 
 def vandermonde(ctx: PrimeContext, i: int) -> VandermondeData:
@@ -268,7 +269,7 @@ def _row_times_vib(g: GammaCoeffs, vd: VandermondeData) -> list[CycFrac]:
     for j in range(g.ctx.l):
         acc = CycFrac(g.ctx.zero())
         for idx, c in enumerate(g.coeffs):
-            acc = acc + c * (vd.V_diag[idx] * vd.B[idx][j])
+            acc = acc + c * vd.VB[idx][j]
         entries.append(acc)
     return entries
 
@@ -324,7 +325,7 @@ def images_to_coeffs(ctx: PrimeContext, i: int, images, den_cap: int | None = No
     vd = vandermonde(ctx, i)
     n = ctx.l
     # rows j, columns a: M[j][a] = v_a u_a^{j-1}; augmented with rhs
-    rows = [[CycFrac(vd.V_diag[a] * vd.B[a][j]) for a in range(n)] for j in range(n)]
+    rows = [[CycFrac(vd.VB[a][j]) for a in range(n)] for j in range(n)]
     rhs = [CycFrac(img.div_kappa(2 * i + 1)) for img in images]
     perm = list(range(n))
     for col in range(n):

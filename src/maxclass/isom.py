@@ -66,9 +66,14 @@ class IsoMove:
 
 
 def rho(a: int, u: CycElt) -> CycElt:
-    """The twist rho_a(u) = u^{-1} sigma_a(u) sigma_{1-a}(u); always a unit."""
-    p = u.ctx.p
-    return u.unit_inverse() * u.galois(a) * u.galois((1 - a) % p)
+    """The twist rho_a(u) = u^{-1} sigma_a(u) sigma_{1-a}(u); always a unit.
+
+    Cached on the context: move searches twist by the same few units.
+    """
+    cache, key = u.ctx._rho, (a, u.prec, u.digits)
+    if key not in cache:
+        cache[key] = u.unit_inverse() * u.galois(a) * u.galois((1 - a) % u.ctx.p)
+    return cache[key]
 
 
 def apply_move(c: GammaCoeffs, mv: IsoMove, m: int) -> GammaCoeffs:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 
-from .cyclotomic import MaxclassError, Valuation, _is_prime
+from .cyclotomic import MaxclassError, PrimeContext, Valuation, _is_prime
 from . import freelie
 from .freelie import Tree
 from .liering import LcsProfile, LieElt, LieRingSpec, lower_central_series
@@ -163,10 +164,26 @@ def group_commutator_closed3(x: LieElt, y: LieElt) -> LieElt:
     return ab + (y.bracket(y.bracket(x)) - x.bracket(ab)) * Fraction(1, 2)
 
 
+def _theta_matrix(ctx: PrimeContext, t: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of multiplication by theta^t on digit vectors mod P^n; column j is theta^t kappa^j."""
+    mat = ctx._theta_mats.get((t, n))
+    if mat is None:
+        th = ctx.theta(t).digits
+        cols = [ctx._canonical(ctx._mul_raw(th, tuple(int(k == j) for k in range(ctx.d))), n)
+                for j in range(ctx.d)]
+        mat = ctx._theta_mats[t, n] = tuple(zip(*cols))
+    return mat
+
+
 def theta_power_map(x: LieElt, t: int) -> LieElt:
     """Multiplication by theta^t: simultaneously a ring endomorphism of L and an
     automorphism of G(L); theta itself has order p."""
-    return LieElt(x.spec, x.spec.reduce(x.spec.ctx.theta(t) * x.value))
+    spec = x.spec
+    t %= spec.ctx.p
+    if t == 0:
+        return x
+    mat = _theta_matrix(spec.ctx, t, spec.m - spec.i)
+    return LieElt(spec, spec._canon([sum(map(mul, row, x.digits)) for row in mat]))
 
 
 def group_lcs(spec: LieRingSpec, table: BchTable) -> LcsProfile:
@@ -178,7 +195,7 @@ def group_lcs(spec: LieRingSpec, table: BchTable) -> LcsProfile:
     basis = spec.basis()
 
     def step(w: int) -> Valuation:
-        layer = [spec.element(spec.ctx.kappa_power(w + r)) for r in range(spec.ctx.d)]
+        layer = [spec.kappa_power(w + r) for r in range(spec.ctx.d)]
         return Valuation.minimum(group_commutator(a, b, table).valuation()
                                  for a in layer for b in basis)
 

@@ -2,9 +2,10 @@
 
 L_{i,m}(gamma) is P^i/P^m with bracket gamma(a ^ b) + P^m.  The Jacobi ideal
 J_i(gamma) = P^lambda caps the admissible truncation: the bracket satisfies
-the Jacobi identity exactly when m <= lambda.  Elements are kept as canonical
-coset representatives modulo P^m, lifted back to working precision so brackets
-are computed exactly.
+the Jacobi identity exactly when m <= lambda.  An element is the canonical
+digit tuple of x/kappa^i modulo P^{m-i}, and the bracket contracts digit
+wedges with one table of basis brackets, so nothing is lifted to the working
+precision.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add, mod, mul, neg, sub
 
 from .cyclotomic import (
     CycElt,
@@ -79,7 +81,11 @@ class LcsProfile:
 
 
 class LieRingSpec:
-    """The Lie ring L_{i,m}(gamma), with lambda recomputed at construction."""
+    """The Lie ring L_{i,m}(gamma), with lambda recomputed at construction.
+
+    Its bracket is Z_p-bilinear, so it contracts digit wedges with the table
+    C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{m-i}.
+    """
 
     def __init__(self, ctx: PrimeContext, i: int, m: int, gamma: GammaCoeffs,
                  lam: Valuation | None = None):
@@ -102,6 +108,10 @@ class LieRingSpec:
         # gamma by value, so specs built from equal coefficient vectors are equal
         self._gamma_key = tuple((c.den_exp, c.num.prec, c.num.digits) for c in gamma.coeffs)
         self._profile: LcsProfile | None = None
+        self._moduli = ctx.digit_moduli(m - i)
+        self._table: tuple | None = None
+        # gamma(kappa^{i+r} ^ kappa^{i+s}) by basis pair, shared with the truncations
+        self._basis_brackets: dict[tuple[int, int], CycElt] = {}
 
     def __repr__(self) -> str:
         return f"LieRingSpec(p={self.ctx.p}, i={self.i}, m={self.m}, lambda={self.lam!r})"
@@ -117,56 +127,74 @@ class LieRingSpec:
 
     # ---- elements ----
 
-    def reduce(self, value: CycElt) -> CycElt:
-        # canonical representative of value + P^m, lifted to working precision
-        # (digits reduced mod P^m stay canonical at the larger moduli of M_work)
-        if value.prec < self.m:
-            raise PrecisionExhausted(f"representative known mod P^{value.prec} < P^{self.m}")
-        return CycElt(self.ctx, self.ctx._canonical(value.digits, self.m), self.ctx.M_work)
+    def _canon(self, digits) -> tuple[int, ...]:
+        return tuple(map(mod, digits, self._moduli))
 
     def element(self, value: CycElt) -> LieElt:
-        red = self.reduce(value)
-        if red.valuation().bound < self.i:
+        """The coset value + P^m of an element of P^i known at least mod P^m."""
+        if value.prec < self.m:
+            raise PrecisionExhausted(f"representative known mod P^{value.prec} < P^{self.m}")
+        value = value.reduce_to(self.m)
+        if value.valuation().bound < self.i:
             raise ValueError(f"element has valuation below i={self.i}")
-        return LieElt(self, red)
+        return LieElt(self, value.div_kappa(self.i).digits if self.m > self.i else (0,) * self.ctx.d)
 
     def zero(self) -> LieElt:
-        return self.element(self.ctx.zero())
+        return LieElt(self, (0,) * self.ctx.d)
+
+    def kappa_power(self, e: int) -> LieElt:
+        """The coset of kappa^e, for e >= i."""
+        if e < self.i:
+            raise ValueError(f"kappa^{e} lies outside P^{self.i}")
+        return LieElt(self, self.ctx.kappa_power(e - self.i, self.m - self.i).digits)
 
     def basis(self) -> list[LieElt]:
         """Module generators kappa^{i+t}, t = 0..p-2, of P^i."""
-        return [self.element(self.ctx.kappa_power(self.i + t)) for t in range(self.ctx.d)]
+        return [self.kappa_power(self.i + t) for t in range(self.ctx.d)]
 
     def enumerate_elements(self, budget: int | None = None):
-        """All p^{m-i} cosets, via kappa-adic digit vectors sum a_t kappa^{i+t}."""
+        """All p^{m-i} cosets, one per canonical digit tuple."""
         n = self.m - self.i
         if budget is not None and self.ctx.p ** n > budget:
             raise MaxclassError(f"{self.ctx.p}^{n} elements exceed budget {budget}")
-
-        powers = [self.ctx.kappa_power(self.i + t) for t in range(n)]
-        for digs in product(range(self.ctx.p), repeat=n):
-            acc = self.ctx.zero()
-            for a, x in zip(digs, powers):
-                if a:
-                    acc = acc + x * a
-            yield self.element(acc)
+        for digs in product(*map(range, self._moduli)):
+            yield LieElt(self, digs)
 
     def truncate(self, m: int) -> LieRingSpec:
         """The quotient L_{i,m}(gamma) of this ring, for i <= m <= self.m.
 
         Hhat_i membership and lambda depend only on gamma, so neither is
-        recomputed; a cached lower central series is carried over, clamped at m.
+        recomputed; a cached lower central series is carried over, clamped at
+        m, and the basis brackets are shared, so no gamma is evaluated.
         """
         if not self.i <= m <= self.m:
             raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
         out = copy.copy(self)
         out.m = m
+        out._moduli = self.ctx.digit_moduli(m - self.i)
+        out._table = None
         if self._profile is not None:
             out._profile = LcsProfile(
                 tuple(w for w in self._profile.exponents if w < m) + (m,), m)
         return out
 
     # ---- structure ----
+
+    def _structure_constants(self) -> tuple:
+        """The pairs r < s and, per digit, the column of C[r][s] mod P^{m-i}."""
+        ctx, i, m, brackets = self.ctx, self.i, self.m, self._basis_brackets
+        if self._table is None and m > i:
+            if not brackets:
+                basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+                brackets.update({(r, s): gamma_eval(self.gamma, basis[r], basis[s])
+                                 for r, s in combinations(range(ctx.d), 2)})
+            for (r, s), e in brackets.items():
+                if e.prec < m:
+                    raise PrecisionExhausted(
+                        f"gamma(kappa^{i + r} ^ kappa^{i + s}) known mod P^{e.prec} < P^{m}")
+            self._table = (tuple(brackets), tuple(zip(*(
+                e.reduce_to(m).div_kappa(i).digits for e in brackets.values()))))
+        return self._table or ((), ((),) * ctx.d)
 
     def lcs_profile(self) -> LcsProfile:
         if self._profile is None:
@@ -179,59 +207,68 @@ class LieRingSpec:
 
 
 class LieElt:
-    """A coset of P^m inside P^i, in canonical reduced form."""
+    """A coset x + P^m inside P^i, stored as the canonical digits of x/kappa^i mod P^{m-i}."""
 
-    __slots__ = ("spec", "value")
+    __slots__ = ("spec", "digits")
 
-    def __init__(self, spec: LieRingSpec, value: CycElt):
+    def __init__(self, spec: LieRingSpec, digits: tuple[int, ...]):
         self.spec = spec
-        self.value = value
+        self.digits = digits
 
     def _check(self, other: LieElt) -> None:
         if self.spec is not other.spec and self.spec != other.spec:
             raise MaxclassError("elements belong to different Lie rings")
 
+    def _quotient(self) -> CycElt:
+        # x/kappa^i as an element of O/P^{m-i}
+        return CycElt(self.spec.ctx, self.digits, self.spec.m - self.spec.i)
+
+    @property
+    def value(self) -> CycElt:
+        """The canonical representative x of the coset, known mod P^m."""
+        return self._quotient() * self.spec.ctx.kappa_power(self.spec.i, self.spec.m)
+
     def __repr__(self) -> str:
-        return f"LieElt({self.value!r} mod P^{self.spec.m})"
+        return f"LieElt(kappa^{self.spec.i} * {list(self.digits)} mod P^{self.spec.m})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieElt):
             return NotImplemented
-        return self.spec == other.spec and self.value.digits == other.value.digits
+        return self.digits == other.digits and (self.spec is other.spec or self.spec == other.spec)
 
     def __hash__(self) -> int:
-        return hash((self.spec.i, self.spec.m, self.value.digits))
+        return hash((self.spec.i, self.spec.m, self.digits))
 
     def __add__(self, other: LieElt) -> LieElt:
         self._check(other)
-        return LieElt(self.spec, self.spec.reduce(self.value + other.value))
+        return LieElt(self.spec, self.spec._canon(map(add, self.digits, other.digits)))
 
     def __sub__(self, other: LieElt) -> LieElt:
         self._check(other)
-        return LieElt(self.spec, self.spec.reduce(self.value - other.value))
+        return LieElt(self.spec, self.spec._canon(map(sub, self.digits, other.digits)))
 
     def __neg__(self) -> LieElt:
-        return LieElt(self.spec, self.spec.reduce(-self.value))
+        return LieElt(self.spec, self.spec._canon(map(neg, self.digits)))
 
     def __mul__(self, scalar: int | Fraction) -> LieElt:
-        return LieElt(self.spec, self.spec.reduce(self.value.scalar_mul(scalar)))
+        return LieElt(self.spec, self._quotient().scalar_mul(scalar).digits)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return self.value.is_zero()
+        return not any(self.digits)
 
     def valuation(self) -> Valuation:
         # valuation of the coset: exact below m, else AtLeast(m)
-        v = self.value.valuation()
-        if v.exact and v.value < self.spec.m:
-            return v
-        return Valuation.at_least(self.spec.m)
+        v = self._quotient().valuation()
+        return Valuation.exactly(self.spec.i + v.value) if v.exact else Valuation.at_least(self.spec.m)
 
     def bracket(self, other: LieElt) -> LieElt:
         self._check(other)
-        return LieElt(self.spec, self.spec.reduce(
-            gamma_eval(self.spec.gamma, self.value, other.value)))
+        pairs, cols = self.spec._structure_constants()
+        x, y = self.digits, other.digits
+        wedge = [x[r] * y[s] - x[s] * y[r] for r, s in pairs]
+        return LieElt(self.spec, self.spec._canon([sum(map(mul, wedge, col)) for col in cols]))
 
 
 def lower_central_series(i: int, m: int, step) -> LcsProfile:

@@ -34,7 +34,7 @@ from .lazard import (
     group_lcs,
     theta_power_map,
 )
-from .liering import LieRingSpec, check_class_bounds, jacobi_exponent, lcs_profile
+from .liering import LieElt, LieRingSpec, check_class_bounds, jacobi_exponent, lcs_profile
 from .frame import SGroup, classify, quotient_edge, verify_maximal_class
 
 
@@ -52,6 +52,16 @@ class CheckResult:
 
 def _random_element(ctx: PrimeContext, rng: random.Random, depth: int = 2) -> CycElt:
     return ctx.element([rng.randrange(ctx.p ** depth) for _ in range(ctx.d)])
+
+
+def _random_coset(spec: LieRingSpec, rng: random.Random) -> LieElt:
+    """sum a_t kappa^{i+t} over t < m - i, with each a_t drawn from 0..p-1."""
+    acc = [0] * spec.ctx.d
+    for t in range(spec.m - spec.i):
+        a = rng.randrange(spec.ctx.p)
+        if a:
+            acc = [u + a * v for u, v in zip(acc, spec.kappa_power(spec.i + t).digits)]
+    return LieElt(spec, spec._canon(acc))
 
 
 def _random_gamma(ctx: PrimeContext, i: int, rng: random.Random,
@@ -194,11 +204,11 @@ def suite_class_bounds(p: int, per_i: int = 1, seed: int = 0) -> CheckResult:
 
 def _multiplication_table(spec: LieRingSpec, table) -> tuple[list, dict, list[list[int]]]:
     elements = list(spec.enumerate_elements())
-    index = {e.value.digits: n for n, e in enumerate(elements)}
+    index = {e.digits: n for n, e in enumerate(elements)}
     prod = [[0] * len(elements) for _ in range(len(elements))]
     for ax, x in enumerate(elements):
         for ay, y in enumerate(elements):
-            prod[ax][ay] = index[bch_multiply(x, y, table).value.digits]
+            prod[ax][ay] = index[bch_multiply(x, y, table).digits]
     return elements, index, prod
 
 
@@ -247,12 +257,7 @@ def suite_lazard(p: int, samples: int = 10_000, seed: int = 0, fault: str | None
     table = corrupt(build_bch_table(max(spec.nilpotency_class, 1), p=p))
 
     def rnd_elt():
-        v = ctx.zero()
-        for t in range(spec.m - spec.i):
-            a = rng.randrange(p)
-            if a:
-                v = v + ctx.kappa_power(spec.i + t) * a
-        return spec.element(v)
+        return _random_coset(spec, rng)
 
     bad = sum(
         1 for _ in range(samples)
@@ -339,12 +344,7 @@ def suite_quotient(p: int, samples: int = 40, seed: int = 0) -> CheckResult:
     target, project = quotient_edge(group)
 
     def rnd_elt():
-        v = ctx.zero()
-        for t in range(m - i):
-            a = rng.randrange(p)
-            if a:
-                v = v + ctx.kappa_power(i + t) * a
-        return group.element(v, rng.randrange(p))
+        return group.element(_random_coset(spec, rng), rng.randrange(p))
 
     for n in range(samples):
         x, y = rnd_elt(), rnd_elt()
@@ -352,7 +352,7 @@ def suite_quotient(p: int, samples: int = 40, seed: int = 0) -> CheckResult:
             violations.append(f"sample {n}: truncation is not multiplicative")
             break
     kernel = [group.element(ctx.kappa_power(m - 1) * a, 0) for a in range(p)]
-    if len({k.g.value.digits for k in kernel}) != p:
+    if len({k.g.digits for k in kernel}) != p:
         violations.append("kernel does not have p distinct elements")
     for k in kernel:
         if not project(k).is_identity():

@@ -211,6 +211,28 @@ def test_undecidable_scan_output_pinned(capsys):
         "613e06344e846ccfa0bf5e4570fc3bbde381981575e022f6ef90442b406ddddc")
 
 
+IDENTITY_LIST = [
+    ("enumerate --p 5 --i 7 --m-max 20 --coeff-mod 1",
+     "bbe330b76cafa1557ab5eca83540841cf30b800f8f1f6e5b284e26a00fea7cd1"),
+    ("enumerate --p 5 --i 7 --m-max 20 --coeff-mod 2",
+     "e74ba8eee02cccdd18cb19067cd59f7581965f87adb93c8b4ae83fe5cc337ec2"),
+    ("build --p 5 --i 7 --m 16 --coeff 1",
+     "67eeb9c07f9377f32de98a1c65bb46b7fb94f3fb52836f7f94631267440e5515"),
+    ("verify --p 5 --quick",
+     "335b527d77c71ebc2a8822323292791bccff1ee211ff0fafd7be68edcd2e18cf"),
+    ("jacobi --p 7 --i 9 --coeff 1,3",
+     "dfe1692c2b9de1159caac7a83014edb7db60f2685063e075033ab2da7d74bde6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", IDENTITY_LIST, ids=[a for a, _ in IDENTITY_LIST])
+def test_identity_list_output_pinned(capsys, argv, digest):
+    # sha256 of the `--format json` output; any change in it is a changed answer
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_json_independent_of_hash_seed():
     argv = [sys.executable, "-m", "maxclass.cli", "enumerate", "--p", "5", "--i", "7",
             "--m-max", "20", "--coeff-mod", "1", "--format", "json"]

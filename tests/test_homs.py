@@ -131,6 +131,49 @@ def test_vandermonde_built_once_per_context_and_i(monkeypatch):
     assert (fresh.V_diag, fresh.B, fresh.u) == (vd.V_diag, vd.B, vd.u)
 
 
+def test_vandermonde_row_products_formed_once(monkeypatch):
+    ctx = PrimeContext(7, 44)
+    rng = random.Random(5)
+    i = 9
+    vd = vandermonde(ctx, i)
+    for a in range(ctx.l):
+        for j in range(ctx.l):
+            want = vd.V_diag[a] * vd.B[a][j]
+            assert (vd.VB[a][j].digits, vd.VB[a][j].prec) == (want.digits, want.prec)
+    gammas = [GammaCoeffs(ctx, i, [CycFrac(ctx.element([rng.randrange(49) for _ in range(6)]),
+                                           rng.randrange(3)) for _ in range(2)], check=False)
+              for _ in range(20)]
+    # the entries of (c) V_i B, with the products formed on every call
+    reference = []
+    for g in gammas:
+        row = []
+        for j in range(ctx.l):
+            acc = CycFrac(ctx.zero())
+            for a, c in enumerate(g.coeffs):
+                acc = acc + c * (vd.V_diag[a] * vd.B[a][j])
+            row.append((acc.num.digits, acc.num.prec, acc.den_exp))
+        reference.append(row)
+    images = [[ctx.kappa_power(2 * i + 1) * ctx.element([rng.randrange(7) for _ in range(6)])
+               for _ in range(ctx.l)] for _ in range(5)]
+    solved = [images_to_coeffs(ctx, i, imgs).to_json() for imgs in images]
+
+    diag = {id(v) for v in vd.V_diag}
+    products = []
+    real_mul = homs.CycElt.__mul__
+
+    def counted(self, other):
+        products.append(id(self) in diag or id(other) in diag)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(homs.CycElt, "__mul__", counted)
+    for g, row in zip(gammas, reference):
+        got = [(e.num.digits, e.num.prec, e.den_exp) for e in homs._row_times_vib(g, vd)]
+        assert got == row
+        in_Hhat(g, i)
+    assert [images_to_coeffs(ctx, i, imgs).to_json() for imgs in images] == solved
+    assert products and not any(products)
+
+
 def test_v_a_factor_is_the_diagonal_entry(ctx7):
     # the probe-wedge factor v_a in kappa^{2i+1} v_a u_a^{j-1} is the V_i diagonal
     i = 4

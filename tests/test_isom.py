@@ -3,6 +3,7 @@ import random
 import pytest
 
 from maxclass import (
+    CycElt,
     CycFrac,
     GammaCoeffs,
     IsoMove,
@@ -52,6 +53,34 @@ def test_rho_basics(ctx, units):
     u, v = units[3], units[7]
     assert (rho(2, u * v) - rho(2, u) * rho(2, v)).is_zero()
     assert rho(2, u).valuation().value == 0
+
+
+def test_rho_cached_per_index_and_unit(monkeypatch):
+    rng = random.Random(6)
+    for p in (5, 7):
+        ctx = PrimeContext(p, 30)
+        for prec in (1, 4, 17, 30):
+            for _ in range(6):
+                digits = [rng.randrange(1, p)] + [rng.randrange(p ** 8) for _ in range(ctx.d - 1)]
+                u = ctx.element(digits, prec)
+                for a in range(2, ctx.l + 2):
+                    want = u.unit_inverse() * u.galois(a) * u.galois((1 - a) % p)
+                    got = rho(a, u)
+                    assert (got.digits, got.prec) == (want.digits, want.prec)
+                    # an equal unit built anew hits the same entry
+                    assert rho(a, ctx.element(digits, prec)) is got
+    inversions = []
+    real = CycElt.unit_inverse
+    monkeypatch.setattr(CycElt, "unit_inverse", lambda self: inversions.append(self) or real(self))
+    ctx = PrimeContext(7, 30)
+    u = ctx.element([3, 1, 4, 1, 5, 9], 12)
+    first = rho(2, u)
+    assert len(inversions) == 1
+    assert rho(2, u) is first and rho(2, ctx.element([3, 1, 4, 1, 5, 9], 12)) is first
+    assert len(inversions) == 1
+    rho(3, u)
+    rho(2, u.lift_to(13))
+    assert len(inversions) == 3
 
 
 def test_scaling_identity(ctx, units):
