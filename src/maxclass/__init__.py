@@ -25,6 +25,7 @@ from .homs import (
     GammaCoeffs,
     NotInHhat,
     VandermondeData,
+    basis_brackets,
     epsilon,
     gamma_eval,
     images_to_coeffs,

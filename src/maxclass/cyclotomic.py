@@ -112,8 +112,10 @@ class PrimeContext:
         self.kappa_reduction = tuple(-comb(p, j + 1) for j in range(p - 1))
         self._moduli: dict[int, tuple[int, ...]] = {}
         self._galois_pows: dict[int, tuple[tuple[int, ...], ...]] = {}
-        # caches of homs: theta_a tables by a, Vandermonde data by i
+        # caches of homs: theta_a tables by a, theta_a on the basis wedges of P^i
+        # and Vandermonde data by i
         self._theta_tabs: dict[int, tuple] = {}
+        self._basis_thetas: dict[int, tuple] = {}
         self._vandermonde: dict[int, object] = {}
         # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u)
         self._theta_mats: dict[tuple[int, int], tuple] = {}

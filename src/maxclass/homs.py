@@ -83,6 +83,27 @@ def theta_a_eval(a: int, x: CycElt, y: CycElt) -> CycElt:
     return CycElt(ctx, ctx._canonical([sum(map(mul, wedge, col)) for col in cols], prec), prec)
 
 
+def _basis_thetas(ctx: PrimeContext, i: int) -> tuple:
+    """theta_a on the basis wedges of P^i, and the same divided by kappa^i.
+
+    Entry [a-2][k] of the first tuple is theta_a(kappa^{i+r} ^ kappa^{i+s}) for
+    the k-th pair r < s < p-1, built with theta_a_eval, so it carries the
+    digits and the precision that theta_a_eval gives on that pair.  The second
+    tuple holds these values divided by kappa^i, known mod P^{M_work - i}; it
+    is None when i >= M_work.  Both are built once per context and i.
+    """
+    tab = ctx._basis_thetas.get(i)
+    if tab is None:
+        basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+        pairs = tuple(combinations(range(ctx.d), 2))
+        thetas = tuple(tuple(theta_a_eval(a, basis[r], basis[s]) for r, s in pairs)
+                       for a in range(2, ctx.l + 2))
+        quotients = None if i >= ctx.M_work else tuple(
+            tuple(t.div_kappa(i) for t in row) for row in thetas)
+        tab = ctx._basis_thetas[i] = (thetas, quotients)
+    return tab
+
+
 class CycFrac:
     """An element num / kappa^den_exp of the field K = Q_p(theta).
 
@@ -90,7 +111,7 @@ class CycFrac:
     factors whenever the denominator is positive.
     """
 
-    __slots__ = ("num", "den_exp")
+    __slots__ = ("num", "den_exp", "_inv")
 
     def __init__(self, num: CycElt, den_exp: int = 0):
         while den_exp > 0:
@@ -103,6 +124,7 @@ class CycFrac:
             den_exp -= 1
         self.num = num
         self.den_exp = den_exp
+        self._inv: CycFrac | None = None
 
     @property
     def ctx(self) -> PrimeContext:
@@ -141,14 +163,18 @@ class CycFrac:
         return CycFrac(self.num * other, self.den_exp)
 
     def inverse(self) -> CycFrac:
-        v = self.num.valuation()
-        if not v.exact:
-            raise InsufficientValuation("cannot invert an element that is zero at working precision")
-        unit = self.num.div_kappa(v.value).unit_inverse()
-        shift = self.den_exp - v.value
-        if shift >= 0:
-            return CycFrac(unit * self.ctx.kappa_power(shift, unit.prec), 0)
-        return CycFrac(unit, -shift)
+        """The inverse, computed on the first call: move searches divide by the same c_a."""
+        if self._inv is None:
+            v = self.num.valuation()
+            if not v.exact:
+                raise InsufficientValuation("cannot invert an element that is zero at working precision")
+            unit = self.num.div_kappa(v.value).unit_inverse()
+            shift = self.den_exp - v.value
+            if shift >= 0:
+                self._inv = CycFrac(unit * self.ctx.kappa_power(shift, unit.prec), 0)
+            else:
+                self._inv = CycFrac(unit, -shift)
+        return self._inv
 
     def __truediv__(self, other: CycFrac) -> CycFrac:
         return self * other.inverse()
@@ -214,21 +240,44 @@ class GammaCoeffs:
         return cls(ctx, int(obj["i"]), [CycFrac.from_json(ctx, c) for c in obj["coeffs"]], check=check)
 
 
-def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
-    """sum_a c_a * theta_a(x ^ y), with denominators absorbed at the end."""
+def _combine(g: GammaCoeffs, theta, prec: int) -> CycElt:
+    """sum_a c_a * theta(a), with denominators absorbed at the end.
+
+    theta(a) is theta_a on the wedge and is asked only for nonzero c_a; prec is
+    the smaller precision of the two wedge factors.  Scale each term by
+    kappa^(D - e_a), with D the largest den_exp, sum, then divide by kappa^D.
+    """
     ctx = g.ctx
     d_max = max((c.den_exp for c in g.coeffs), default=0)
-    acc = ctx.zero(min(x.prec, y.prec))
+    acc = ctx.zero(prec)
     for a_idx, c in enumerate(g.coeffs):
         if c.is_zero():
             continue
-        t = c.num * theta_a_eval(a_idx + 2, x, y)
+        t = c.num * theta(a_idx + 2)
         if d_max > c.den_exp:
             t = t * ctx.kappa_power(d_max - c.den_exp, t.prec)
         acc = acc + t
     if d_max == 0:
         return acc
     return acc.div_kappa(d_max)
+
+
+def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
+    """sum_a c_a * theta_a(x ^ y), with denominators absorbed at the end."""
+    return _combine(g, lambda a: theta_a_eval(a, x, y), min(x.prec, y.prec))
+
+
+def basis_brackets(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
+    """gamma(kappa^{i+r} ^ kappa^{i+s}) by basis pair r < s < p-1.
+
+    The theta_a values come from the per-(context, i) cache and gamma_eval's
+    own combining step joins them, so each entry has the digits and the
+    precision of gamma_eval on that pair, with or without kappa-denominators.
+    """
+    ctx = g.ctx
+    thetas = _basis_thetas(ctx, i)[0]
+    return {rs: _combine(g, lambda a: thetas[a - 2][k], ctx.M_work)
+            for k, rs in enumerate(combinations(range(ctx.d), 2))}
 
 
 class VandermondeData:

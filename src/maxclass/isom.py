@@ -21,7 +21,7 @@ from .cyclotomic import (
     PrimeContext,
     enumerate_units,
 )
-from .homs import CycFrac, GammaCoeffs, gamma_eval
+from .homs import CycFrac, GammaCoeffs, basis_brackets, gamma_eval
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,14 @@ def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool
     phi = witness_map(mv)
     basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
     phis = [phi(x) for x in basis]
+    brackets2 = basis_brackets(c2, i)
     theta = ctx.theta()
     theta_k = ctx.theta(mv.k)
     for r in range(ctx.d):
         if not phi(theta * basis[r]).congruent(theta_k * phis[r], m):
             return False
         for s in range(r + 1, ctx.d):
-            lhs = phi(gamma_eval(c2, basis[r], basis[s]))
+            lhs = phi(brackets2[r, s])
             rhs = gamma_eval(c, phis[r], phis[s])
             if not lhs.congruent(rhs, m):
                 return False

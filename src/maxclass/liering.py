@@ -23,7 +23,7 @@ from .cyclotomic import (
     PrimeContext,
     Valuation,
 )
-from .homs import GammaCoeffs, NotInHhat, gamma_eval, in_Hhat
+from .homs import GammaCoeffs, NotInHhat, _basis_thetas, basis_brackets, gamma_eval, in_Hhat
 
 
 class NotNilpotent(MaxclassError):
@@ -40,20 +40,62 @@ def jacobiator(g: GammaCoeffs, x: CycElt, y: CycElt, z: CycElt) -> CycElt:
 def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     """Exponent lambda with J_i(gamma) = P^lambda, from the basis triples.
 
-    The Jacobiator is alternating and trilinear over Z_p and kappa^{i+r},
+    The Jacobiator is alternating and trilinear over Z_p and e_r = kappa^{i+r},
     r = 0..p-2, is a module basis of P^i, so the ideal generated by all
     Jacobiators equals the one generated on the binom(p-1, 3) basis triples.
-    Each basis bracket is evaluated once: gamma(z ^ x) = -gamma(x ^ z) holds
-    in digits and precision alike.
+
+    For gamma integral at working precision M (every c_a has den_exp 0 and
+    every nonzero c_a is known mod P^M) the triples are contracted in
+    coordinates.  Let n = M - i and
+        C[r][s] = sum_a c_a theta_a(e_r ^ e_s)/kappa^i = gamma(e_r ^ e_s)/kappa^i mod P^n,
+    from the theta_a values divided by kappa^i once per context and i.  The
+    digits C[r][s]_u are the Z_p-coordinates of gamma(e_r ^ e_s) on the e_u,
+    so bilinearity gives
+        J(r, s, t)/kappa^i = sum_u C[r][s]_u C[u][t] + C[s][t]_u C[u][r] + C[t][r]_u C[u][s].
+    This is exact mod P^n: kappa^i C[r][s] is gamma(e_r ^ e_s) up to P^M, and
+    gamma(P^M ^ P^{i+t}) lies in P^M, so that error moves J only by P^M.
+    The nested route gamma(gamma(e_r ^ e_s) ^ e_t) labels the same residues:
+    every evaluation there has precision min(x.prec + v(y), y.prec + v(x), M)
+    = M, since its inputs are known mod P^M and all valuations are >= 0, so
+    its label is Exact(v(J)) iff J(r, s, t) is not 0 mod P^M, and AtLeast(M)
+    otherwise.  Hence lambda = i + the least valuation of the contracted
+    residues, or AtLeast(M) when all vanish, as for every i >= M.
+
+    Any other gamma (kappa-denominators, or coefficients known below M, as
+    images_to_coeffs gives) keeps the nested gamma_eval route, whose AtLeast
+    labels follow gamma_eval's precision step by step.
     """
     i = g.i if i is None else i
-    ctx = g.ctx
-    basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
-    br = {(r, s): gamma_eval(g, basis[r], basis[s]) for r, s in combinations(range(ctx.d), 2)}
-    vals = [(gamma_eval(g, br[r, s], basis[t]) + gamma_eval(g, br[s, t], basis[r])
+    ctx, d = g.ctx, g.ctx.d
+    if not all(c.den_exp == 0 and (c.is_zero() or c.num.prec == ctx.M_work) for c in g.coeffs):
+        br = basis_brackets(g, i)
+        basis = [ctx.kappa_power(i + r) for r in range(d)]
+        return Valuation.minimum(
+            (gamma_eval(g, br[r, s], basis[t]) + gamma_eval(g, br[s, t], basis[r])
              + gamma_eval(g, -br[r, t], basis[s])).valuation()
-            for r, s, t in combinations(range(ctx.d), 3)]
-    return Valuation.minimum(vals)
+            for r, s, t in combinations(range(d), 3))
+    n = ctx.M_work - i
+    if n <= 0:
+        return Valuation.at_least(ctx.M_work)
+    # C[r][s] = sum_a c_a theta_a(e_r ^ e_s)/kappa^i, one ring product per nonzero c_a
+    terms = [(c.num.digits, row) for c, row in zip(g.coeffs, _basis_thetas(ctx, i)[1])
+             if not c.is_zero()]
+    table = [[(0,) * d for _ in range(d)] for _ in range(d)]
+    for k, (r, s) in enumerate(combinations(range(d), 2)):
+        acc = [0] * d
+        for c, row in terms:
+            acc = list(map(add, acc, ctx._mul_raw(c, row[k].digits)))
+        table[r][s] = ctx._canonical(acc, n)
+        table[s][r] = tuple(map(neg, table[r][s]))
+    # cols[t][k]: digit k of C[u][t], as a tuple over u
+    cols = [tuple(zip(*(row[t] for row in table))) for t in range(d)]
+    vals = []
+    for r, s, t in combinations(range(d), 3):
+        x = table[r][s] + table[s][t] + table[t][r]
+        jac = [sum(map(mul, x, a + b + c)) for a, b, c in zip(cols[t], cols[r], cols[s])]
+        vals.append(CycElt(ctx, ctx._canonical(jac, n), n).valuation())
+    v = Valuation.minimum(vals)
+    return Valuation.exactly(i + v.value) if v.exact else Valuation.at_least(ctx.M_work)
 
 
 def image_exponent(g: GammaCoeffs, w: int, i: int) -> Valuation:
@@ -185,9 +227,7 @@ class LieRingSpec:
         ctx, i, m, brackets = self.ctx, self.i, self.m, self._basis_brackets
         if self._table is None and m > i:
             if not brackets:
-                basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
-                brackets.update({(r, s): gamma_eval(self.gamma, basis[r], basis[s])
-                                 for r, s in combinations(range(ctx.d), 2)})
+                brackets.update(basis_brackets(self.gamma, i))
             for (r, s), e in brackets.items():
                 if e.prec < m:
                     raise PrecisionExhausted(

@@ -242,3 +242,21 @@ def test_enumerate_json_independent_of_hash_seed():
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         outs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_jacobi_images_json_with_kappa_denominators_pinned(capsys, tmp_path):
+    # probe images whose coefficient vector has kappa-denominators: lambda takes
+    # the nested gamma_eval route, whose AtLeast labels this digest pins
+    from maxclass import GammaCoeffs, PrimeContext
+    ctx = PrimeContext(7, 60)
+    images = [ctx.kappa_power(19) * ctx.element(digs)
+              for digs in ([1, 2, 0, 3, 0, 1], [2, 0, 1, 0, 4, 0])]
+    path = tmp_path / "images.json"
+    path.write_text(json.dumps([x.to_json() for x in images]))
+    code, out, _ = run(capsys, "jacobi", "--p", "7", "--i", "9", "--images-json", str(path),
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "bffd3571609725fa652a91619927a34c2a7045bacdc76212768115849b7bdc5e"
+    g = GammaCoeffs.from_json(ctx, json.loads(out)["coeffs"], check=False)
+    assert any(c.den_exp > 0 for c in g.coeffs)

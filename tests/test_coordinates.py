@@ -18,6 +18,7 @@ from maxclass import (
     PrecisionExhausted,
     PrimeContext,
     SGroup,
+    basis_brackets,
     bch_multiply,
     build_bch_table,
     gamma_eval,
@@ -164,15 +165,19 @@ def test_truncate_evaluates_no_gamma(monkeypatch):
         raise AssertionError("truncate must not evaluate gamma")
 
     monkeypatch.setattr(liering, "gamma_eval", boom)
+    monkeypatch.setattr(liering, "basis_brackets", boom)
     for m in range(7, 25):
         cut = spec.truncate(m)
         assert [x.bracket(y) for x, y in combinations(cut.basis(), 2)] == want[m]
-    # a truncation built before its top ring fills the shared brackets for both
+    # a truncation built before its top ring fills the shared brackets for both:
+    # the binom(4, 2) basis pairs come from one basis_brackets call for the chain
     monkeypatch.undo()
     top = theta2_spec(5, 7, 44)
-    calls = []
+    calls, made = [], []
     monkeypatch.setattr(liering, "gamma_eval", lambda *a: calls.append(a) or gamma_eval(*a))
+    monkeypatch.setattr(liering, "basis_brackets",
+                        lambda *a: made.append(basis_brackets(*a)) or made[-1])
     cut = top.truncate(16)
     cut.basis()[0].bracket(cut.basis()[1])
     top.basis()[0].bracket(top.basis()[1])
-    assert len(calls) == 6   # binom(4, 2) basis pairs, once for the chain
+    assert calls == [] and [len(b) for b in made] == [6]

@@ -6,6 +6,7 @@ from maxclass import (
     CycElt,
     CycFrac,
     GammaCoeffs,
+    InsufficientValuation,
     IsoMove,
     NonUnit,
     NotInHhat,
@@ -14,6 +15,8 @@ from maxclass import (
     apply_move,
     enumerate_units,
     find_certified_move,
+    gamma_eval,
+    images_to_coeffs,
     in_Hhat,
     move_congruent,
     orbit_canonical,
@@ -246,3 +249,105 @@ def test_derived_candidates_skip_only_undecided_divisions(ctx, monkeypatch, erro
     monkeypatch.setattr(CycFrac, "__truediv__", broken)
     with pytest.raises(error):
         _derived_unit_candidates(c, c2, 1)
+
+
+def p7_grid_gammas():
+    # the Hhat_9 members of the grid of enumerate --p 7 --i 9 --m-max 18 --coeff-mod 1
+    ctx = PrimeContext(7, 60)
+    gammas = [GammaCoeffs(ctx, 9, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
+    return [g for g in gammas if in_Hhat(g, 9)]
+
+
+def quotient_candidates(c, c2, k):
+    # the candidates as sigma_k(c2_a) / c_a, with every c_a inverted afresh
+    out = []
+    for ca, ca2 in zip(c.coeffs, c2.coeffs):
+        if ca.is_zero() or ca2.is_zero():
+            continue
+        try:
+            q = ca2.galois(k) / CycFrac(ca.num, ca.den_exp)
+        except (InsufficientValuation, PrecisionExhausted):
+            continue
+        v = q.valuation()
+        if q.den_exp == 0 and v.exact and v.value == 0 and not any(q.num.digits[1:]):
+            out.append(q.num)
+    return out
+
+
+def test_derived_candidates_equal_quotients_on_p7_grid():
+    gammas = p7_grid_gammas()
+    assert len(gammas) == 42
+    found = 0
+    for a, c in enumerate(gammas):
+        for c2 in gammas[a + 1:]:
+            for k in range(1, 7):
+                got = _derived_unit_candidates(c, c2, k)
+                assert got == quotient_candidates(c, c2, k)
+                found += len(got)
+    assert found > 0
+
+
+def test_find_certified_move_inverts_each_coefficient_once(monkeypatch):
+    gammas = p7_grid_gammas()
+    ctx, pairs = gammas[0].ctx, [(gammas[0], g) for g in gammas[1:8]] + [(gammas[3], gammas[5])]
+    for c, c2 in pairs:   # fills the rho cache, so only the quotients invert below
+        find_certified_move(GammaCoeffs(ctx, 9, c.coeffs, check=False), c2, 18)
+    inversions = []
+    real = CycElt.unit_inverse
+    monkeypatch.setattr(CycElt, "unit_inverse", lambda self: inversions.append(self) or real(self))
+    counts = []
+    for c, c2 in pairs:
+        fresh = GammaCoeffs(ctx, 9, [CycFrac(ca.num) for ca in c.coeffs], check=False)
+        inversions.clear()
+        find_certified_move(fresh, c2, 18)
+        counts.append(len(inversions))
+        inversions.clear()
+        find_certified_move(fresh, c2, 18)
+        assert inversions == []
+    # one inversion per c_a that meets a nonzero c2_a, whatever the Galois index
+    assert max(counts) <= ctx.l and sum(counts) > 0
+
+
+def verify_witness_by_gamma_eval(c, c2, mv, m):
+    # verify_witness with gamma_{c2} evaluated on every basis pair by gamma_eval
+    ctx, i = c.ctx, c.i
+    if c2.i != i:
+        return False
+    phi = witness_map(mv)
+    basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+    phis = [phi(x) for x in basis]
+    for r in range(ctx.d):
+        if not phi(ctx.theta() * basis[r]).congruent(ctx.theta(mv.k) * phis[r], m):
+            return False
+        for s in range(r + 1, ctx.d):
+            if not phi(gamma_eval(c2, basis[r], basis[s])).congruent(
+                    gamma_eval(c, phis[r], phis[s]), m):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p, i, m, m_work", [(5, 7, 18, 40), (7, 9, 24, 60)])
+def test_verify_witness_verdicts_equal_gamma_eval_route(p, i, m, m_work):
+    ctx = PrimeContext(p, m_work)
+    rng = random.Random(p + m)
+    units = [u.lift_to(m_work) for u in enumerate_units(ctx, 2)]
+    gammas = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
+    gammas = [g for g in gammas if in_Hhat(g, i)]
+    # probe-image vectors bring kappa-denominators at p = 7
+    gammas += [images_to_coeffs(ctx, i, [ctx.kappa_power(2 * i + 1) * ctx.element(
+        [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(ctx.d - 1)]) for _ in range(ctx.l)])
+        for _ in range(3)]
+    verdicts = []
+    for _ in range(30):
+        c = rng.choice(gammas)
+        mv = IsoMove(rng.choice(units), rng.randrange(1, p))
+        c2 = apply_move(c, mv, m)
+        # a perturbation of one coefficient at level e; low levels must be rejected
+        e = rng.randrange(m - 2 * i - 3, m)
+        a = rng.randrange(ctx.l)
+        pert = GammaCoeffs(ctx, i, [ca + CycFrac(ctx.kappa_power(e)) if b == a else ca
+                                    for b, ca in enumerate(c2.coeffs)], check=False)
+        for other in (c2, pert, rng.choice(gammas)):
+            verdicts.append(verify_witness(c, other, mv, m))
+            assert verdicts[-1] == verify_witness_by_gamma_eval(c, other, mv, m)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 10

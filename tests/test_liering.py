@@ -1,10 +1,11 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
 from maxclass import (
+    CycFrac,
     GammaCoeffs,
     LcsProfile,
     LieRingSpec,
@@ -14,8 +15,10 @@ from maxclass import (
     PrecisionExhausted,
     PrimeContext,
     Valuation,
+    basis_brackets,
     check_class_bounds,
     gamma_eval,
+    homs,
     images_to_coeffs,
     jacobi_exponent,
     jacobiator,
@@ -23,6 +26,7 @@ from maxclass import (
     liering,
     lower_central_series,
 )
+from maxclass.frame import _coefficient_grid
 import oracles
 
 
@@ -62,19 +66,32 @@ def test_jacobi_exponent_oracle_p7():
 
 @pytest.mark.parametrize("p, i, evaluations", [(5, 7, 18), (7, 9, 75)])
 def test_jacobi_exponent_brackets_each_basis_pair_once(p, i, evaluations, monkeypatch):
-    # binom(d, 2) basis brackets, then three outer brackets per basis triple
+    # integral gamma: the basis triples are contracted from theta_a values cached
+    # per (context, i), with no gamma_eval; the nested route, kept for other
+    # gamma, forms binom(d, 2) basis brackets and three outer ones per triple
     ctx = PrimeContext(p, 60)
-    g = GammaCoeffs.from_integers(ctx, i, [1] + [3] * (ctx.l - 1))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return gamma_eval(*args)
-
-    monkeypatch.setattr(liering, "gamma_eval", counted)
-    jacobi_exponent(g, i)
     d = ctx.d
-    assert len(calls) == comb(d, 2) + 3 * comb(d, 3) == evaluations
+    calls, thetas, brackets = [], [], []
+    real_theta = homs.theta_a_eval
+    monkeypatch.setattr(liering, "gamma_eval", lambda *a: calls.append(a) or gamma_eval(*a))
+    monkeypatch.setattr(homs, "theta_a_eval", lambda *a: thetas.append(a) or real_theta(*a))
+    monkeypatch.setattr(liering, "basis_brackets",
+                        lambda *a: brackets.append(basis_brackets(*a)) or brackets[-1])
+    jacobi_exponent(GammaCoeffs.from_integers(ctx, i, [1] + [3] * (ctx.l - 1)), i)
+    assert calls == [] and len(thetas) == ctx.l * comb(d, 2)
+    thetas.clear()
+    jacobi_exponent(GammaCoeffs.from_integers(ctx, i, [2] + [1] * (ctx.l - 1)), i)
+    assert calls == [] and thetas == []
+    # probe images give coefficients known below M_work, and at p = 7 kappa-denominators
+    images = [ctx.kappa_power(2 * i + 1) * ctx.element(digs)
+              for digs in ([1, 2, 0, 3, 0, 1], [2, 0, 1, 0, 4, 0])[:ctx.l]]
+    g = images_to_coeffs(ctx, i, images)
+    assert any(c.den_exp > 0 for c in g.coeffs) == (p == 7)
+    assert all(c.num.prec < ctx.M_work for c in g.coeffs)
+    jacobi_exponent(g, i)
+    assert len(calls) == 3 * comb(d, 3)
+    assert [len(b) for b in brackets] == [comb(d, 2)]
+    assert len(calls) + len(brackets[0]) == evaluations
 
 
 def nested_jacobiator_lambda(g, i):
@@ -84,10 +101,12 @@ def nested_jacobiator_lambda(g, i):
                              for rst in combinations(range(ctx.d), 3))
 
 
-@pytest.mark.parametrize("p, m_work, i", [(5, 44, 7), (5, 20, 12), (7, 40, 9), (7, 24, 9)])
+@pytest.mark.parametrize("p, m_work, i", [(5, 44, 7), (5, 20, 12), (7, 40, 9), (7, 24, 9),
+                                          (11, 48, 13), (11, 40, 13)])
 def test_jacobi_exponent_equals_nested_jacobiators(p, m_work, i):
-    # integer vectors, and at p = 7 probe-image solutions with kappa-denominators;
-    # M_work = 20 and 24 leave lambda undecided (AtLeast)
+    # integer vectors, integral vectors with every digit nonzero, at p = 7 probe-image
+    # solutions with kappa-denominators, and i >= M_work; M_work = 20, 24 and 40
+    # leave lambda undecided (AtLeast)
     ctx = PrimeContext(p, m_work)
     rng = random.Random(p * m_work + i)
     # small coefficients: a sign slip in gamma(z ^ x) shows on vectors such as (0, 1)
@@ -100,7 +119,27 @@ def test_jacobi_exponent_equals_nested_jacobiators(p, m_work, i):
         assert all(any(c.den_exp > 0 for c in g.coeffs) for g in gammas[6:])
     lams = [jacobi_exponent(g, i) for g in gammas]
     assert lams == [nested_jacobiator_lambda(g, i) for g in gammas]
-    assert all(lam.exact for lam in lams) == (m_work >= 40)
+    assert all(lam.exact for lam in lams) == (m_work >= {5: 44, 7: 40, 11: 48}[p])
+    full = [GammaCoeffs(ctx, i, [CycFrac(ctx.element([rng.randrange(1, p ** 3) for _ in range(ctx.d)]))
+                                 for _ in range(ctx.l)], check=False) for _ in range(2)]
+    assert all(all(c.num.digits) for g in full for c in g.coeffs)
+    assert [jacobi_exponent(g, i) for g in full] == [nested_jacobiator_lambda(g, i) for g in full]
+    for j, g in zip((m_work, m_work + 5), (gammas[0], full[0])):
+        assert jacobi_exponent(g, j) == nested_jacobiator_lambda(g, j) == Valuation.at_least(m_work)
+
+
+def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
+    # every point of the grid behind the pinned scan-conjecture1 --p 5 --i-max 12
+    # --m-work 20, and of its --coeff-mod 2 grid, Hhat_i members or not: the
+    # AtLeast cases of that scan
+    ctx = PrimeContext(5, 20)
+    lams = []
+    for i, coeff_mod in product(range(13), (1, 2)):
+        for coeffs in _coefficient_grid(ctx, coeff_mod, 100_000):
+            g = GammaCoeffs(ctx, i, coeffs, check=False)
+            lams.append(jacobi_exponent(g, i))
+            assert lams[-1] == nested_jacobiator_lambda(g, i)
+    assert any(not lam.exact for lam in lams) and any(lam.exact for lam in lams)
 
 
 def test_jacobi_lower_bound_and_shift(ctx5, g5):
