@@ -26,6 +26,7 @@ from .homs import (
     NotInHhat,
     VandermondeData,
     basis_brackets,
+    bracket_table,
     epsilon,
     gamma_eval,
     images_to_coeffs,
@@ -42,7 +43,6 @@ from .liering import (
     LieRingSpec,
     NotNilpotent,
     check_class_bounds,
-    image_exponent,
     jacobi_exponent,
     jacobiator,
     lcs_profile,

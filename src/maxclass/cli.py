@@ -21,7 +21,6 @@ from .cyclotomic import (
     _is_prime,
 )
 from .homs import GammaCoeffs, NotInHhat, images_to_coeffs, in_Hhat
-from .isom import _coeff_key
 from .lazard import BCH_DATA_VERSION, generate_bch_table
 from .liering import LieRingSpec, jacobi_exponent
 from .frame import SGroup, classify, enumerate_frame, is_maximal_class_chain, s_group_lcs

@@ -371,27 +371,25 @@ class CycElt:
         return CycElt(self.ctx, self.ctx._canonical(acc, self.prec), self.prec)
 
     def div_kappa(self, e: int) -> CycElt:
-        """The unique y with kappa^e * y = self; precision drops by e."""
+        """The unique y with kappa^e * y = self; precision drops by e.
+
+        The representative is divided exactly, and canonicalised once at the
+        end: known mod P^{prec-k} >= P at step k, it lies in P iff p | digit 0.
+        """
         if e < 0:
             raise ValueError("e must be >= 0")
         if self.prec <= e:
             raise PrecisionExhausted(f"precision {self.prec} <= shift {e}")
-        p, d = self.ctx.p, self.ctx.d
-        red = self.ctx.kappa_reduction
-        digs = list(self.digits)
-        prec = self.prec
+        p, red = self.ctx.p, self.ctx.kappa_reduction[1:]
+        digs = self.digits
         for _ in range(e):
-            if all(x == 0 for x in digs):
-                prec -= 1
-                continue
-            if digs[0] % p != 0:
+            if digs[0] % p:
                 raise InsufficientValuation("element is not divisible by kappa")
             # x = kappa*y with y_{p-2} = -x_0/p and y_{j-1} = x_j - y_{p-2}*red_j
             top = -(digs[0] // p)
-            digs = [digs[j] - top * red[j] for j in range(1, d)] + [top]
-            prec -= 1
-            digs = list(self.ctx._canonical(digs, prec))
-        return CycElt(self.ctx, tuple(digs), prec)
+            digs = [x - top * r for x, r in zip(digs[1:], red)] + [top]
+        prec = self.prec - e
+        return CycElt(self.ctx, self.ctx._canonical(digs, prec), prec)
 
     def unit_inverse(self) -> CycElt:
         """Inverse of a unit, by Newton lifting through P, P^2, P^4, ..."""

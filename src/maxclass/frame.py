@@ -25,7 +25,7 @@ from .cyclotomic import (
 )
 from .homs import GammaCoeffs, NotInHhat
 from .isom import _coeff_key, find_certified_move, orbit_canonical
-from .lazard import BchTable, bch_multiply, build_bch_table, theta_power_map
+from .lazard import BchTable, bch_multiply, build_bch_table, group_commutator, theta_power_map
 from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, lower_central_series
 
 
@@ -66,12 +66,6 @@ class SGroup:
 
     def p_generator(self) -> GroupElt:
         return self.element(self.spec.zero(), 1)
-
-    def generators(self) -> list[GroupElt]:
-        """Module generators of the G-part plus the P-generator."""
-        gens = [self.element(b, 0) for b in self.spec.basis()]
-        gens.append(self.p_generator())
-        return gens
 
     def multiply(self, x: GroupElt, y: GroupElt) -> GroupElt:
         if x.group is not self or y.group is not self:
@@ -136,21 +130,18 @@ def s_group_lcs(group: SGroup) -> LcsProfile:
     Starting from all generators (P-generator included), each term is the
     P-exponent of the theta-invariant module generated by commutator g-parts.
     Maximal class means the chain descends by exactly 1 per step, from i+1
-    down to m.
+    down to m.  As (g, s)(h, t) = (g theta^s(h), s + t) and bch_multiply(x, 0)
+    is x, [(a, 0), (b, 0)] = (group_commutator(a, b), 0) and
+    [(a, 0), (0, 1)] = ((-a) theta^{-1}(a), 0).
     """
-    spec = group.spec
-    gens = group.generators()
+    spec, table = group.spec, group.table
+    basis = spec.basis()
 
     def step(w: int) -> Valuation:
-        layer = [group.element(spec.kappa_power(w + r)) for r in range(spec.ctx.d)]
-        vals = []
-        for a in layer:
-            for b in gens:
-                c = group.commutator(a, b)
-                if c.t != 0:
-                    raise MaxclassError("commutator escaped the G-part")
-                vals.append(c.g.valuation())
-        return Valuation.minimum(vals)
+        layer = [spec.kappa_power(w + r) for r in range(spec.ctx.d)]
+        return Valuation.minimum(
+            [group_commutator(a, b, table).valuation() for a in layer for b in basis]
+            + [bch_multiply(-a, theta_power_map(a, -1), table).valuation() for a in layer])
 
     return lower_central_series(spec.i, spec.m, step)
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 from .cyclotomic import (
     CycElt,
     ContextMismatch,
     InsufficientValuation,
     MaxclassError,
-    NonUnit,
     PrecisionExhausted,
     PrimeContext,
     Valuation,
@@ -84,13 +83,10 @@ def theta_a_eval(a: int, x: CycElt, y: CycElt) -> CycElt:
 
 
 def _basis_thetas(ctx: PrimeContext, i: int) -> tuple:
-    """theta_a on the basis wedges of P^i, and the same divided by kappa^i.
+    """theta_a(kappa^{i+r} ^ kappa^{i+s}) from theta_a_eval, by a and pair r < s, and the same divided by kappa^i.
 
-    Entry [a-2][k] of the first tuple is theta_a(kappa^{i+r} ^ kappa^{i+s}) for
-    the k-th pair r < s < p-1, built with theta_a_eval, so it carries the
-    digits and the precision that theta_a_eval gives on that pair.  The second
-    tuple holds these values divided by kappa^i, known mod P^{M_work - i}; it
-    is None when i >= M_work.  Both are built once per context and i.
+    The quotients are known mod P^{M_work - i}, or None when i >= M_work; both
+    are built once per context and i.
     """
     tab = ctx._basis_thetas.get(i)
     if tab is None:
@@ -114,14 +110,11 @@ class CycFrac:
     __slots__ = ("num", "den_exp", "_inv")
 
     def __init__(self, num: CycElt, den_exp: int = 0):
-        while den_exp > 0:
-            if num.is_zero():
-                den_exp = 0
-                break
-            if num.valuation().value < 1:
-                break
-            num = num.div_kappa(1)
-            den_exp -= 1
+        if den_exp > 0 and num.is_zero():
+            den_exp = 0
+        elif den_exp > 0 and num.valuation().value > 0:
+            k = min(num.valuation().value, den_exp)
+            num, den_exp = num.div_kappa(k), den_exp - k
         self.num = num
         self.den_exp = den_exp
         self._inv: CycFrac | None = None
@@ -222,10 +215,15 @@ class GammaCoeffs:
         if check and not in_Hhat(self, i):
             raise NotInHhat(f"coefficient vector is not in Hhat_{i}")
         self.in_Hhat_at = i if check else None
+        self._tables: dict[int, dict[tuple[int, int], CycElt]] = {}   # bracket_table by i
 
     @classmethod
     def from_integers(cls, ctx: PrimeContext, i: int, values, check: bool = True) -> GammaCoeffs:
         return cls(ctx, i, [CycFrac(ctx.from_int(v)) for v in values], check=check)
+
+    def is_integral(self) -> bool:
+        """Integral at working precision: every c_a has den_exp 0, every nonzero c_a is known mod P^M_work."""
+        return all(c.den_exp == 0 and (c.is_zero() or c.num.prec == self.ctx.M_work) for c in self.coeffs)
 
     def __repr__(self) -> str:
         return f"GammaCoeffs(p={self.ctx.p}, i={self.i}, coeffs={list(self.coeffs)!r})"
@@ -278,6 +276,32 @@ def basis_brackets(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
     thetas = _basis_thetas(ctx, i)[0]
     return {rs: _combine(g, lambda a: thetas[a - 2][k], ctx.M_work)
             for k, rs in enumerate(combinations(range(ctx.d), 2))}
+
+
+def bracket_table(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
+    """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by basis pair r < s < p-1, built once per i.
+
+    Each entry is basis_brackets(g, i)[r, s] divided by kappa^i, in digits and
+    precision.  For gamma integral at working precision M, c_a and theta_a are
+    known mod P^M, so is that bracket, and C[r][s] = sum_a c_a (theta_a/kappa^i)
+    mod P^{M-i} from the cached quotients.
+    """
+    table = g._tables.get(i)
+    if table is None:
+        ctx, n = g.ctx, g.ctx.M_work - i
+        if g.is_integral() and n > 0:
+            terms = [(c.num.digits, row) for c, row in zip(g.coeffs, _basis_thetas(ctx, i)[1])
+                     if not c.is_zero()]
+            table = {}
+            for k, rs in enumerate(combinations(range(ctx.d), 2)):
+                acc = [0] * ctx.d
+                for c, row in terms:
+                    acc = list(map(add, acc, ctx._mul_raw(c, row[k].digits)))
+                table[rs] = CycElt(ctx, ctx._canonical(acc, n), n)
+        else:
+            table = {rs: e.div_kappa(i) for rs, e in basis_brackets(g, i).items()}
+        g._tables[i] = table
+    return table
 
 
 class VandermondeData:

@@ -149,8 +149,7 @@ def bch_multiply(x: LieElt, y: LieElt, table: BchTable) -> LieElt:
 
 def group_commutator(x: LieElt, y: LieElt, table: BchTable) -> LieElt:
     """x^-1 y^-1 x y, composed from BCH products."""
-    t = bch_multiply(bch_multiply(bch_multiply(-x, -y, table), x, table), y, table)
-    return t
+    return bch_multiply(bch_multiply(bch_multiply(-x, -y, table), x, table), y, table)
 
 
 def group_commutator_closed3(x: LieElt, y: LieElt) -> LieElt:

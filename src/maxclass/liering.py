@@ -23,7 +23,7 @@ from .cyclotomic import (
     PrimeContext,
     Valuation,
 )
-from .homs import GammaCoeffs, NotInHhat, _basis_thetas, basis_brackets, gamma_eval, in_Hhat
+from .homs import GammaCoeffs, NotInHhat, basis_brackets, bracket_table, gamma_eval, in_Hhat
 
 
 class NotNilpotent(MaxclassError):
@@ -44,13 +44,10 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     r = 0..p-2, is a module basis of P^i, so the ideal generated by all
     Jacobiators equals the one generated on the binom(p-1, 3) basis triples.
 
-    For gamma integral at working precision M (every c_a has den_exp 0 and
-    every nonzero c_a is known mod P^M) the triples are contracted in
-    coordinates.  Let n = M - i and
-        C[r][s] = sum_a c_a theta_a(e_r ^ e_s)/kappa^i = gamma(e_r ^ e_s)/kappa^i mod P^n,
-    from the theta_a values divided by kappa^i once per context and i.  The
-    digits C[r][s]_u are the Z_p-coordinates of gamma(e_r ^ e_s) on the e_u,
-    so bilinearity gives
+    For gamma integral at working precision M the triples are contracted in
+    coordinates.  Let n = M - i and C = bracket_table(g, i), so C[r][s] is
+    gamma(e_r ^ e_s)/kappa^i mod P^n.  The digits C[r][s]_u are the
+    Z_p-coordinates of gamma(e_r ^ e_s) on the e_u, so bilinearity gives
         J(r, s, t)/kappa^i = sum_u C[r][s]_u C[u][t] + C[s][t]_u C[u][r] + C[t][r]_u C[u][s].
     This is exact mod P^n: kappa^i C[r][s] is gamma(e_r ^ e_s) up to P^M, and
     gamma(P^M ^ P^{i+t}) lies in P^M, so that error moves J only by P^M.
@@ -67,7 +64,7 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     """
     i = g.i if i is None else i
     ctx, d = g.ctx, g.ctx.d
-    if not all(c.den_exp == 0 and (c.is_zero() or c.num.prec == ctx.M_work) for c in g.coeffs):
+    if not g.is_integral():
         br = basis_brackets(g, i)
         basis = [ctx.kappa_power(i + r) for r in range(d)]
         return Valuation.minimum(
@@ -77,16 +74,10 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     n = ctx.M_work - i
     if n <= 0:
         return Valuation.at_least(ctx.M_work)
-    # C[r][s] = sum_a c_a theta_a(e_r ^ e_s)/kappa^i, one ring product per nonzero c_a
-    terms = [(c.num.digits, row) for c, row in zip(g.coeffs, _basis_thetas(ctx, i)[1])
-             if not c.is_zero()]
     table = [[(0,) * d for _ in range(d)] for _ in range(d)]
-    for k, (r, s) in enumerate(combinations(range(d), 2)):
-        acc = [0] * d
-        for c, row in terms:
-            acc = list(map(add, acc, ctx._mul_raw(c, row[k].digits)))
-        table[r][s] = ctx._canonical(acc, n)
-        table[s][r] = tuple(map(neg, table[r][s]))
+    for (r, s), e in bracket_table(g, i).items():
+        table[r][s] = e.digits
+        table[s][r] = tuple(map(neg, e.digits))
     # cols[t][k]: digit k of C[u][t], as a tuple over u
     cols = [tuple(zip(*(row[t] for row in table))) for t in range(d)]
     vals = []
@@ -96,15 +87,6 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
         vals.append(CycElt(ctx, ctx._canonical(jac, n), n).valuation())
     v = Valuation.minimum(vals)
     return Valuation.exactly(i + v.value) if v.exact else Valuation.at_least(ctx.M_work)
-
-
-def image_exponent(g: GammaCoeffs, w: int, i: int) -> Valuation:
-    """Exponent of the ideal gamma(P^w ^ P^i), via basis pairs."""
-    ctx = g.ctx
-    left = [ctx.kappa_power(w + r) for r in range(ctx.d)]
-    right = [ctx.kappa_power(i + s) for s in range(ctx.d)]
-    vals = [gamma_eval(g, x, y).valuation() for x in left for y in right]
-    return Valuation.minimum(vals)
 
 
 @dataclass(frozen=True)
@@ -152,8 +134,6 @@ class LieRingSpec:
         self._profile: LcsProfile | None = None
         self._moduli = ctx.digit_moduli(m - i)
         self._table: tuple | None = None
-        # gamma(kappa^{i+r} ^ kappa^{i+s}) by basis pair, shared with the truncations
-        self._basis_brackets: dict[tuple[int, int], CycElt] = {}
 
     def __repr__(self) -> str:
         return f"LieRingSpec(p={self.ctx.p}, i={self.i}, m={self.m}, lambda={self.lam!r})"
@@ -207,7 +187,7 @@ class LieRingSpec:
 
         Hhat_i membership and lambda depend only on gamma, so neither is
         recomputed; a cached lower central series is carried over, clamped at
-        m, and the basis brackets are shared, so no gamma is evaluated.
+        m, and the bracket table is gamma's, so no gamma is evaluated.
         """
         if not self.i <= m <= self.m:
             raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
@@ -224,16 +204,15 @@ class LieRingSpec:
 
     def _structure_constants(self) -> tuple:
         """The pairs r < s and, per digit, the column of C[r][s] mod P^{m-i}."""
-        ctx, i, m, brackets = self.ctx, self.i, self.m, self._basis_brackets
+        ctx, i, m = self.ctx, self.i, self.m
         if self._table is None and m > i:
-            if not brackets:
-                brackets.update(basis_brackets(self.gamma, i))
-            for (r, s), e in brackets.items():
-                if e.prec < m:
+            table = bracket_table(self.gamma, i)
+            for (r, s), e in table.items():
+                if e.prec < m - i:
                     raise PrecisionExhausted(
-                        f"gamma(kappa^{i + r} ^ kappa^{i + s}) known mod P^{e.prec} < P^{m}")
-            self._table = (tuple(brackets), tuple(zip(*(
-                e.reduce_to(m).div_kappa(i).digits for e in brackets.values()))))
+                        f"gamma(kappa^{i + r} ^ kappa^{i + s}) known mod P^{e.prec + i} < P^{m}")
+            self._table = (tuple(table), tuple(zip(*(
+                ctx._canonical(e.digits, m - i) for e in table.values()))))
         return self._table or ((), ((),) * ctx.d)
 
     def lcs_profile(self) -> LcsProfile:
@@ -332,9 +311,19 @@ def lower_central_series(i: int, m: int, step) -> LcsProfile:
 
 
 def lcs_profile(spec: LieRingSpec) -> LcsProfile:
-    """Exponents of the lower central series: w_1 = i, P^{w_{k+1}} = gamma(P^{w_k} ^ P^i)."""
-    return lower_central_series(spec.i, spec.m,
-                                lambda w: image_exponent(spec.gamma, w, spec.i))
+    """Exponents of the lower central series: w_1 = i, P^{w_{k+1}} = gamma(P^{w_k} ^ P^i) + P^m.
+
+    Each step brackets the layer kappa^{w+r} with the basis, as group_lcs does with group
+    commutators.  For integral gamma, gamma_eval on those pairs is known mod P^M_work >= P^m
+    and the bracket is its residue mod P^m: both agree below m, and the rest clamps to m.
+    """
+    basis = spec.basis()
+
+    def step(w: int) -> Valuation:
+        layer = [spec.kappa_power(w + r) for r in range(spec.ctx.d)]
+        return Valuation.minimum(a.bracket(b).valuation() for a in layer for b in basis)
+
+    return lower_central_series(spec.i, spec.m, step)
 
 
 def check_class_bounds(spec: LieRingSpec) -> dict:

@@ -16,7 +16,6 @@ from .cyclotomic import CycElt, PrecisionExhausted, PrimeContext, Valuation, enu
 from .homs import (
     CycFrac,
     GammaCoeffs,
-    NotInHhat,
     epsilon,
     gamma_eval,
     images_to_coeffs,
@@ -25,7 +24,7 @@ from .homs import (
     shift_check,
     theta_a_eval,
 )
-from .isom import IsoMove, apply_move, find_certified_move, move_congruent, orbit_canonical, verify_witness, _coeff_key
+from .isom import IsoMove, apply_move, move_congruent, orbit_canonical, verify_witness, _coeff_key
 from .lazard import (
     bch_multiply,
     build_bch_table,

@@ -5,7 +5,8 @@ working precision M_work; the bracket is gamma_eval on those lifts, reduced
 mod P^m, and theta acts by a ring product at M_work.  The package stores the
 coset as the digit tuple of x/kappa^i mod P^{m-i} instead; on the same
 inputs both must give the same coset, which the tests compare through the
-digits of LieElt.value.
+digits of LieElt.value.  The Lie lower central series evaluates gamma on the
+d^2 ordered pairs of each layer with the basis of P^i.
 """
 
 from maxclass import CycElt, PrecisionExhausted, Valuation, gamma_eval, lower_central_series
@@ -45,6 +46,18 @@ def bch_multiply(spec, x: CycElt, y: CycElt, table) -> CycElt:
         for t, c in table.terms.get(deg, []):
             acc = reduce(spec, acc + ev(t).scalar_mul(c))
     return acc
+
+
+def lcs_profile(spec):
+    """The Lie series from gamma_eval on the layer kappa^{w+r} and the basis of P^i, unreduced."""
+    ctx = spec.ctx
+
+    def step(w):
+        return Valuation.minimum(
+            gamma_eval(spec.gamma, ctx.kappa_power(w + r), ctx.kappa_power(spec.i + s)).valuation()
+            for r in range(ctx.d) for s in range(ctx.d))
+
+    return lower_central_series(spec.i, spec.m, step)
 
 
 def theta_power_map(spec, x: CycElt, t: int) -> CycElt:

@@ -244,19 +244,48 @@ def test_enumerate_json_independent_of_hash_seed():
     assert outs[0] and outs[0] == outs[1]
 
 
-def test_jacobi_images_json_with_kappa_denominators_pinned(capsys, tmp_path):
-    # probe images whose coefficient vector has kappa-denominators: lambda takes
-    # the nested gamma_eval route, whose AtLeast labels this digest pins
-    from maxclass import GammaCoeffs, PrimeContext
+def kappa_denominator_images(tmp_path):
+    """A probe-image file at p = 7, i = 9 whose coefficient vector has kappa-denominators."""
+    from maxclass import PrimeContext
     ctx = PrimeContext(7, 60)
     images = [ctx.kappa_power(19) * ctx.element(digs)
               for digs in ([1, 2, 0, 3, 0, 1], [2, 0, 1, 0, 4, 0])]
     path = tmp_path / "images.json"
     path.write_text(json.dumps([x.to_json() for x in images]))
-    code, out, _ = run(capsys, "jacobi", "--p", "7", "--i", "9", "--images-json", str(path),
-                       "--format", "json")
+    return str(path)
+
+
+def test_jacobi_images_json_with_kappa_denominators_pinned(capsys, tmp_path):
+    # probe images whose coefficient vector has kappa-denominators: lambda takes
+    # the nested gamma_eval route, whose AtLeast labels this digest pins
+    from maxclass import GammaCoeffs, PrimeContext
+    code, out, _ = run(capsys, "jacobi", "--p", "7", "--i", "9",
+                       "--images-json", kappa_denominator_images(tmp_path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "bffd3571609725fa652a91619927a34c2a7045bacdc76212768115849b7bdc5e"
-    g = GammaCoeffs.from_json(ctx, json.loads(out)["coeffs"], check=False)
+    g = GammaCoeffs.from_json(PrimeContext(7, 60), json.loads(out)["coeffs"], check=False)
     assert any(c.den_exp > 0 for c in g.coeffs)
+
+
+TABLE_PINS = [
+    ("build --p 7 --i 9 --m 16 --images-json F",
+     "117d273f8d8985d682fa3d964a8ff1b1d0c443b19df89d197280d123d3f954bd"),
+    ("build --p 7 --i 9 --m 24 --images-json F",
+     "6c14be3eef39406793b058051e26c50cd872eea30eebc3ba9fffff42e46e8501"),
+    ("build --p 11 --i 13 --m 32 --coeff 1,0,0,0",
+     "95d19c33667d8a3d724a2b2dca2438f2812b8b4b4179a3b22d9c602bb2fa009a"),
+    ("jacobi --p 11 --i 13 --coeff 1,2,3,4",
+     "48093c4814861c079221cb4ca0f784d35217914f930ca01faa3d836e7fc4c937"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", TABLE_PINS, ids=[a for a, _ in TABLE_PINS])
+def test_bracket_table_outputs_pinned(capsys, tmp_path, argv, digest):
+    # rings on the bracket table beyond the identity list: a class-1 and a
+    # class-2 ring with kappa-denominators (F is the probe-image file above),
+    # a class-2 ring and a lambda at p = 11
+    argv = [kappa_denominator_images(tmp_path) if a == "F" else a for a in argv.split()]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

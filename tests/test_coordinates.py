@@ -15,16 +15,20 @@ from maxclass import (
     CycFrac,
     GammaCoeffs,
     LieRingSpec,
+    MaxclassError,
     PrecisionExhausted,
     PrimeContext,
     SGroup,
-    basis_brackets,
     bch_multiply,
     build_bch_table,
     gamma_eval,
+    group_commutator,
+    homs,
     images_to_coeffs,
     in_Hhat,
+    is_maximal_class_chain,
     jacobi_exponent,
+    lcs_profile,
     liering,
     s_group_lcs,
     theta_power_map,
@@ -129,9 +133,17 @@ def test_s_series_agree_with_cycelt_route(p, i, m_max, coeff_mod, count):
     assert classes == {coeff_mod}
 
 
-def test_table_entry_below_precision_raises():
-    # kappa-denominators 2 leave gamma(kappa^9 ^ kappa^10) known only mod P^18
-    # at M_work = 20: the ring mod P^20 cannot be built, its quotient mod P^18 can
+def kappa_denominator_gamma(ctx):
+    """The gamma of the --images-json pins: probe images kappa^19 u at p = 7, i = 9."""
+    images = [ctx.kappa_power(19) * ctx.element(digs)
+              for digs in ([1, 2, 0, 3, 0, 1], [2, 0, 1, 0, 4, 0])]
+    g = images_to_coeffs(ctx, 9, images)
+    assert any(c.den_exp > 0 for c in g.coeffs) and in_Hhat(g, 9)
+    return g
+
+
+def below_precision_gamma():
+    """gamma at M_work = 20 whose bracket gamma(kappa^9 ^ kappa^10) is known only mod P^18."""
     rng = random.Random(3)
     hi = PrimeContext(7, 60)
     g_hi = images_to_coeffs(hi, 9, [hi.kappa_power(19) * hi.element(
@@ -142,6 +154,132 @@ def test_table_entry_below_precision_raises():
     ctx = PrimeContext(7, 20)
     g = GammaCoeffs(ctx, 9, [CycFrac(ctx.element(c.num.digits, min(c.num.prec, 20)), c.den_exp)
                              for c in g_hi.coeffs])
+    return g, lam
+
+
+@pytest.mark.parametrize("case", ["p11-class2", "kappa-denominators"])
+def test_s_series_agree_with_cycelt_route_on_pinned_rings(case):
+    # the rings of the pinned p = 11 class-2 build and of the class-2 --images-json build
+    if case == "p11-class2":
+        ctx = PrimeContext(11, 84)
+        spec = LieRingSpec(ctx, 13, 32, GammaCoeffs.from_integers(ctx, 13, [1, 0, 0, 0]))
+    else:
+        ctx = PrimeContext(7, 60)
+        spec = LieRingSpec(ctx, 9, 24, kappa_denominator_gamma(ctx))
+    assert spec.nilpotency_class == 2
+    table = build_bch_table(2, p=ctx.p)
+    prof = s_group_lcs(SGroup(spec, table))
+    assert prof == route.s_group_lcs(spec, table)
+    assert is_maximal_class_chain(prof)
+
+
+@pytest.mark.parametrize("p, i, m_work", [(5, 7, 44), (7, 9, 60), (11, 13, 84), (7, 9, 10), (7, 9, 9)])
+def test_bracket_table_is_divided_basis_brackets(p, i, m_work):
+    # digits and precision of basis_brackets divided by kappa^i, for integral gamma
+    # (from the cached theta_a quotients) and for gamma with kappa-denominators
+    ctx = PrimeContext(p, m_work)
+    gammas = [GammaCoeffs(ctx, i, [ctx.element([r, 2 * r + 1]) for r in range(1, ctx.l + 1)],
+                          check=False)]
+    if p == 7 and m_work == 60:
+        gammas.append(kappa_denominator_gamma(ctx))
+    for g in gammas:
+        want = {}
+        for rs, e in homs.basis_brackets(g, i).items():
+            try:
+                want[rs] = e.div_kappa(i)
+            except PrecisionExhausted:
+                want = PrecisionExhausted
+                break
+        if want is PrecisionExhausted:
+            assert i >= m_work
+            with pytest.raises(PrecisionExhausted):
+                homs.bracket_table(g, i)
+            continue
+        table = homs.bracket_table(g, i)
+        assert list(table) == list(combinations(range(ctx.d), 2))
+        assert {rs: (e.digits, e.prec) for rs, e in table.items()} == \
+            {rs: (e.digits, e.prec) for rs, e in want.items()}
+        assert homs.bracket_table(g, i) is table
+
+
+@pytest.mark.parametrize("m, cls", [(20, 2), (24, 3)])
+def test_s_commutators_are_ring_expressions(m, cls):
+    # in S = G(L) x| P: [(a, 0), (0, 1)] = ((-a) theta^{-1}(a), 0) and
+    # [(a, 0), (b, 0)] = (group_commutator(a, b), 0), the forms s_group_lcs takes
+    spec = theta2_spec(5, 7, 44, m)
+    assert spec.nilpotency_class == cls
+    table = build_bch_table(cls, p=5)
+    group = SGroup(spec, table)
+    rng = random.Random(m)
+    for _ in range(20):
+        a, b = spec.element(random_lift(spec, rng)), spec.element(random_lift(spec, rng))
+        assert bch_multiply(a, spec.zero(), table) == a
+        c = group.commutator(group.element(a), group.p_generator())
+        assert c.t == 0 and c.g == bch_multiply(-a, theta_power_map(a, -1), table)
+        c = group.commutator(group.element(a), group.element(b))
+        assert c.t == 0 and c.g == group_commutator(a, b, table)
+
+
+def outcome(f, spec):
+    """The profile f gives on spec, or the class of the error it raises."""
+    try:
+        return f(spec)
+    except MaxclassError as exc:
+        return type(exc)
+
+
+def images_gammas(count, seed):
+    """Seeded images_to_coeffs gamma at p = 5 and 7, with kappa-denominators or short coefficients."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.choice([5, 7])
+        i = rng.choice([p - 1, p + 2])
+        ctx = PrimeContext(p, rng.randrange(max(16, 2 * i + 3), 41))
+        images = [ctx.kappa_power(2 * i + 1 + rng.choice([0, 0, 1, 2])) * ctx.element(
+            [rng.randrange(1, p)] + [rng.randrange(p ** 2) for _ in range(ctx.d - 1)])
+            for _ in range(ctx.l)]
+        try:
+            g = images_to_coeffs(ctx, i, images)
+            if in_Hhat(g, i):
+                out.append((g, i, jacobi_exponent(g, i)))
+        except PrecisionExhausted:
+            continue
+    return out
+
+
+def lcs_cases():
+    """Rings on which the table-based Lie series must equal the gamma_eval route."""
+    specs = []
+    for p, i, m_work, m_max, coeff_mod, count in [(7, 9, 60, 18, 1, 3), (5, 7, 48, 20, 2, 3)]:
+        ctx = PrimeContext(p, m_work)
+        for g in grid_gammas(ctx, i, coeff_mod, count, seed=coeff_mod):
+            lam = jacobi_exponent(g, i)
+            specs += [LieRingSpec(ctx, i, m, g, lam=lam) for m in range(i, min(lam.value, m_max) + 1)]
+    specs.append(theta2_spec(11, 13, 84))
+    ctx = PrimeContext(7, 60)
+    g = kappa_denominator_gamma(ctx)
+    specs += [LieRingSpec(ctx, 9, m, g) for m in range(16, 27)]
+    for g, i, lam in images_gammas(30, seed=8):
+        specs += [LieRingSpec(g.ctx, i, m, g, lam=lam) for m in range(i, min(lam.value, g.ctx.M_work) + 1)]
+    return specs
+
+
+def test_lcs_profile_equals_gamma_eval_route():
+    # the same profile, or the same error, as gamma_eval on every ordered layer pair
+    for spec in lcs_cases():
+        assert outcome(lcs_profile, spec) == outcome(route.lcs_profile, spec), spec
+    g, lam = below_precision_gamma()
+    for m in (19, 20):
+        spec = LieRingSpec(g.ctx, 9, m, g, lam=lam)
+        assert outcome(lcs_profile, spec) is outcome(route.lcs_profile, spec) is PrecisionExhausted
+
+
+def test_table_entry_below_precision_raises():
+    # kappa-denominators 2 leave gamma(kappa^9 ^ kappa^10) known only mod P^18
+    # at M_work = 20: the ring mod P^20 cannot be built, its quotient mod P^18 can
+    g, lam = below_precision_gamma()
+    ctx = g.ctx
     spec = LieRingSpec(ctx, 9, 20, g, lam=lam)
     x, y = spec.basis()[:2]
     with pytest.raises(PrecisionExhausted, match="known mod P\\^18 < P\\^20"):
@@ -155,29 +293,35 @@ def test_table_entry_below_precision_raises():
 
 
 def test_truncate_evaluates_no_gamma(monkeypatch):
+    # lambda, the ring, its truncations and their central series read one
+    # bracket table per (gamma, i), and liering evaluates no gamma on the way
     spec = theta2_spec(5, 7, 44)
     fresh = {m: LieRingSpec(spec.ctx, 7, m, spec.gamma, lam=spec.lam) for m in range(7, 25)}
-    want = {m: [x.bracket(y) for x, y in combinations(s.basis(), 2)] for m, s in fresh.items()}
-    b = spec.basis()
-    b[0].bracket(b[1])
+    want = {m: ([x.bracket(y) for x, y in combinations(s.basis(), 2)], lcs_profile(s))
+            for m, s in fresh.items()}
 
     def boom(*args):
-        raise AssertionError("truncate must not evaluate gamma")
+        raise AssertionError("integral gamma must not be evaluated in liering")
 
+    built = []
+
+    class Tables(dict):
+        def __setitem__(self, i, table):
+            built.append(i)
+            super().__setitem__(i, table)
+
+    ctx = PrimeContext(5, 44)
+    g = GammaCoeffs.from_integers(ctx, 7, [1])
+    g._tables = Tables()
     monkeypatch.setattr(liering, "gamma_eval", boom)
     monkeypatch.setattr(liering, "basis_brackets", boom)
-    for m in range(7, 25):
-        cut = spec.truncate(m)
-        assert [x.bracket(y) for x, y in combinations(cut.basis(), 2)] == want[m]
-    # a truncation built before its top ring fills the shared brackets for both:
-    # the binom(4, 2) basis pairs come from one basis_brackets call for the chain
-    monkeypatch.undo()
-    top = theta2_spec(5, 7, 44)
-    calls, made = [], []
-    monkeypatch.setattr(liering, "gamma_eval", lambda *a: calls.append(a) or gamma_eval(*a))
-    monkeypatch.setattr(liering, "basis_brackets",
-                        lambda *a: made.append(basis_brackets(*a)) or made[-1])
-    cut = top.truncate(16)
-    cut.basis()[0].bracket(cut.basis()[1])
-    top.basis()[0].bracket(top.basis()[1])
-    assert calls == [] and [len(b) for b in made] == [6]
+    monkeypatch.setattr(homs, "basis_brackets", boom)
+    lam = jacobi_exponent(g, 7)
+    assert lam == spec.lam
+    top = LieRingSpec(ctx, 7, lam.value, g, lam=lam)
+    for m in range(24, 6, -1):
+        cut = top.truncate(m)
+        assert [x.bracket(y) for x, y in combinations(cut.basis(), 2)] == want[m][0]
+        assert lcs_profile(cut) == want[m][1]
+    assert top.lcs_profile() == want[24][1]
+    assert built == [7]

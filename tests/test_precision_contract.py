@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from maxclass import PrecisionExhausted, PrimeContext, homs, theta_a_eval
+from maxclass import CycElt, InsufficientValuation, PrecisionExhausted, PrimeContext, homs, theta_a_eval
 import oracles
 
 PRIMES = (5, 7, 11, 13)
@@ -101,6 +101,52 @@ def test_div_kappa_agrees_with_oracle(data):
     # kappa^e * y is known mod P^{x.prec}, like every lift kappa^e * z' of x
     assert agrees(p, oracles.pmul(p, kappa_pow(p, e), power_basis(y)),
                   oracles.pmul(p, kappa_pow(p, e), zl), x.prec)
+
+
+def div_kappa_stepwise(x, e):
+    """CycElt.div_kappa as one canonical division by kappa per step, kept as its oracle."""
+    if e < 0:
+        raise ValueError("e must be >= 0")
+    if x.prec <= e:
+        raise PrecisionExhausted(f"precision {x.prec} <= shift {e}")
+    ctx = x.ctx
+    p, d, red = ctx.p, ctx.d, ctx.kappa_reduction
+    digs, prec = list(x.digits), x.prec
+    for _ in range(e):
+        if all(v == 0 for v in digs):
+            prec -= 1
+            continue
+        if digs[0] % p != 0:
+            raise InsufficientValuation("element is not divisible by kappa")
+        top = -(digs[0] // p)
+        digs = [digs[j] - top * red[j] for j in range(1, d)] + [top]
+        prec -= 1
+        digs = list(ctx._canonical(digs, prec))
+    return CycElt(ctx, tuple(digs), prec)
+
+
+@contract
+@given(st.data())
+def test_div_kappa_equals_stepwise_division(data):
+    # zero cosets, multiples of kappa^j for j below, at and above e, and any
+    # digits; e up to past the precision
+    p = data.draw(primes)
+    ctx = CTX[p]
+    x = data.draw(cosets(p))[0]
+    kind = data.draw(st.sampled_from(("zero", "kappa", "digits")))
+    if kind == "zero":
+        x = ctx.zero(x.prec)
+    elif kind == "kappa":
+        x = ctx.kappa_power(data.draw(st.integers(0, x.prec + 2)), x.prec) * x
+    e = data.draw(st.integers(0, x.prec + 2))
+    outcomes = []
+    for f in (CycElt.div_kappa, div_kappa_stepwise):
+        try:
+            y = f(x, e)
+            outcomes.append((y.digits, y.prec))
+        except (InsufficientValuation, PrecisionExhausted) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @lru_cache(maxsize=None)
