@@ -282,9 +282,9 @@ def bracket_table(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
     """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by basis pair r < s < p-1, built once per i.
 
     Each entry is basis_brackets(g, i)[r, s] divided by kappa^i, in digits and
-    precision.  For gamma integral at working precision M, c_a and theta_a are
-    known mod P^M, so is that bracket, and C[r][s] = sum_a c_a (theta_a/kappa^i)
-    mod P^{M-i} from the cached quotients.
+    precision.  For gamma integral at working precision M, c_a and theta_a and
+    hence that bracket are known mod P^M, so C[r][s] = sum_a c_a (theta_a/kappa^i)
+    mod P^{M-i}, from the cached quotients.
     """
     table = g._tables.get(i)
     if table is None:
