@@ -117,9 +117,11 @@ class PrimeContext:
         self._theta_tabs: dict[int, tuple] = {}
         self._basis_thetas: dict[int, tuple] = {}
         self._vandermonde: dict[int, object] = {}
-        # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u)
+        # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u),
+        # and the witness checks of verify_witness by the content of (c, c2, move)
         self._theta_mats: dict[tuple[int, int], tuple] = {}
         self._rho: dict[tuple, CycElt] = {}
+        self._witness: dict[tuple, tuple] = {}
         self._kappa_pows: list[tuple[int, ...]] = []
         self._theta_pows: list[tuple[int, ...]] = []
 

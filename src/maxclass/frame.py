@@ -7,7 +7,7 @@ gamma (maximal class is verified once, at the top of the chain), and merging
 vertices only when an isomorphism move has been verified: vertex counts are
 therefore upper bounds on the number of isomorphism types.  Pairs are tried
 only within one class of the level below, from level i on, where the classes
-are the move orbits of the coefficient vectors mod P.
+are the lines of the coefficient vectors mod P, points of P^{l-1}(F_p).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .cyclotomic import (
     Valuation,
 )
 from .homs import GammaCoeffs, NotInHhat
-from .isom import _coeff_key, find_certified_move, orbit_canonical
+from .isom import _coeff_key, find_certified_move
 from .lazard import BchTable, bch_multiply, build_bch_table, group_commutator, theta_power_map
 from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, lower_central_series
 
@@ -243,6 +243,26 @@ def _coefficient_grid(ctx: PrimeContext, m_c: int, budget: int):
     yield from product(residues, repeat=ctx.l)
 
 
+def _line_key(g: GammaCoeffs) -> tuple[int, ...]:
+    """The line of an integral coefficient vector mod P, scaled to lead with 1.
+
+    These keys are the classes below level i.  A grid vector c is integral and
+    kappa lies in P, so c_a mod P is digit 0 of c_a mod p.  A move (u, sigma_k)
+    certified mod P^m, m >= 1, gives sigma_k(c2_a) = rho_a(u) c_a mod P.  Now
+    sigma_k(kappa) = (1+kappa)^k - 1 lies in P, so sigma_k is trivial on
+    O/P = F_p, and rho_a(u) = u^{-1} sigma_a(u) sigma_{1-a}(u) = u mod P; hence
+    c2 = u c mod P.  Conversely the move (lambda, sigma_1) with lambda in
+    {1, ..., p-1} is Galois-fixed, so rho_a(lambda) = lambda and it carries c to
+    lambda c.  The move orbit of c mod P is therefore {lambda c : lambda in F_p^*},
+    a point of P^{l-1}(F_p) or zero, the partition that orbit_canonical(c, 1)
+    names by its least element.
+    """
+    p = g.ctx.p
+    v = [ca.num.digits[0] % p for ca in g.coeffs]
+    scale = pow(next((x for x in v if x), 1), -1, p)
+    return tuple(x * scale % p for x in v)
+
+
 def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
                     budget: int = 100_000) -> FrameTree:
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
@@ -253,7 +273,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     are its quotients, whose central series is the top one clamped at m.
     Vertices at each level are merged only under certified moves, and a pair is
     tried only if it lies in one class of the level below; at level i those
-    classes are the move orbits mod P.
+    classes are the lines of the vectors mod P (_line_key).
     """
     specs: list[LieRingSpec] = []   # one per gamma, at its top level min(lambda, m_max)
     passed = False
@@ -278,11 +298,9 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     nodes: list[FrameNode] = []
     edges: list[tuple[str, str]] = []
     merged_by: list[dict] = []
-    # grid vectors are integral, Galois acts trivially on O/P and rho_a(u) = u
-    # mod P, so a move certified mod P^m (m >= 1) carries c to c2 mod P: the
-    # classes below level i are the move orbits mod P
-    prev_class_of = {idx: _coeff_key(orbit_canonical(spec.gamma, 1), 1)
-                     for idx, spec in enumerate(specs)}
+    # a move certified mod P^m (m >= 1) carries c to a multiple of c mod P:
+    # the classes below level i are the lines in P^{l-1}(F_p)
+    prev_class_of = {idx: _line_key(spec.gamma) for idx, spec in enumerate(specs)}
 
     for m in range(i, m_max + 1):
         members = [idx for idx, spec in enumerate(specs) if spec.m >= m]

@@ -11,11 +11,13 @@ reported as "not merged", never as non-isomorphic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .cyclotomic import (
     BudgetExceeded,
     CycElt,
     InsufficientValuation,
+    MaxclassError,
     NonUnit,
     PrecisionExhausted,
     PrimeContext,
@@ -105,32 +107,63 @@ def witness_map(mv: IsoMove):
     return phi
 
 
-def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool:
-    """Certify that x -> u sigma_k(x) is an isomorphism witness mod P^m.
-
-    Checks, on all basis pairs of P^i, that the map carries the c2-bracket to
-    the c-bracket, and that it rewrites the theta-action to theta^k.  A True
-    result certifies that the level-m groups of c and c2 are isomorphic.
-    """
-    ctx = c.ctx
-    if c.i != c2.i:
-        return False
-    i = c.i
+def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove):
+    """(precision, valuation bound) of each difference verify_witness tests, in its order."""
+    ctx, i = c.ctx, c.i
     phi = witness_map(mv)
     basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
     phis = [phi(x) for x in basis]
     brackets2 = basis_brackets(c2, i)
-    theta = ctx.theta()
-    theta_k = ctx.theta(mv.k)
+    theta, theta_k = ctx.theta(), ctx.theta(mv.k)
     for r in range(ctx.d):
-        if not phi(theta * basis[r]).congruent(theta_k * phis[r], m):
-            return False
+        d = phi(theta * basis[r]) - theta_k * phis[r]
+        yield d.prec, d.valuation().bound
         for s in range(r + 1, ctx.d):
-            lhs = phi(brackets2[r, s])
-            rhs = gamma_eval(c, phis[r], phis[s])
-            if not lhs.congruent(rhs, m):
-                return False
-    return True
+            d = phi(brackets2[r, s]) - gamma_eval(c, phis[r], phis[s])
+            yield d.prec, d.valuation().bound
+
+
+def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool:
+    """Certify that x -> u sigma_k(x) is an isomorphism witness mod P^m.
+
+    Checks, on all basis pairs e_r, e_s of P^i, that phi(theta e_r) = theta^k
+    phi(e_r) and phi(gamma_{c2}(e_r ^ e_s)) = gamma_c(phi e_r ^ phi e_s): the
+    map rewrites the theta-action to theta^k and carries the c2-bracket to the
+    c-bracket.  A True result certifies that the level-m groups of c and c2
+    are isomorphic.
+
+    No difference depends on m, so each is computed once per (c, c2, move),
+    keyed by content on the context, and replayed at every m: a difference
+    known mod P^prec with valuation at least bound is in P^m iff bound >= m,
+    and undecidable when prec < m, which is what CycElt.congruent decides.  A
+    MaxclassError met while computing a difference is stored and re-raised.
+    """
+    if c.i != c2.i:
+        return False
+    memo = c.ctx._witness
+    key = (c.i, c2.ctx, mv.u.ctx, mv.k, mv.u.prec, mv.u.digits,
+           tuple((a.den_exp, a.num.prec, a.num.digits) for g in (c, c2) for a in g.coeffs))
+    if key not in memo:
+        memo[key] = ([], _witness_differences(c, c2, mv))
+    steps, rest = memo[key]
+    for n in count():
+        if n == len(steps):
+            try:
+                steps.append(next(rest))
+            except StopIteration:
+                return True
+            except MaxclassError as exc:
+                steps.append(exc)
+            except BaseException:
+                del memo[key]   # not an outcome of the checks: the next call starts afresh
+                raise
+        if isinstance(steps[n], MaxclassError):
+            raise steps[n].with_traceback(None)
+        prec, bound = steps[n]
+        if prec < m:
+            raise PrecisionExhausted(f"congruence mod P^{m} undecidable at precision {prec}")
+        if bound < m:
+            return False
 
 
 def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -14,12 +15,15 @@ from maxclass import (
     enumerate_frame,
     frame,
     homs,
+    isom,
     jacobi_exponent,
     liering,
+    orbit_canonical,
     quotient_edge,
     s_group_lcs,
     verify_maximal_class,
 )
+from maxclass.isom import _coeff_key
 import oracles
 
 
@@ -229,3 +233,30 @@ def test_tree_serialization(ctx):
     assert obj["p"] == 5 and len(obj["nodes"]) == len(tree.nodes)
     dot = tree.to_dot()
     assert dot.startswith("digraph") and "p^4" in dot
+
+
+@pytest.mark.parametrize("p, i, m_work, points, members, lines", [
+    (5, 7, 40, None, 4, 1), (7, 9, 24, None, 42, 7), (11, 13, 84, 400, 364, 121)])
+def test_line_keys_partition_as_orbits_mod_p(p, i, m_work, points, members, lines):
+    # the level-i classes of enumerate_frame: lines mod P against the least
+    # element of each move orbit mod P, on the full p = 5 and p = 7 grids and
+    # the first 400 points of the p = 11 grid
+    ctx = PrimeContext(p, m_work)
+    gammas = [GammaCoeffs(ctx, i, coeffs, check=False)
+              for coeffs in islice(frame._coefficient_grid(ctx, 1, 10 ** 5), points)]
+    gammas = [g for g in gammas if homs.in_Hhat(g, i)]
+    line = [frame._line_key(g) for g in gammas]
+    orbit = [_coeff_key(orbit_canonical(g, 1), 1) for g in gammas]
+    assert len(gammas) == members
+    assert len(set(line)) == len(set(orbit)) == len(set(zip(line, orbit))) == lines
+
+
+def test_enumerate_frame_calls_no_orbit_canonical(ctx, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_frame computed an orbit")
+
+    monkeypatch.setattr(isom, "orbit_canonical", refuse)
+    monkeypatch.setattr(isom, "_orbit_scan", refuse)
+    assert not hasattr(frame, "orbit_canonical")
+    tree = enumerate_frame(ctx, 7, 12)
+    assert len(tree.nodes) == 6 and len(tree.merged_by) == 3 * 6

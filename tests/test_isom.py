@@ -8,6 +8,7 @@ from maxclass import (
     GammaCoeffs,
     InsufficientValuation,
     IsoMove,
+    MaxclassError,
     NonUnit,
     NotInHhat,
     PrecisionExhausted,
@@ -326,10 +327,21 @@ def verify_witness_by_gamma_eval(c, c2, mv, m):
     return True
 
 
+def outcome(check, *args):
+    # the verdict, or the type of the error raised
+    try:
+        return check(*args)
+    except MaxclassError as exc:
+        return type(exc)
+
+
 @pytest.mark.parametrize("p, i, m, m_work", [(5, 7, 18, 40), (7, 9, 24, 60)])
 def test_verify_witness_verdicts_equal_gamma_eval_route(p, i, m, m_work):
+    # verify_witness replays its memoised differences at every level: each
+    # verdict or error, in any order of levels, is the one computed afresh
     ctx = PrimeContext(p, m_work)
-    rng = random.Random(p + m)
+    rng, order = random.Random(p + m), random.Random(p)
+    levels = list(range(i, m_work + 2))
     units = [u.lift_to(m_work) for u in enumerate_units(ctx, 2)]
     gammas = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
     gammas = [g for g in gammas if in_Hhat(g, i)]
@@ -348,6 +360,56 @@ def test_verify_witness_verdicts_equal_gamma_eval_route(p, i, m, m_work):
         pert = GammaCoeffs(ctx, i, [ca + CycFrac(ctx.kappa_power(e)) if b == a else ca
                                     for b, ca in enumerate(c2.coeffs)], check=False)
         for other in (c2, pert, rng.choice(gammas)):
+            order.shuffle(levels)
+            for n in levels:
+                assert outcome(verify_witness, c, other, mv, n) == \
+                    outcome(verify_witness_by_gamma_eval, c, other, mv, n)
             verdicts.append(verify_witness(c, other, mv, m))
             assert verdicts[-1] == verify_witness_by_gamma_eval(c, other, mv, m)
+        # the same unit under every Galois index: the memo keys k
+        for k in range(1, p):
+            assert verify_witness(c, c2, IsoMove(mv.u, k), m) == \
+                verify_witness_by_gamma_eval(c, c2, IsoMove(mv.u, k), m)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 10
+
+
+def test_verify_witness_replays_stored_error():
+    # gamma_c vanishes on e_0 ^ e_1 but has kappa-denominators too deep for
+    # e_0 ^ e_2: the third check divides by kappa^45 and raises, after two
+    # checks that pass up to level 19; every replay raises there too
+    ctx, i = PrimeContext(7, 60), 9
+    e0, e1 = ctx.kappa_power(i), ctx.kappa_power(i + 1)
+    c = GammaCoeffs(ctx, i, [CycFrac(theta_a_eval(3, e0, e1), 45),
+                             CycFrac(-theta_a_eval(2, e0, e1), 45)], check=False, den_cap=100)
+    c2 = GammaCoeffs.from_integers(ctx, i, [1, 0])
+    levels = list(range(i, ctx.M_work + 2))
+    random.Random(1).shuffle(levels)
+    for mv in (IsoMove.identity(ctx), IsoMove(ctx.from_int(3), 2)):
+        got = {n: outcome(verify_witness, c, c2, mv, n) for n in levels}
+        assert got == {n: outcome(verify_witness_by_gamma_eval, c, c2, mv, n) for n in levels}
+        assert {got[n] for n in range(i, 20)} == {InsufficientValuation}
+        assert True not in got.values() and PrecisionExhausted in got.values()
+
+
+def test_verify_witness_memo_keyed_by_content():
+    ctx, i, m = PrimeContext(5, 40), I, M
+    c = GammaCoeffs.from_integers(ctx, i, [1])
+    mv = IsoMove(ctx.element([2, 1, 3]).lift_to(ctx.M_work), 3)
+    c2 = apply_move(c, mv, m)
+    assert verify_witness(c, c2, mv, m)
+    entries = len(ctx._witness)
+    # a distinct object with equal content replays the same entry
+    twin = GammaCoeffs(ctx, i, [CycFrac(ctx.element(ca.num.digits, ca.num.prec), ca.den_exp)
+                                for ca in c2.coeffs], check=False)
+    assert twin is not c2 and verify_witness(c, twin, mv, m)
+    assert len(ctx._witness) == entries
+    del twin
+    # a perturbed vector built where a freed c2 lived: an id() key would collide
+    coeffs = [c2.coeffs[0] + CycFrac(ctx.kappa_power(m - (2 * i + 1) - 1))]
+    freed = id(c2)
+    del c2
+    pert = GammaCoeffs(ctx, i, coeffs, check=False)
+    assert id(pert) == freed
+    assert not verify_witness(c, pert, mv, m)
+    assert not verify_witness_by_gamma_eval(c, pert, mv, m)
+    assert len(ctx._witness) == entries + 1
