@@ -41,6 +41,10 @@ class BudgetExceeded(MaxclassError):
     pass
 
 
+# the default cap on enumerated grid points, units and moves
+DEFAULT_BUDGET = 100_000
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .cyclotomic import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CycElt,
     MaxclassError,
@@ -264,7 +265,7 @@ def _line_key(g: GammaCoeffs) -> tuple[int, ...]:
 
 
 def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
-                    budget: int = 100_000) -> FrameTree:
+                    budget: int = DEFAULT_BUDGET) -> FrameTree:
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
 
     Every grid representative passing the Hhat_i test contributes the chain of
@@ -275,6 +276,8 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     tried only if it lies in one class of the level below; at level i those
     classes are the lines of the vectors mod P (_line_key).
     """
+    if m_max < i:
+        raise ValueError(f"m_max = {m_max} lies below i = {i}: the tree would have no level")
     specs: list[LieRingSpec] = []   # one per gamma, at its top level min(lambda, m_max)
     passed = False
     for coeffs in _coefficient_grid(ctx, coeff_mod, budget):

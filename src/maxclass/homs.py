@@ -386,7 +386,7 @@ def min_probe_valuation(g: GammaCoeffs, i: int | None = None) -> Valuation:
     return Valuation.minimum(vals)
 
 
-def images_to_coeffs(ctx: PrimeContext, i: int, images, den_cap: int | None = None) -> GammaCoeffs:
+def images_to_coeffs(ctx: PrimeContext, i: int, images) -> GammaCoeffs:
     """Invert the probe-wedge system: find c with c V_i B = (images_j / kappa^{2i+1}).
 
     Exact Gaussian elimination over K with minimal-valuation pivoting.  The
@@ -423,7 +423,7 @@ def images_to_coeffs(ctx: PrimeContext, i: int, images, den_cap: int | None = No
                 rows[r][cc] = rows[r][cc] - factor * rows[col][cc]
             rhs[r] = rhs[r] - factor * rhs[col]
     coeffs = [rhs[col] * rows[col][col].inverse() for col in range(n)]
-    return GammaCoeffs(ctx, i, coeffs, check=False, den_cap=den_cap)
+    return GammaCoeffs(ctx, i, coeffs, check=False)
 
 
 def shift_check(g: GammaCoeffs, i: int | None = None) -> bool:

@@ -11,9 +11,10 @@ reported as "not merged", never as non-isomorphic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain
 
 from .cyclotomic import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CycElt,
     InsufficientValuation,
@@ -107,20 +108,29 @@ def witness_map(mv: IsoMove):
     return phi
 
 
-def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove):
-    """(precision, valuation bound) of each difference verify_witness tests, in its order."""
+def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
+    """(precision, valuation bound) of each difference verify_witness tests, in its order.
+
+    A MaxclassError met on the way takes the place of its difference and ends
+    the tuple: the checks never get past it.
+    """
     ctx, i = c.ctx, c.i
-    phi = witness_map(mv)
-    basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
-    phis = [phi(x) for x in basis]
-    brackets2 = basis_brackets(c2, i)
-    theta, theta_k = ctx.theta(), ctx.theta(mv.k)
-    for r in range(ctx.d):
-        d = phi(theta * basis[r]) - theta_k * phis[r]
-        yield d.prec, d.valuation().bound
-        for s in range(r + 1, ctx.d):
-            d = phi(brackets2[r, s]) - gamma_eval(c, phis[r], phis[s])
-            yield d.prec, d.valuation().bound
+    out = []
+    try:
+        phi = witness_map(mv)
+        basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+        phis = [phi(x) for x in basis]
+        brackets2 = basis_brackets(c2, i)
+        theta, theta_k = ctx.theta(), ctx.theta(mv.k)
+        for r in range(ctx.d):
+            d = phi(theta * basis[r]) - theta_k * phis[r]
+            out.append((d.prec, d.valuation().bound))
+            for s in range(r + 1, ctx.d):
+                d = phi(brackets2[r, s]) - gamma_eval(c, phis[r], phis[s])
+                out.append((d.prec, d.valuation().bound))
+    except MaxclassError as exc:
+        out.append(exc)
+    return tuple(out)
 
 
 def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool:
@@ -143,27 +153,18 @@ def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool
     memo = c.ctx._witness
     key = (c.i, c2.ctx, mv.u.ctx, mv.k, mv.u.prec, mv.u.digits,
            tuple((a.den_exp, a.num.prec, a.num.digits) for g in (c, c2) for a in g.coeffs))
-    if key not in memo:
-        memo[key] = ([], _witness_differences(c, c2, mv))
-    steps, rest = memo[key]
-    for n in count():
-        if n == len(steps):
-            try:
-                steps.append(next(rest))
-            except StopIteration:
-                return True
-            except MaxclassError as exc:
-                steps.append(exc)
-            except BaseException:
-                del memo[key]   # not an outcome of the checks: the next call starts afresh
-                raise
-        if isinstance(steps[n], MaxclassError):
-            raise steps[n].with_traceback(None)
-        prec, bound = steps[n]
+    steps = memo.get(key)
+    if steps is None:
+        steps = memo[key] = _witness_differences(c, c2, mv)
+    for step in steps:
+        if isinstance(step, MaxclassError):
+            raise step.with_traceback(None)
+        prec, bound = step
         if prec < m:
             raise PrecisionExhausted(f"congruence mod P^{m} undecidable at precision {prec}")
         if bound < m:
             return False
+    return True
 
 
 def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:
@@ -197,26 +198,22 @@ def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[Cy
 
 
 def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
-                        unit_modulus: int = 1, budget: int = 100_000) -> IsoMove | None:
+                        unit_modulus: int = 1, budget: int = DEFAULT_BUDGET) -> IsoMove | None:
     """Search for a move certifying the level-m groups of c and c2 isomorphic.
 
-    Candidates are the units of O/P^{unit_modulus} (canonically lifted) plus
-    quotient-derived Z_p units; each candidate is checked exactly against the
-    move congruence mod P^m, then against the explicit witness.  Returns the
-    first certified move, or None (which never claims non-isomorphism).
+    Candidates are the quotient-derived Z_p units, then the units of
+    O/P^{unit_modulus} (canonically lifted); each candidate is checked exactly
+    against the move congruence mod P^m, then against the explicit witness.
+    Returns the first certified move, or None (which never claims
+    non-isomorphism).
     """
-    ctx = c.ctx
-    for k in range(1, ctx.p):
-        for u in _derived_unit_candidates(c, c2, k):
-            mv = IsoMove(u, k)
-            if move_congruent(c, c2, mv, m) and verify_witness(c, c2, mv, m):
-                return mv
-    for u in enumerate_units(ctx, unit_modulus, budget):
-        u = u.lift_to(ctx.M_work)
-        for k in range(1, ctx.p):
-            mv = IsoMove(u, k)
-            if move_congruent(c, c2, mv, m) and verify_witness(c, c2, mv, m):
-                return mv
+    ctx, ks = c.ctx, range(1, c.ctx.p)
+    derived = ((u, k) for k in ks for u in _derived_unit_candidates(c, c2, k))
+    lifted = (u.lift_to(ctx.M_work) for u in enumerate_units(ctx, unit_modulus, budget))
+    for u, k in chain(derived, ((u, k) for u in lifted for k in ks)):
+        mv = IsoMove(u, k)
+        if move_congruent(c, c2, mv, m) and verify_witness(c, c2, mv, m):
+            return mv
     return None
 
 
@@ -239,7 +236,7 @@ def _orbit_scan(c: GammaCoeffs, m_c: int, budget: int) -> tuple[GammaCoeffs, set
     return best, seen
 
 
-def orbit_canonical(c: GammaCoeffs, m_c: int, budget: int = 100_000) -> GammaCoeffs:
+def orbit_canonical(c: GammaCoeffs, m_c: int, budget: int = DEFAULT_BUDGET) -> GammaCoeffs:
     """Lexicographic minimum of the move orbit of c modulo P^{m_c}.
 
     The action of units mod P^{m_c} and the p-1 Galois indices descends to
@@ -249,7 +246,7 @@ def orbit_canonical(c: GammaCoeffs, m_c: int, budget: int = 100_000) -> GammaCoe
     return _orbit_scan(c, m_c, budget)[0]
 
 
-def orbit_report(c: GammaCoeffs, m_c: int, budget: int = 100_000) -> dict:
+def orbit_report(c: GammaCoeffs, m_c: int, budget: int = DEFAULT_BUDGET) -> dict:
     """Canonical form plus a lower bound on the orbit size (distinct images seen)."""
     best, seen = _orbit_scan(c, m_c, budget)
     return {"canonical": best.to_json(), "orbit_size_lower_bound": len(seen)}

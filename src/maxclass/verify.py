@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import CycElt, PrecisionExhausted, PrimeContext, Valuation, enumerate_units
+from .cyclotomic import (DEFAULT_BUDGET, CycElt, PrecisionExhausted, PrimeContext, Valuation,
+                         enumerate_units)
 from .homs import (
     CycFrac,
     GammaCoeffs,
@@ -443,7 +444,7 @@ def suite_membership_shift(p: int, samples: int = 30, seed: int = 0) -> CheckRes
 # ---- evidence scan: is the Jacobi ideal ever zero? (non-assertive) ----
 
 def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = 60,
-                     budget: int = 100_000) -> dict:
+                     budget: int = DEFAULT_BUDGET) -> dict:
     """Sweep the coefficient grid and report lambda for every member of Hhat_i.
 
     AtLeast outcomes, and grid points whose Hhat_i membership is undecided at

@@ -1,6 +1,9 @@
+import argparse
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ from maxclass.lazard import BchTable
 from maxclass.verify import scan_conjecture1
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -155,6 +159,75 @@ def test_config_quick_bad_value_names_file_and_line(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--config", str(cfgfile))
     assert code == 2 and not out
     assert f"{cfgfile}:3: quick must be" in err and "'maybe'" in err
+
+
+# each subcommand takes only the flags its command reads; these it used to ignore
+DROPPED_FLAGS = [("jacobi", "seed"), ("jacobi", "budget"), ("build", "seed"), ("build", "budget"),
+                 ("enumerate", "seed"), ("verify", "m-work"), ("verify", "budget"),
+                 ("scan-conjecture1", "seed")]
+
+
+@pytest.mark.parametrize("command,key", DROPPED_FLAGS, ids=[f"{c}-{k}" for c, k in DROPPED_FLAGS])
+def test_flag_the_command_does_not_read_exits_2(capsys, tmp_path, command, key):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{key}", "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key} 3" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"p = 5\n{key} = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert f"{cfgfile}:2: unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "jacobi --p 5 --i 7 --coeff 1 --m-work 0",
+    "build --p 5 --i 7 --m 16 --coeff 1 --m-work 0",
+    "enumerate --p 5 --i 7 --m-max 12 --m-work 0",
+    "scan-conjecture1 --p 5 --i-max 6 --m-work 0",
+])
+def test_m_work_zero_is_a_config_error(capsys, argv):
+    # an explicit 0 reaches PrimeContext; the derived default applies only to an absent flag
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and not out and "M_work must be >= 1" in err
+
+
+def test_enumerate_m_max_below_i_exit_2(capsys):
+    code, out, err = run(capsys, "enumerate", "--p", "5", "--i", "7", "--m-max", "6")
+    assert code == 2 and not out and "below i" in err
+
+
+def test_help_shows_every_constant_default():
+    _, subparsers = cli._build_parser()
+    for name, sp in subparsers.items():
+        text = " ".join(sp.format_help().split())
+        for action in sp._actions:
+            if action.default not in (None, argparse.SUPPRESS):
+                assert f"(default: {action.default})" in text, (name, action.dest)
+
+
+def readme_command_line():
+    return README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    # every `maxclass ...` line of the README's shell block parses with the real parser
+    block = readme_command_line().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("maxclass ")]
+    ap, subparsers = cli._build_parser()
+    for argv in commands:
+        ap.parse_args(argv[1:])   # exits 2 on an unknown or malformed flag
+    assert {argv[1] for argv in commands} == set(subparsers)
+
+
+def test_readme_lists_each_subcommands_flags():
+    rows = {m[1]: set(re.findall(r"`(--[a-z-]+)`", m[2]))
+            for m in re.finditer(r"^\| `([a-z0-9-]+)` \|(.*)\|$", readme_command_line(), re.M)}
+    _, subparsers = cli._build_parser()
+    assert rows == {name: {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+                    for name, sp in subparsers.items()}
 
 
 def test_scan_conjecture1(capsys):

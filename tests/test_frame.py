@@ -227,6 +227,13 @@ def test_budget_guard(ctx):
         enumerate_frame(ctx, 7, 10, coeff_mod=3, budget=10)
 
 
+def test_m_max_below_i_is_an_error(ctx):
+    # a top level below the root leaves no vertex: refused, not returned as an empty tree
+    with pytest.raises(ValueError, match="below i"):
+        enumerate_frame(ctx, 7, 6)
+    assert enumerate_frame(ctx, 7, 7).nodes
+
+
 def test_tree_serialization(ctx):
     tree = enumerate_frame(ctx, 7, 10, coeff_mod=1, budget=10 ** 6)
     obj = tree.to_json()

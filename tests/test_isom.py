@@ -404,12 +404,13 @@ def test_verify_witness_memo_keyed_by_content():
     assert twin is not c2 and verify_witness(c, twin, mv, m)
     assert len(ctx._witness) == entries
     del twin
-    # a perturbed vector built where a freed c2 lived: an id() key would collide
+    # a perturbed vector at c2's address, where an id() key would collide: c2's
+    # object is re-initialised in place, so the address is shared by
+    # construction, not by the allocator reusing freed memory
     coeffs = [c2.coeffs[0] + CycFrac(ctx.kappa_power(m - (2 * i + 1) - 1))]
-    freed = id(c2)
-    del c2
-    pert = GammaCoeffs(ctx, i, coeffs, check=False)
-    assert id(pert) == freed
+    pert, addr = c2, id(c2)
+    pert.__init__(ctx, i, coeffs, check=False)
+    assert id(pert) == addr
     assert not verify_witness(c, pert, mv, m)
     assert not verify_witness_by_gamma_eval(c, pert, mv, m)
     assert len(ctx._witness) == entries + 1
