@@ -31,9 +31,10 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
-def _read_config_file(path: str) -> list[tuple[int, str, list[str]]]:
-    """The lines 'key = value' of a config file as (line number, key, ['--key', value])."""
+def _config_flags(path: str, sp: argparse.ArgumentParser) -> list[str]:
+    """Flags of a 'key = value' config file; sp parses each line alone, so an error names it."""
     out = []
+    sp.exit_on_error = False
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -42,23 +43,20 @@ def _read_config_file(path: str) -> list[tuple[int, str, list[str]]]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: config line is not 'key = value': {line!r}")
             key, val = (t.strip() for t in line.split("=", 1))
-            if key != "quick":
-                out.append((lineno, key, [f"--{key}", val]))
-            elif val.lower() in ("1", "true", "yes"):
-                out.append((lineno, key, ["--quick"]))
-            elif val.lower() in ("0", "false", "no"):
-                out.append((lineno, key, ["--no-quick"]))
-            else:
-                raise ValueError(f"{path}:{lineno}: quick must be 1/true/yes or 0/false/no, "
-                                 f"got {val!r}")
+            flags = [f"--{key}", val]
+            if key == "quick":
+                if val.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                    raise ValueError(f"{path}:{lineno}: quick must be 1/true/yes or 0/false/no, "
+                                     f"got {val!r}")
+                flags = ["--quick" if val.lower() in ("1", "true", "yes") else "--no-quick"]
+            try:
+                if sp.parse_known_args(flags)[1]:
+                    sp.error(f"{path}:{lineno}: unknown key {key!r}")
+            except argparse.ArgumentError as exc:
+                sp.error(f"{path}:{lineno}: {exc}")
+            out += flags
+    sp.exit_on_error = True
     return out
-
-
-def _parse_coeffs(ctx: PrimeContext, i: int, text: str, check: bool) -> GammaCoeffs:
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != ctx.l:
-        raise ValueError(f"expected {ctx.l} comma-separated coefficients, got {len(parts)}")
-    return GammaCoeffs.from_integers(ctx, i, [int(t) for t in parts], check=check)
 
 
 def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
@@ -73,19 +71,23 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
         return g
     if coeff is None:
         raise ValueError("need --coeff or --images-json")
-    return _parse_coeffs(ctx, i, coeff, check=True)
+    parts = coeff.split(",")
+    if len(parts) != ctx.l:
+        raise ValueError(f"expected {ctx.l} comma-separated coefficients, got {len(parts)}")
+    return GammaCoeffs.from_integers(ctx, i, [int(t) for t in parts])
 
 
-def _emit(payload, fmt: str, out: str | None, text_lines) -> None:
-    if fmt == "json":
-        blob = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        blob = "\n".join(text_lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(path: str | None, blob: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(blob)
     else:
         sys.stdout.write(blob)
+
+
+def _emit(payload, fmt: str, out: str | None, text_lines) -> None:
+    _write(out, json.dumps(payload, sort_keys=True, indent=2) + "\n" if fmt == "json"
+           else "\n".join(text_lines) + "\n")
 
 
 # ---- commands: each reads the parsed namespace of its subcommand ----
@@ -122,6 +124,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     p, i, m = args.p, args.i, args.m
     if i is None or m is None:
         raise ValueError("build needs --i and --m")
+    if i < 1:
+        raise ValueError(f"i = {i}: build needs i >= 1; L_(0,m)(gamma) is not nilpotent")
     m_work = max(m + 2 * (p - 1), 3 * (i + p) + 12) if args.m_work is None else args.m_work
     ctx = PrimeContext(p, m_work)
     g = _resolve_gamma(ctx, i, args.coeff, args.images_json)
@@ -166,11 +170,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         f"the same coefficient grid defines frames at every i' == {i} mod p-1 = "
         f"{i % (p - 1)}; lambda shifts by 3(p-1) per step of p-1 in i")
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(payload, "json", args.out_json, [])
     if args.out_dot:
-        with open(args.out_dot, "w", encoding="utf-8") as fh:
-            fh.write(tree.to_dot())
+        _write(args.out_dot, tree.to_dot())
     lines = [
         f"frame grid p={p}, i={i}, m <= {m_max}, coefficients mod P^{args.coeff_mod}",
         f"{len(tree.nodes)} vertices (upper bounds on isomorphism types), "
@@ -215,9 +217,7 @@ def cmd_bch_regen(args: argparse.Namespace) -> int:
     table = generate_bch_table(args.max_class)
     if not table.self_test(min(args.max_class, 5)):
         raise MaxclassError("generated table fails its associativity self-test")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(table.to_json(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write(args.out, json.dumps(table.to_json(), indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote BCH table (version {BCH_DATA_VERSION}, max class {args.max_class}) "
                      f"to {args.out}\n")
     return EXIT_OK
@@ -260,9 +260,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     def gamma(sp):
         sp.add_argument("--i", type=natural, help="level i of the homomorphism gamma")
-        sp.add_argument("--coeff", help="comma-separated integer coefficients c_2..c_{(p-1)/2}")
-        sp.add_argument("--images-json", dest="images_json",
-                        help="JSON file with the probe-wedge images instead of --coeff")
+        given = sp.add_mutually_exclusive_group()
+        given.add_argument("--coeff", help="comma-separated integer coefficients c_2..c_{(p-1)/2}")
+        given.add_argument("--images-json", dest="images_json",
+                           help="JSON file with the probe-wedge images instead of --coeff")
 
     def m_work(sp, shown, default=None):
         sp.add_argument("--m-work", type=int, default=default, dest="m_work",
@@ -301,7 +302,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     sp = command("scan-conjecture1", cmd_scan_conjecture1,
                  "evidence scan: lambda over a coefficient grid")
-    sp.add_argument("--i-max", type=int, default=12, dest="i_max",
+    sp.add_argument("--i-max", type=natural, default=12, dest="i_max",
                     help="scan the levels i = 0..i-max (default: %(default)s)")
     grid(sp)
     m_work(sp, "%(default)s", 60)
@@ -321,14 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         path = getattr(args, "config", None)
         if path:
-            lines = _read_config_file(path)
-            # the file's flags go first, so the explicit ones win; the explicit
-            # ones parsed already, so an unrecognized flag comes from the file
-            args, unknown = ap.parse_known_args(
-                argv[:1] + [f for _, _, flags in lines for f in flags] + argv[1:])
-            for lineno, key, flags in lines:
-                if flags[0] in unknown:
-                    subparsers[args.command].error(f"{path}:{lineno}: unknown key {key!r}")
+            # the file's flags go first, so the explicit ones win
+            args = ap.parse_args(argv[:1] + _config_flags(path, subparsers[args.command]) + argv[1:])
         return args.run(args)
     except (BudgetExceeded, PrecisionExhausted) as exc:
         sys.stderr.write(f"resource limit: {exc}\n")

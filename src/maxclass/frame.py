@@ -2,12 +2,12 @@
 
 Each S_{i,m}(gamma) has order p^{m-i+1}; the P-factor acts on the Lazard
 group by multiplication with theta.  The frame of a branch is assembled by
-sweeping a coefficient grid, building one chain of truncations per surviving
-gamma (maximal class is verified once, at the top of the chain), and merging
-vertices only when an isomorphism move has been verified: vertex counts are
-therefore upper bounds on the number of isomorphism types.  Pairs are tried
-only within one class of the level below, from level i on, where the classes
-are the lines of the coefficient vectors mod P, points of P^{l-1}(F_p).
+sweeping a coefficient grid, keeping one chain of truncations per surviving
+gamma (of maximal class by a lemma; s_group_lcs is the sweep that checks it),
+and merging vertices only when an isomorphism move has been verified: vertex
+counts are therefore upper bounds on the number of isomorphism types.  Pairs
+are tried only within one class of the level below, from level i on, where the
+classes are the lines of the coefficient vectors mod P, points of P^{l-1}(F_p).
 """
 
 from __future__ import annotations
@@ -269,13 +269,27 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
 
     Every grid representative passing the Hhat_i test contributes the chain of
-    truncations m = i .. m_top = min(lambda, m_max) of one Lie ring.  Maximal
-    class is verified once per gamma, on S_{i,m_top}(gamma): the vertices below
-    are its quotients, whose central series is the top one clamped at m.
-    Vertices at each level are merged only under certified moves, and a pair is
-    tried only if it lies in one class of the level below; at level i those
-    classes are the lines of the vectors mod P (_line_key).
+    truncations m = i .. m_top = min(lambda, m_max) of one Lie ring.  Vertices
+    at each level are merged only under certified moves, and a pair is tried
+    only if it lies in one class of the level below; at level i those classes
+    are the lines of the vectors mod P (_line_key).
+
+    Maximal class is a lemma, not a sweep of s_group_lcs.  Let gamma be
+    integral, i >= 1 and the Lie class < p.  sigma_a keeps valuations, so
+    gamma(P^s ^ P^t) lies in P^{s+t}, and the p-integral BCH coefficients lose
+    no valuation.  step(w) of s_group_lcs commutes a = kappa^{w+r}, r < p-1:
+    - with e_s = kappa^{i+s}: each BCH term is a bracket containing a and e_s,
+      in P^{w+r+i}, inside P^{w+1} as i >= 1;
+    - with the P-generator: (-a) theta^{-1}(a) is d = (theta^{-1} - 1)a, of
+      valuation exactly w+r+1 as theta^{-1} - 1 = -theta^{-1} kappa, plus
+      brackets containing -a and d, in P^{2(w+r)+1}; so it has valuation
+      exactly w+r+1, clamped at m.
+    So step(w) = w+1 at r = 0, the chain is i, i+1, ..., m, and every vertex
+    has maximal class.  Only the hypotheses are checked: i >= 1 (L_{0,m}(gamma)
+    is not nilpotent once m >= 2), integral grid gamma, class < p (Lazard).
     """
+    if i < 1:
+        raise ValueError(f"i = {i}: the frame needs i >= 1; L_(0,m)(gamma) is not nilpotent")
     if m_max < i:
         raise ValueError(f"m_max = {m_max} lies below i = {i}: the tree would have no level")
     specs: list[LieRingSpec] = []   # one per gamma, at its top level min(lambda, m_max)
@@ -285,6 +299,8 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
             g = GammaCoeffs(ctx, i, coeffs, check=True)
         except NotInHhat:
             continue
+        if not g.is_integral():
+            raise MaxclassError(f"grid gamma {_coeff_key(g, coeff_mod)!r} is not integral")
         passed = True
         lam = jacobi_exponent(g, i)
         m_top = min(lam.value, m_max)
@@ -292,37 +308,30 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
             specs.append(LieRingSpec(ctx, i, m_top, g, lam=lam))
     if not passed:
         raise MaxclassError(f"no grid coefficient passes the Hhat_{i} test")
-    table = build_bch_table(max([1] + [spec.nilpotency_class for spec in specs]), p=ctx.p)
-    for spec in specs:
-        if not verify_maximal_class(SGroup(spec, table)):
-            raise MaxclassError(f"S_({i},{spec.m})(gamma) fails the maximal-class check for "
-                                f"gamma = {_coeff_key(spec.gamma, coeff_mod)!r}")
+    max_class = max([1] + [spec.nilpotency_class for spec in specs])
+    if max_class >= ctx.p:
+        raise ValueError(f"max_class {max_class} >= p = {ctx.p}: denominator p would appear")
 
     nodes: list[FrameNode] = []
     edges: list[tuple[str, str]] = []
     merged_by: list[dict] = []
-    # a move certified mod P^m (m >= 1) carries c to a multiple of c mod P:
-    # the classes below level i are the lines in P^{l-1}(F_p)
     prev_class_of = {idx: _line_key(spec.gamma) for idx, spec in enumerate(specs)}
+    keys = [_coeff_key(spec.gamma, coeff_mod) for spec in specs]
 
     for m in range(i, m_max + 1):
         members = [idx for idx, spec in enumerate(specs) if spec.m >= m]
-        if not members:
-            break
-        # union-find over certified moves at this level
-        parent = {idx: idx for idx in members}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for pos, ia in enumerate(members):
-            for ib in members[pos + 1:]:
-                # congruence mod P^m implies congruence mod P^{m-1}, so only
-                # pairs in one class of the level below can merge here
-                if find(ia) == find(ib) or prev_class_of[ia] != prev_class_of[ib]:
+        # congruence mod P^m implies congruence mod P^{m-1}, so a pair can merge
+        # only inside one bucket, a class of the level below; each ia walks the
+        # later members of its bucket, in the lexicographic pair order.  rep[idx]
+        # names the class of idx so far, and a merge relabels within the bucket
+        buckets: dict = {}
+        for idx in members:
+            buckets.setdefault(prev_class_of[idx], []).append(idx)
+        rep = {idx: idx for idx in members}
+        for ia in members:
+            bucket = buckets[prev_class_of[ia]]
+            for ib in bucket[bucket.index(ia) + 1:]:
+                if rep[ia] == rep[ib]:
                     continue
                 mv = find_certified_move(specs[ia].gamma, specs[ib].gamma, m,
                                          unit_modulus=coeff_mod, budget=budget)
@@ -331,37 +340,31 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
                         "m": m,
                         "move": mv.to_json(),
                         "verified": True,
-                        "from": repr(_coeff_key(specs[ia].gamma, coeff_mod)),
-                        "to": repr(_coeff_key(specs[ib].gamma, coeff_mod)),
+                        "from": repr(keys[ia]),
+                        "to": repr(keys[ib]),
                     })
-                    parent[find(ib)] = find(ia)
+                    new, old = rep[ia], rep[ib]
+                    rep.update((x, new) for x in bucket if rep[x] == old)
 
         classes: dict[int, list[int]] = {}
         for idx in members:
-            classes.setdefault(find(idx), []).append(idx)
+            classes.setdefault(rep[idx], []).append(idx)
 
         class_of: dict[int, str] = {}
-        roots = sorted(classes, key=lambda r: _coeff_key(specs[r].gamma, coeff_mod))
-        for n, root in enumerate(roots):
+        for n, root in enumerate(sorted(classes, key=keys.__getitem__)):
             node_id = f"m{m}n{n}"
-            node = FrameNode(
+            nodes.append(FrameNode(
                 i=i, m=m, gamma=specs[root].gamma,
                 classification=classify(i, m),
                 order_exp=m - i + 1,
                 s_class=m - i if m > i else 1,
-                member_keys=[_coeff_key(specs[idx].gamma, coeff_mod) for idx in classes[root]],
+                member_keys=[keys[idx] for idx in classes[root]],
                 node_id=node_id,
-            )
-            nodes.append(node)
+            ))
             for idx in classes[root]:
                 class_of[idx] = node_id
         if m > i:
-            seen = set()
-            for idx, nid in class_of.items():
-                pid = prev_class_of[idx]
-                if (pid, nid) not in seen:
-                    seen.add((pid, nid))
-                    edges.append((pid, nid))
+            edges.extend(dict.fromkeys((prev_class_of[idx], nid) for idx, nid in class_of.items()))
         prev_class_of = class_of
 
     return FrameTree(p=ctx.p, i=i, m_max=m_max, coeff_mod=coeff_mod,

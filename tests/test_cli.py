@@ -198,6 +198,47 @@ def test_enumerate_m_max_below_i_exit_2(capsys):
     assert code == 2 and not out and "below i" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "enumerate --p 5 --i 0 --m-max 5",
+    "build --p 5 --i 0 --m 3 --coeff 1",
+])
+def test_i_zero_exit_2(capsys, argv):
+    # L_(0,m)(gamma) is not nilpotent for m >= 2: one line of stderr, no traceback
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "i >= 1" in err
+
+
+def test_coeff_and_images_json_are_exclusive(capsys, tmp_path):
+    images = tmp_path / "images.json"
+    images.write_text("[]")
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", "--p", "7", "--i", "9", "--images-json", str(images), "--coeff", "9,9,9"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_scan_i_max_negative_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-conjecture1", "--p", "5", "--i-max", "-1"])
+    assert exc.value.code == 2
+    assert "argument --i-max: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("inject-fault = bhc", "argument --inject-fault: invalid choice: 'bhc'"),
+    ("seed = x", "argument --seed: invalid int value: 'x'"),
+    ("p = ", "argument --p: invalid int value: ''"),
+])
+def test_config_bad_value_names_file_and_line(capsys, tmp_path, line, message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"p = 5\n# comment\nquick = yes\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert f"maxclass verify: error: {cfgfile}:4: {message}" in capsys.readouterr().err
+
+
 def test_help_shows_every_constant_default():
     _, subparsers = cli._build_parser()
     for name, sp in subparsers.items():
@@ -295,6 +336,10 @@ IDENTITY_LIST = [
      "335b527d77c71ebc2a8822323292791bccff1ee211ff0fafd7be68edcd2e18cf"),
     ("jacobi --p 7 --i 9 --coeff 1,3",
      "dfe1692c2b9de1159caac7a83014edb7db60f2685063e075033ab2da7d74bde6"),
+    # the perfbench enumerate-p7 job: 7 lines mod P, so it pins the pair order
+    # across the classes of the level below, which the one-line p = 5 grids cannot
+    ("enumerate --p 7 --i 9 --m-max 18 --coeff-mod 1",
+     "2ff70a90cb16b258c188f2bafbcf0756bd1ccad8b48530af22fdb146e97affb4"),
 ]
 
 

@@ -17,6 +17,7 @@ from maxclass import (
     homs,
     isom,
     jacobi_exponent,
+    lazard,
     liering,
     orbit_canonical,
     quotient_edge,
@@ -161,10 +162,10 @@ def test_skeleton_contained_in_frame(ctx):
         assert spec.lcs_profile().nilpotency_class <= 2
 
 
-def test_enumerate_frame_sweeps_lie_series_once_per_gamma(ctx, monkeypatch):
-    # the vertices of one gamma are truncations of one ring, whose series is
-    # computed once at the top level and clamped for every level below; the
-    # same holds for the S-series behind the maximal-class check
+def test_enumerate_frame_builds_no_s_group(ctx, monkeypatch):
+    # maximal class comes from the lemma in enumerate_frame's docstring: no
+    # S-series, BCH product or BCH table; the Lie series of each gamma is still
+    # computed once, at its top level, for the Lazard precondition
     sweeps = []
     real = liering.lcs_profile
 
@@ -172,19 +173,18 @@ def test_enumerate_frame_sweeps_lie_series_once_per_gamma(ctx, monkeypatch):
         sweeps.append(spec.m)
         return real(spec)
 
-    checks = []
-    real_check = frame.verify_maximal_class
-
-    def counting_check(group):
-        checks.append(group.spec.m)
-        return real_check(group)
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_frame swept an S-group")
 
     monkeypatch.setattr(liering, "lcs_profile", counting)
-    monkeypatch.setattr(frame, "verify_maximal_class", counting_check)
+    for name in ("verify_maximal_class", "s_group_lcs", "bch_multiply", "build_bch_table",
+                 "SGroup"):
+        monkeypatch.setattr(frame, name, refuse)
+    monkeypatch.setattr(lazard, "bch_multiply", refuse)
+    monkeypatch.setattr(lazard, "build_bch_table", refuse)
     tree = enumerate_frame(ctx, 7, 20)
     assert len(tree.nodes) == 14
     assert sweeps == [20] * 4
-    assert checks == [20] * 4
 
 
 def test_enumerate_frame_tests_hhat_once_per_gamma(monkeypatch):
@@ -202,16 +202,63 @@ def test_enumerate_frame_tests_hhat_once_per_gamma(monkeypatch):
     assert calls == [7] * 5
 
 
-def test_enumerate_frame_checks_maximal_class(ctx, monkeypatch):
-    monkeypatch.setattr(frame, "verify_maximal_class", lambda group: False)
-    with pytest.raises(MaxclassError, match="maximal-class check"):
+def _kept_specs(monkeypatch, ctx, i, m_max, coeff_mod, points=None):
+    """The top-level Lie rings enumerate_frame keeps, on the first points of its grid."""
+    kept = []
+    real_spec, real_grid = frame.LieRingSpec, frame._coefficient_grid
+
+    def recording(*args, **kwargs):
+        kept.append(real_spec(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(frame, "LieRingSpec", recording)
+    monkeypatch.setattr(frame, "_coefficient_grid",
+                        lambda *args: islice(real_grid(*args), points))
+    enumerate_frame(ctx, i, m_max, coeff_mod=coeff_mod, budget=10 ** 6)
+    return kept
+
+
+@pytest.mark.parametrize("p, i, m_max, coeff_mod, m_work, points, kept", [
+    (5, 7, 20, 1, 40, None, 4), (5, 7, 20, 2, 40, None, 20), (7, 9, 22, 1, 48, None, 42),
+    (11, 13, 16, 1, 84, 40, 37)])
+def test_lemma_agrees_with_the_s_group_sweep(monkeypatch, p, i, m_max, coeff_mod, m_work,
+                                             points, kept):
+    # the oracle for enumerate_frame's lemma: the sweep of s_group_lcs on every
+    # gamma the frame keeps, at its top level (lower levels are the clamped
+    # top series, test_s_series_of_truncation_is_clamped_top_series)
+    ctx = PrimeContext(p, m_work)
+    specs = _kept_specs(monkeypatch, ctx, i, m_max, coeff_mod, points)
+    assert len(specs) == kept
+    table = build_bch_table(max(spec.nilpotency_class for spec in specs), p=p)
+    for spec in specs:
+        assert s_group_lcs(SGroup(spec, table)).exponents == tuple(range(i, spec.m + 1))
+        assert verify_maximal_class(SGroup(spec, table))
+
+
+def test_enumerate_frame_needs_i_at_least_1(ctx):
+    # L_(0,m)(gamma) is not nilpotent for m >= 2, and the lemma needs i >= 1
+    with pytest.raises(ValueError, match="i >= 1"):
+        enumerate_frame(ctx, 0, 5)
+
+
+def test_enumerate_frame_refuses_a_non_integral_gamma(ctx, monkeypatch):
+    # a coefficient known below M_work is not integral; the grid never yields one
+    c = ctx.from_int(1).reduce_to(ctx.M_work - 1)
+    monkeypatch.setattr(frame, "_coefficient_grid", lambda *args: iter([(c,)]))
+    with pytest.raises(MaxclassError, match="not integral"):
+        enumerate_frame(ctx, 7, 10)
+
+
+def test_enumerate_frame_keeps_the_lazard_precondition(ctx, monkeypatch):
+    monkeypatch.setattr(liering.LieRingSpec, "nilpotency_class", property(lambda spec: 5))
+    with pytest.raises(ValueError, match="max_class 5 >= p = 5"):
         enumerate_frame(ctx, 7, 10)
 
 
 def test_s_series_of_truncation_is_clamped_top_series(ctx):
     # gamma_k(S/N) = gamma_k(S)N/N: the S-series of every vertex below the top
-    # is the top series clamped at m, which is why enumerate_frame checks
-    # maximal class once per gamma; the per-vertex sweep is the oracle here
+    # is the top series clamped at m, so the sweep at each gamma's top level
+    # covers all its vertices; the per-vertex sweep is the oracle here
     g = GammaCoeffs.from_integers(ctx, 7, [1])
     spec = LieRingSpec(ctx, 7, 20, g)
     table = build_bch_table(spec.nilpotency_class, p=ctx.p)
