@@ -31,8 +31,14 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
-def _config_flags(path: str, sp: argparse.ArgumentParser) -> list[str]:
-    """Flags of a 'key = value' config file; sp parses each line alone, so an error names it."""
+def _config_flags(path: str, sp: argparse.ArgumentParser, explicit: list[str]) -> list[str]:
+    """Flags of a 'key = value' config file, to go before the explicit flags.
+
+    sp parses each line after the lines before it and before the explicit flags,
+    so an error names its line, a clash of mutually exclusive flags included.
+    help and config are not keys: --help would print and exit 0, and a second
+    --config would be ignored.
+    """
     out = []
     sp.exit_on_error = False
     with open(path, encoding="utf-8") as fh:
@@ -50,7 +56,7 @@ def _config_flags(path: str, sp: argparse.ArgumentParser) -> list[str]:
                                      f"got {val!r}")
                 flags = ["--quick" if val.lower() in ("1", "true", "yes") else "--no-quick"]
             try:
-                if sp.parse_known_args(flags)[1]:
+                if key in ("help", "config") or sp.parse_known_args(out + flags + explicit)[1]:
                     sp.error(f"{path}:{lineno}: unknown key {key!r}")
             except argparse.ArgumentError as exc:
                 sp.error(f"{path}:{lineno}: {exc}")
@@ -323,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         path = getattr(args, "config", None)
         if path:
             # the file's flags go first, so the explicit ones win
-            args = ap.parse_args(argv[:1] + _config_flags(path, subparsers[args.command]) + argv[1:])
+            args = ap.parse_args(argv[:1] + _config_flags(path, subparsers[args.command], argv[1:])
+                                 + argv[1:])
         return args.run(args)
     except (BudgetExceeded, PrecisionExhausted) as exc:
         sys.stderr.write(f"resource limit: {exc}\n")

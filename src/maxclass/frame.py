@@ -264,15 +264,52 @@ def _line_key(g: GammaCoeffs) -> tuple[int, ...]:
     return tuple(x * scale % p for x in v)
 
 
+def _line_lambda(coeff_mod: int):
+    """A function (g, i) -> jacobi_exponent(g, i) that computes lambda once per line mod P and i.
+
+    The returned function keeps the exact lambda < 3i+p-1 of the first integral
+    gamma it meets on each (i, _line_key) and gives it to every later gamma
+    there; any other case (coeff_mod >= 2, a non-integral gamma, an AtLeast or
+    a larger lambda) is computed by jacobi_exponent and not kept.  One function
+    serves one PrimeContext.  The proof, for coeff_mod = 1 and integral c, c':
+    - the entries of a grid vector are rational integers in 0..p-1, so c' on
+      the line of c is c' = t c - p delta, t in {1..p-1}, delta in Z^l;
+    - the Jacobiator is quadratic in gamma, so
+      J_{gamma'} = t^2 J_gamma - p t B(gamma, gamma_delta) + p^2 J_{gamma_delta},
+      B the bilinear cross term, and gamma_delta is integral;
+    - gamma(P^s ^ P^t) lies in P^{s+t} (the lemma of enumerate_frame), so on a
+      basis triple of P^i, B(gamma, gamma_delta) and J_{gamma_delta} lie in
+      P^{3i}, and the last two terms in P^{3i+p-1}, as pO = P^{p-1}.
+    So each triple's J_{gamma'} has the valuation of J_gamma where that is
+    below 3i+p-1, t being a unit; an exact lambda < 3i+p-1 is then lambda of
+    gamma' too, and also below M_work, so jacobi_exponent labels it Exact.  For
+    coeff_mod >= 2 two points of a line differ by an element of P, not of pO.
+    """
+    memo: dict[tuple, Valuation] = {}
+
+    def lam(g: GammaCoeffs, i: int) -> Valuation:
+        if coeff_mod != 1 or not g.is_integral():
+            return jacobi_exponent(g, i)
+        key = (i, _line_key(g))
+        v = memo.get(key)
+        if v is None:
+            v = jacobi_exponent(g, i)
+            if v.exact and v.value < 3 * i + g.ctx.p - 1:
+                memo[key] = v
+        return v
+
+    return lam
+
+
 def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
                     budget: int = DEFAULT_BUDGET) -> FrameTree:
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
 
     Every grid representative passing the Hhat_i test contributes the chain of
-    truncations m = i .. m_top = min(lambda, m_max) of one Lie ring.  Vertices
-    at each level are merged only under certified moves, and a pair is tried
-    only if it lies in one class of the level below; at level i those classes
-    are the lines of the vectors mod P (_line_key).
+    truncations m = i .. m_top = min(lambda, m_max) of one Lie ring, with lambda
+    from _line_lambda.  Vertices at each level are merged only under certified
+    moves, and a pair is tried only if it lies in one class of the level below;
+    at level i those classes are the lines of the vectors mod P (_line_key).
 
     Maximal class is a lemma, not a sweep of s_group_lcs.  Let gamma be
     integral, i >= 1 and the Lie class < p.  sigma_a keeps valuations, so
@@ -293,6 +330,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     if m_max < i:
         raise ValueError(f"m_max = {m_max} lies below i = {i}: the tree would have no level")
     specs: list[LieRingSpec] = []   # one per gamma, at its top level min(lambda, m_max)
+    lam_of = _line_lambda(coeff_mod)
     passed = False
     for coeffs in _coefficient_grid(ctx, coeff_mod, budget):
         try:
@@ -302,7 +340,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         if not g.is_integral():
             raise MaxclassError(f"grid gamma {_coeff_key(g, coeff_mod)!r} is not integral")
         passed = True
-        lam = jacobi_exponent(g, i)
+        lam = lam_of(g, i)
         m_top = min(lam.value, m_max)
         if m_top >= i:
             specs.append(LieRingSpec(ctx, i, m_top, g, lam=lam))

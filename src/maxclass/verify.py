@@ -35,7 +35,8 @@ from .lazard import (
     theta_power_map,
 )
 from .liering import LieElt, LieRingSpec, check_class_bounds, jacobi_exponent, lcs_profile
-from .frame import SGroup, classify, quotient_edge, verify_maximal_class
+from .frame import (SGroup, _coefficient_grid, _line_lambda, classify, quotient_edge,
+                    verify_maximal_class)
 
 
 @dataclass
@@ -449,10 +450,11 @@ def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = 60,
 
     AtLeast outcomes, and grid points whose Hhat_i membership is undecided at
     working precision, are flagged as unresolved, never asserted either way;
-    exact outcomes are summarized by the slack lambda - (3i+3-p).
+    exact outcomes are summarized by the slack lambda - (3i+3-p).  lambda comes
+    from frame._line_lambda, once per line mod P where its proof allows.
     """
-    from .frame import _coefficient_grid
     ctx = PrimeContext(p, m_work)
+    lam_of = _line_lambda(coeff_mod)
     entries = []
     unresolved = 0
     slack_hist: dict[int, int] = {}
@@ -469,7 +471,7 @@ def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = 60,
                                 "flag": "Hhat_i membership undecided at working precision; "
                                         "raise M_work"})
                 continue
-            lam = jacobi_exponent(g, i)
+            lam = lam_of(g, i)
             entry = {"i": i, "coeffs": repr(_coeff_key(g, coeff_mod)),
                      "lambda": lam.value, "exact": lam.exact}
             if lam.exact:

@@ -218,6 +218,39 @@ def test_coeff_and_images_json_are_exclusive(capsys, tmp_path):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines, argv, line, message", [
+    ("coeff = 1,3\n", ["--images-json", "F"], 3,
+     "argument --images-json: not allowed with argument --coeff"),
+    ("images-json = F\n", ["--coeff", "1,3"], 3,
+     "argument --coeff: not allowed with argument --images-json"),
+    ("coeff = 1,3\n# comment\nimages-json = F\n", [], 5,
+     "argument --images-json: not allowed with argument --coeff"),
+], ids=["file-coeff", "file-images-json", "file-both"])
+def test_config_coeff_images_json_clash_names_the_line(capsys, tmp_path, lines, argv, line,
+                                                       message):
+    images = tmp_path / "images.json"
+    images.write_text("[]")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 7\ni = 9\n" + lines.replace("F", str(images)))
+    argv = [str(images) if a == "F" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", "--config", str(cfgfile), *argv])
+    assert exc.value.code == 2
+    assert f"maxclass jacobi: error: {cfgfile}:{line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["help", "config"])
+def test_config_help_and_config_are_unknown_keys(capsys, tmp_path, key):
+    # as flags, --help would print the help and exit 0, and a second --config would be ignored
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"p = 7\n{key} = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["jacobi", "--config", str(cfgfile), "--i", "9", "--coeff", "1,3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert not out.out and f"{cfgfile}:2: unknown key {key!r}" in out.err
+
+
 def test_scan_i_max_negative_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan-conjecture1", "--p", "5", "--i-max", "-1"])
@@ -340,6 +373,10 @@ IDENTITY_LIST = [
     # across the classes of the level below, which the one-line p = 5 grids cannot
     ("enumerate --p 7 --i 9 --m-max 18 --coeff-mod 1",
      "2ff70a90cb16b258c188f2bafbcf0756bd1ccad8b48530af22fdb146e97affb4"),
+    # the perfbench scan-p7 job: 7 lines mod P per level, so it pins the per-line
+    # lambda of the scan, which the one-line p = 5 grids cannot
+    ("scan-conjecture1 --p 7 --i-max 14",
+     "90376987470adde85218df2cb6522c16440395428ad62db6cf1343a61854278a"),
 ]
 
 

@@ -8,8 +8,10 @@ from maxclass import (
     GammaCoeffs,
     LieRingSpec,
     MaxclassError,
+    PrecisionExhausted,
     PrimeContext,
     SGroup,
+    Valuation,
     build_bch_table,
     classify,
     enumerate_frame,
@@ -22,6 +24,7 @@ from maxclass import (
     orbit_canonical,
     quotient_edge,
     s_group_lcs,
+    verify,
     verify_maximal_class,
 )
 from maxclass.isom import _coeff_key
@@ -314,3 +317,78 @@ def test_enumerate_frame_calls_no_orbit_canonical(ctx, monkeypatch):
     assert not hasattr(frame, "orbit_canonical")
     tree = enumerate_frame(ctx, 7, 12)
     assert len(tree.nodes) == 6 and len(tree.merged_by) == 3 * 6
+
+
+def _counting_lambda(monkeypatch, fake=None):
+    """The lambdas frame._line_lambda computes, recorded; fake stands in for jacobi_exponent."""
+    direct = []
+
+    def recording(g, i):
+        direct.append((fake or jacobi_exponent)(g, i))
+        return direct[-1]
+
+    monkeypatch.setattr(frame, "jacobi_exponent", recording)
+    return direct
+
+
+@pytest.mark.parametrize("p, m_work, levels, points, members, computed", [
+    (5, 60, range(13), None, 52, 13), (5, 20, range(13), None, 40, 22),
+    (7, 60, range(15), None, 630, 105), (11, 60, (0, 13), 121, 220, 22)])
+def test_line_lambda_equals_jacobi_exponent(monkeypatch, p, m_work, levels, points, members,
+                                            computed):
+    # every decided Hhat_i point of the scan grids at p = 5 (M_work 60 and 20, where
+    # lambda is AtLeast from i = 6 on) and p = 7, and the first 121 points at p = 11:
+    # 11 lines, whose lambda at i = 0 is 3 or 5, below 3i+p-1 = 10
+    ctx = PrimeContext(p, m_work)
+    direct = _counting_lambda(monkeypatch)
+    lam_of = frame._line_lambda(1)
+    seen = 0
+    for i in levels:
+        for coeffs in islice(frame._coefficient_grid(ctx, 1, 10 ** 5), points):
+            g = GammaCoeffs(ctx, i, coeffs, check=False)
+            try:
+                if not homs.in_Hhat(g, i):
+                    continue
+            except PrecisionExhausted:
+                continue
+            seen += 1
+            assert lam_of(g, i) == jacobi_exponent(g, i)
+    assert (seen, len(direct)) == (members, computed)
+
+
+def test_line_lambda_computes_outside_its_bound(monkeypatch, ctx):
+    # kept: an exact lambda below 3i+p-1 of an integral gamma on a coeff_mod 1 grid;
+    # computed on each call: a larger or AtLeast lambda, coeff_mod 2 and a
+    # non-integral gamma (a coefficient known below M_work)
+    g = GammaCoeffs.from_integers(ctx, 7, [1])
+    g2 = GammaCoeffs.from_integers(ctx, 7, [2])
+    rough = GammaCoeffs(ctx, 7, [ctx.from_int(1).reduce_to(ctx.M_work - 1)], check=False)
+    assert not rough.is_integral() and frame._line_key(rough) == frame._line_key(g)
+    for value, coeff_mod, gammas, computed in [
+            (Valuation.exactly(24), 1, [g, g2, g], 1), (Valuation.exactly(25), 1, [g, g2], 2),
+            (Valuation.at_least(40), 1, [g, g2], 2), (Valuation.exactly(24), 2, [g, g], 2),
+            (Valuation.exactly(24), 1, [rough, rough], 2)]:
+        direct = _counting_lambda(monkeypatch, lambda g, i: value)
+        lam_of = frame._line_lambda(coeff_mod)
+        assert [lam_of(x, 7) for x in gammas] == [value] * len(gammas)
+        assert len(direct) == computed
+
+
+@pytest.mark.parametrize("job, calls, atleast", [
+    (lambda: verify.scan_conjecture1(7, 14), 105, 0),
+    (lambda: enumerate_frame(PrimeContext(7, 60), 9, 18), 7, 0),
+    # every AtLeast outcome is computed: 16 of the 22 calls
+    (lambda: verify.scan_conjecture1(5, 12, m_work=20), 22, 16),
+    # coeff_mod 2: once per decided Hhat_i point
+    (lambda: verify.scan_conjecture1(5, 12, coeff_mod=2, m_work=20), 200, 80),
+    (lambda: enumerate_frame(PrimeContext(5, 40), 7, 20, coeff_mod=2), 20, 0)],
+    ids=["scan-p7", "enumerate-p7", "scan-p5-m20", "scan-p5-mod2", "enumerate-p5-mod2"])
+def test_jacobi_exponent_calls_per_line(monkeypatch, job, calls, atleast):
+    direct = _counting_lambda(monkeypatch)
+    out = job()
+    assert len(direct) == calls
+    assert sum(not lam.exact for lam in direct) == atleast
+    if isinstance(out, dict):   # a scan report: each AtLeast entry computed, all at coeff_mod 2
+        lams = [e for e in out["entries"] if e["lambda"] is not None]
+        assert atleast == sum(not e["exact"] for e in lams)
+        assert out["coeff_mod"] == 1 or calls == len(lams)
