@@ -126,6 +126,9 @@ class PrimeContext:
         self._theta_mats: dict[tuple[int, int], tuple] = {}
         self._rho: dict[tuple, CycElt] = {}
         self._witness: dict[tuple, tuple] = {}
+        # the positions of find_certified_move's grid units keyed by rho_a(u) mod P^n,
+        # by (a, unit modulus, n)
+        self._unit_index: dict[tuple, dict] = {}
         self._kappa_pows: list[tuple[int, ...]] = []
         self._theta_pows: list[tuple[int, ...]] = []
 

@@ -107,7 +107,7 @@ class CycFrac:
     factors whenever the denominator is positive.
     """
 
-    __slots__ = ("num", "den_exp", "_inv")
+    __slots__ = ("num", "den_exp", "_inv", "_sigma")
 
     def __init__(self, num: CycElt, den_exp: int = 0):
         if den_exp > 0 and num.is_zero():
@@ -118,6 +118,7 @@ class CycFrac:
         self.num = num
         self.den_exp = den_exp
         self._inv: CycFrac | None = None
+        self._sigma: dict[int, CycFrac] | None = None
 
     @property
     def ctx(self) -> PrimeContext:
@@ -172,13 +173,32 @@ class CycFrac:
     def __truediv__(self, other: CycFrac) -> CycFrac:
         return self * other.inverse()
 
+    def is_galois_fixed(self) -> bool:
+        """An integer mod P^prec: every sigma_k returns its digits unchanged."""
+        return self.den_exp == 0 and not any(self.num.digits[1:])
+
     def galois(self, k: int) -> CycFrac:
-        """sigma_k applied to the fraction; sigma_k(kappa^-d) = (kappa s_k)^-d."""
-        if self.den_exp == 0:
-            return CycFrac(self.num.galois(k), 0)
-        # sigma_k(kappa)^den = kappa^den * s_k^den with s_k a unit
-        s_k = self.ctx.kappa_power(1, self.num.prec).galois(k).div_kappa(1)
-        return CycFrac(self.num.galois(k) * s_k.unit_inverse().pow(self.den_exp), self.den_exp)
+        """sigma_k applied to the fraction; sigma_k(kappa^-d) = (kappa s_k)^-d.
+
+        Memoised per k, like inverse: move searches apply every sigma_k to the
+        same c2_a.  A Galois-fixed fraction is its own image.
+        """
+        if k % self.ctx.p == 0:
+            raise ValueError("Galois index must be nonzero mod p")
+        if self.is_galois_fixed():
+            return self
+        if self._sigma is None:
+            self._sigma = {}
+        img = self._sigma.get(k)
+        if img is None:
+            if self.den_exp == 0:
+                img = CycFrac(self.num.galois(k), 0)
+            else:
+                # sigma_k(kappa)^den = kappa^den * s_k^den with s_k a unit
+                s_k = self.ctx.kappa_power(1, self.num.prec).galois(k).div_kappa(1)
+                img = CycFrac(self.num.galois(k) * s_k.unit_inverse().pow(self.den_exp), self.den_exp)
+            self._sigma[k] = img
+        return img
 
     def congruent(self, other: CycFrac, m: int) -> bool:
         """True iff self - other lies in P^m."""

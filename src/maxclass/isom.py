@@ -6,13 +6,16 @@ holds mod P^m, the map x -> u sigma_k(x) is an explicit isomorphism witness
 between the level-m groups, twisting the theta-action by theta -> theta^k.
 Only this sufficient direction is ever used: distinct canonical forms are
 reported as "not merged", never as non-isomorphic.
+
+find_certified_move solves the congruence at one coefficient for the unit
+rather than scanning the unit grid: it skips a candidate only when that
+candidate is proven to fail, so each search returns the move, or raises the
+error, that trying every candidate in order would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-
 from .cyclotomic import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -197,22 +200,146 @@ def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[Cy
     return out
 
 
+def _pivot(c: GammaCoeffs, m: int) -> tuple[int, int] | None:
+    """(v, a): the least exact valuation v < m of a coefficient c_a, first a on ties."""
+    vals = [(ca.valuation(), a) for a, ca in enumerate(c.coeffs)]
+    return min(((v.value, a) for v, a in vals if v.exact and v.value < m), default=None)
+
+
+def _decidable(c: GammaCoeffs, c2: GammaCoeffs, m: int, prec: int, ks) -> bool:
+    """Whether move_congruent decides every a, for k in ks, for each unit of precision prec.
+
+    rho_a(u) of a unit known mod P^prec <= M_work is a unit known mod P^prec, and
+    every precision move_congruent meets depends on rho_a(u) only through those
+    two facts, so the stand-in 1 + P^prec raises exactly where rho_a(u) would.
+    Any error on the way counts as undecidable.
+    """
+    ctx = c.ctx
+    if prec > ctx.M_work:
+        return False
+    one = ctx.one(prec)
+    try:
+        for ca, ca2 in zip(c.coeffs, c2.coeffs):
+            rhs = ca * one
+            for k in ks:
+                ca2.galois(k).congruent(rhs, m)
+    except MaxclassError:
+        return False
+    return True
+
+
+def _quotient_key(ca2: CycFrac, k: int, ca: CycFrac, n: int) -> tuple | None:
+    """q = sigma_k(ca2) / ca mod P^n as canonical digits, or None when q is not known mod P^n.
+
+    A unit never has the key of a non-unit q: a q in P has digit 0 divisible by
+    p, and a q with a kappa-denominator gets the key (), which no digit tuple is.
+    An error on the way only leaves q undecided.
+    """
+    try:
+        q = ca2.galois(k) / ca
+    except MaxclassError:
+        return None
+    if q.num.prec - q.den_exp < n:
+        return None
+    return () if q.den_exp else q.num.reduce_to(n).digits
+
+
+def _unit_index(ctx: PrimeContext, a: int, unit_modulus: int, n: int,
+                units: list[CycElt]) -> dict[tuple, list[int]]:
+    """Positions in units of the grid units u, keyed by rho_{a+2}(u) mod P^n; cached on the context."""
+    key = (a, unit_modulus, n)
+    index = ctx._unit_index.get(key)
+    if index is None:
+        index = ctx._unit_index[key] = {}
+        for pos, u in enumerate(units):
+            index.setdefault(rho(a + 2, u).reduce_to(n).digits, []).append(pos)
+    return index
+
+
 def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
                         unit_modulus: int = 1, budget: int = DEFAULT_BUDGET) -> IsoMove | None:
     """Search for a move certifying the level-m groups of c and c2 isomorphic.
 
-    Candidates are the quotient-derived Z_p units, then the units of
-    O/P^{unit_modulus} (canonically lifted); each candidate is checked exactly
-    against the move congruence mod P^m, then against the explicit witness.
-    Returns the first certified move, or None (which never claims
-    non-isomorphism).
+    Candidates are the quotient-derived Z_p units, k-major, then the units of
+    O/P^{unit_modulus} (canonically lifted), u-major and k-minor.  Each tried
+    candidate is checked exactly against the move congruence mod P^m, then
+    against the explicit witness.  Returns the first certified move, or None
+    (which never claims non-isomorphism).
+
+    The unit is solved for, not scanned: only candidates proven to fail the
+    congruence without raising are skipped, so the result, or the error, is
+    that of trying every candidate in order.  Take a* with c_{a*} of least
+    exact valuation v < m, n = m - v, and q_k = sigma_k(c2_{a*}) / c_{a*}.
+    - Suppose move_congruent decides every a for units of u's precision (see
+      _decidable), so on (u, k) it returns a verdict and raises nothing.  Its
+      verdict at a* holds for every representative of the cosets.  Multiplying
+      by c_{a*}^{-1}, of valuation -v, carries P^m onto P^n, so the congruence
+      at a* holds iff rho_{a*}(u) = q_k mod P^n, q_k known mod P^n.
+    - So (u, k) is skipped only if q_k is known mod P^n (_quotient_key),
+      u is known mod P^n, and rho_{a*}(u) is not q_k mod P^n.  A derived u is
+      Galois-fixed, so rho_{a*}(u) = u.  Grid units are looked up in an index
+      keyed by rho_{a*}(u) mod P^n, cached on the context.  A non-unit q_k
+      matches no unit, so its k has no candidate.
+    - A repeat of (u, k) in one k's derived list failed the first time; it
+      is dropped.
+    - When every c2_a is Galois-fixed (every grid vector at unit_modulus 1),
+      sigma_k(c2_a) is c2_a itself, so move_congruent(u, k) is one computation
+      for every k: it runs once per u, and the derived list once.
+    The grid is enumerated only after the derived candidates fail, so
+    BudgetExceeded is raised where the scan would raise it.
     """
     ctx, ks = c.ctx, range(1, c.ctx.p)
-    derived = ((u, k) for k in ks for u in _derived_unit_candidates(c, c2, k))
-    lifted = (u.lift_to(ctx.M_work) for u in enumerate_units(ctx, unit_modulus, budget))
-    for u, k in chain(derived, ((u, k) for u in lifted for k in ks)):
+    fixed = all(ca2.is_galois_fixed() for ca2 in c2.coeffs)
+    pivot = _pivot(c, m)
+    n = None if pivot is None else m - pivot[0]
+    keys: dict[int, tuple | None] = {}     # q_k mod P^n by k, 1 standing for every k when fixed
+    decided: dict[int, bool] = {}          # _decidable by unit precision
+    derived: dict[int, list[CycElt]] = {}  # the derived units by k, repeats and skips dropped
+    verdicts: dict[tuple, bool] = {}       # move_congruent by (u, k), or by u when fixed
+
+    def key(k: int) -> tuple | None:
+        k = 1 if fixed else k
+        if k not in keys:
+            keys[k] = _quotient_key(c2.coeffs[pivot[1]], k, c.coeffs[pivot[1]], n)
+        return keys[k]
+
+    def solvable(prec: int) -> bool:
+        if prec not in decided:
+            decided[prec] = pivot is not None and _decidable(c, c2, m, prec, (1,) if fixed else ks)
+        return decided[prec]
+
+    def skip(u: CycElt, k: int) -> bool:
+        if not solvable(u.prec) or u.prec < n or key(k) is None:
+            return False
+        return u.reduce_to(n).digits != key(k)
+
+    def certified(u: CycElt, k: int) -> IsoMove | None:
+        vkey = (u.prec, u.digits) if fixed else (u.prec, u.digits, k)
+        ok = verdicts.get(vkey)
+        if ok is False:
+            return None
         mv = IsoMove(u, k)
-        if move_congruent(c, c2, mv, m) and verify_witness(c, c2, mv, m):
+        if ok is None:
+            ok = verdicts[vkey] = move_congruent(c, c2, mv, m)
+        return mv if ok and verify_witness(c, c2, mv, m) else None
+
+    for k in ks:
+        j = 1 if fixed else k
+        if j not in derived:
+            derived[j] = [u for u in dict.fromkeys(_derived_unit_candidates(c, c2, j)) if not skip(u, j)]
+        for u in derived[j]:
+            if mv := certified(u, k):
+                return mv
+
+    units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, unit_modulus, budget)]
+    pairs = ((pos, k) for pos in range(len(units)) for k in ks)
+    if solvable(ctx.M_work) and any(key(k) is not None for k in ks):
+        # a known q_k is known mod P^n, and never beyond M_work, so rho_{a*}(u) mod P^n exists
+        index, every = _unit_index(ctx, pivot[1], unit_modulus, n, units), range(len(units))
+        pairs = sorted((pos, k) for k in ks
+                       for pos in (every if key(k) is None else index.get(key(k), ())))
+    for pos, k in pairs:
+        if mv := certified(units[pos], k):
             return mv
     return None
 

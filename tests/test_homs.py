@@ -291,6 +291,26 @@ def test_cycfrac_galois_respects_denominator(ctx5):
         assert diff.is_zero() or diff.valuation().bound >= 30
 
 
+def test_cycfrac_galois_memoised(ctx5):
+    # each sigma_k is computed once per fraction and equals the direct formula;
+    # only an integer without a kappa-denominator is its own image
+    kappa = ctx5.kappa_power(1)
+    for q, fixed in ((CycFrac(ctx5.from_int(3)), True), (CycFrac(ctx5.from_int(3).reduce_to(5)), True),
+                     (CycFrac(ctx5.one() + kappa), False), (CycFrac(ctx5.from_int(3), 2), False),
+                     (CycFrac(ctx5.one() + ctx5.kappa_power(2), 2), False)):
+        assert q.is_galois_fixed() is fixed
+        for k in range(1, 5):
+            img = q.galois(k)
+            assert q.galois(k) is img and (img is q) is fixed
+            want = q.num.galois(k)
+            if q.den_exp:
+                s_k = kappa.reduce_to(q.num.prec).galois(k).div_kappa(1)
+                want = want * s_k.unit_inverse().pow(q.den_exp)
+            assert (img.num.digits, img.num.prec, img.den_exp) == (want.digits, want.prec, q.den_exp)
+        with pytest.raises(ValueError):
+            q.galois(5)
+
+
 def test_denominator_cap_enforced(ctx5):
     with pytest.raises(DenominatorCap):
         GammaCoeffs(ctx5, 7, [CycFrac(ctx5.one(), 9)], check=False)

@@ -1,8 +1,10 @@
 import random
+from itertools import chain
 
 import pytest
 
 from maxclass import (
+    BudgetExceeded,
     CycElt,
     CycFrac,
     GammaCoeffs,
@@ -14,11 +16,14 @@ from maxclass import (
     PrecisionExhausted,
     PrimeContext,
     apply_move,
+    enumerate_frame,
     enumerate_units,
     find_certified_move,
+    frame,
     gamma_eval,
     images_to_coeffs,
     in_Hhat,
+    isom,
     move_congruent,
     orbit_canonical,
     rho,
@@ -26,6 +31,7 @@ from maxclass import (
     verify_witness,
     witness_map,
 )
+from maxclass.cyclotomic import DEFAULT_BUDGET
 from maxclass.frame import _coefficient_grid
 from maxclass.isom import _coeff_key, _derived_unit_candidates
 
@@ -206,7 +212,8 @@ def test_no_move_between_orbit_classes_mod_p():
     assert len(members) == 42 and len(set(keys)) == 7
     pairs = [(a, b) for a in range(len(members)) for b in range(len(members))
              if keys[a] != keys[b]]
-    for a, b in random.Random(0).sample(pairs, 40):
+    assert len(pairs) == 42 * 36
+    for a, b in pairs:
         assert find_certified_move(members[a], members[b], 9) is None
 
 
@@ -414,3 +421,198 @@ def test_verify_witness_memo_keyed_by_content():
     assert not verify_witness(c, pert, mv, m)
     assert not verify_witness_by_gamma_eval(c, pert, mv, m)
     assert len(ctx._witness) == entries + 1
+
+
+def scan_certified_move(c, c2, m, unit_modulus=1, budget=DEFAULT_BUDGET):
+    # the oracle: every derived candidate k-major, then every grid unit u-major
+    # and k-minor, each tested by move_congruent and then verify_witness
+    ctx, ks = c.ctx, range(1, c.ctx.p)
+    derived = ((u, k) for k in ks for u in _derived_unit_candidates(c, c2, k))
+    lifted = (u.lift_to(ctx.M_work) for u in enumerate_units(ctx, unit_modulus, budget))
+    for u, k in chain(derived, ((u, k) for u in lifted for k in ks)):
+        mv = IsoMove(u, k)
+        if move_congruent(c, c2, mv, m) and verify_witness(c, c2, mv, m):
+            return mv
+    return None
+
+
+def search_outcome(search, *args, **kwargs):
+    # the move as JSON, None, or the type of the error raised
+    try:
+        mv = search(*args, **kwargs)
+    except MaxclassError as exc:
+        return type(exc)
+    return None if mv is None else mv.to_json()
+
+
+def tree_searches(monkeypatch, p, i, m_max, coeff_mod):
+    # the arguments of every find_certified_move call of enumerate_frame, at
+    # the M_work that `maxclass enumerate` picks
+    ctx = PrimeContext(p, max(m_max + 2 * (p - 1), 3 * (i + p) + 12))
+    calls, real = [], frame.find_certified_move
+    monkeypatch.setattr(frame, "find_certified_move",
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or real(*args, **kwargs))
+    enumerate_frame(ctx, i, m_max, coeff_mod=coeff_mod)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("p, i, m_max, coeff_mod, searches, certified", [
+    (5, 7, 20, 1, 42, 42), (5, 7, 20, 2, 294, 126), (7, 9, 18, 1, 263, 210)])
+def test_find_certified_move_equals_scan_on_baseline_trees(monkeypatch, p, i, m_max, coeff_mod,
+                                                           searches, certified):
+    calls = tree_searches(monkeypatch, p, i, m_max, coeff_mod)
+    got = [search_outcome(find_certified_move, *args, **kwargs) for args, kwargs in calls]
+    assert got == [search_outcome(scan_certified_move, *args, **kwargs) for args, kwargs in calls]
+    assert len(got) == searches and sum(g is not None for g in got) == certified
+
+
+def test_find_certified_move_raises_where_the_scan_raises():
+    # at M_work 20 the congruences of high levels, and of move images reduced
+    # to a low level, are undecidable: the scan raises PrecisionExhausted.
+    # With budget 10 the 20 units of O/P^2 exceed the budget: the scan raises
+    # BudgetExceeded, but only once no derived candidate certifies
+    ctx, i = PrimeContext(5, 20), I
+    rng = random.Random(7)
+    gammas = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 2, 100)]
+    gammas = [g for g in gammas if in_Hhat(g, i)]
+    units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, 2)]
+    pool = gammas + [apply_move(rng.choice(gammas), IsoMove(rng.choice(units), rng.randrange(1, 5)), m)
+                     for m in (i + 3, 14, 18, 20) for _ in range(3)]
+    seen = []
+    for _ in range(300):
+        c, c2, m = rng.choice(pool), rng.choice(pool), rng.randrange(i, ctx.M_work + 3)
+        for unit_modulus, budget in ((1, DEFAULT_BUDGET), (2, DEFAULT_BUDGET), (2, 10)):
+            want = search_outcome(scan_certified_move, c, c2, m, unit_modulus, budget)
+            assert search_outcome(find_certified_move, c, c2, m, unit_modulus, budget) == want
+            seen.append((budget, want))
+    assert (DEFAULT_BUDGET, PrecisionExhausted) in seen and (10, BudgetExceeded) in seen
+    # some searches certify a derived candidate under the low budget
+    assert any(budget == 10 and isinstance(want, dict) for budget, want in seen)
+
+
+def varied_searches(ctx, i, rng, count):
+    # (c, c2, m) off the grid: move images of grid vectors whose coefficients
+    # may be cut to a lower precision, scaled by kappa powers or given
+    # kappa-denominators; c2 is a move image of c at or near level m, perhaps
+    # perturbed at level m - 1, m or m + 1, or varied in turn
+    grid = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
+    grid = [g for g in grid if in_Hhat(g, i)]
+    units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, 2)]
+
+    def vary(g):
+        out = []
+        for ca in g.coeffs:
+            r = rng.random()
+            if r < 0.15:
+                ca = CycFrac(ca.num.reduce_to(rng.randrange(1, ca.num.prec + 1)), ca.den_exp)
+            elif r < 0.3:
+                ca = ca * ctx.kappa_power(rng.randrange(1, 4))
+            elif r < 0.4:
+                ca = CycFrac(ca.num, ca.den_exp + rng.randrange(1, 3))
+            out.append(ca)
+        return GammaCoeffs(ctx, i, out, check=False, den_cap=100)
+
+    for _ in range(count):
+        c = vary(rng.choice(grid))
+        m = rng.randrange(i, ctx.M_work + 3)
+        c2 = apply_move(c, IsoMove(rng.choice(units), rng.randrange(1, ctx.p)),
+                        rng.choice((m, m + 1, ctx.M_work)))
+        r = rng.random()
+        if r < 0.3:
+            e, a = m + rng.randrange(-1, 2), rng.randrange(ctx.l)
+            c2 = GammaCoeffs(ctx, i, [ca + CycFrac(ctx.kappa_power(e)) if b == a else ca
+                                      for b, ca in enumerate(c2.coeffs)], check=False, den_cap=100)
+        elif r < 0.5:
+            c2 = vary(c2)
+        yield c, c2, m
+
+
+@pytest.mark.parametrize("p, i, m_work, count", [(5, 7, 24, 150), (7, 9, 30, 150)])
+def test_find_certified_move_equals_scan_off_the_grid(p, i, m_work, count):
+    # every outcome, move or error, on both unit grids and under a budget
+    # below the 20 or 42 units of O/P^2
+    ctx = PrimeContext(p, m_work)
+    seen = set()
+    for c, c2, m in varied_searches(ctx, i, random.Random(p), count):
+        for unit_modulus, budget in ((1, DEFAULT_BUDGET), (2, DEFAULT_BUDGET), (2, 10)):
+            want = search_outcome(scan_certified_move, c, c2, m, unit_modulus, budget)
+            assert search_outcome(find_certified_move, c, c2, m, unit_modulus, budget) == want
+            seen.add(want if want is None or isinstance(want, type) else "move")
+    assert {None, "move", PrecisionExhausted, BudgetExceeded} <= seen
+
+
+def test_find_certified_move_tries_a_derived_unit_where_the_scan_raises():
+    # c2_0 is known only mod P^12, so at m = 15 every move_congruent raises at
+    # a = 0.  The derived units (3 from a = 2 and 3) fail the pivot a* = 1, as
+    # q_k = sigma_k(2 + kappa) is no integer, yet they are tried: the scan
+    # raises PrecisionExhausted there, before its grid can exceed the budget
+    ctx, i, m = PrimeContext(11, 40), 13, 15
+    kappa = ctx.kappa_power(1)
+    c = GammaCoeffs(ctx, i, [CycFrac(kappa), CycFrac(ctx.one()), CycFrac(ctx.one()),
+                             CycFrac(ctx.one())], check=False)
+    c2 = GammaCoeffs(ctx, i, [CycFrac((ctx.from_int(5) + kappa).reduce_to(11) * kappa),
+                              CycFrac(ctx.from_int(2) + kappa), CycFrac(ctx.from_int(3)),
+                              CycFrac(ctx.from_int(3))], check=False)
+    assert [len(_derived_unit_candidates(c, c2, k)) for k in range(1, 11)] == [2] * 10
+    for budget in (5, DEFAULT_BUDGET):
+        want = search_outcome(scan_certified_move, c, c2, m, 2, budget)
+        assert want is PrecisionExhausted
+        assert search_outcome(find_certified_move, c, c2, m, 2, budget) is want
+
+
+def test_find_certified_move_keeps_the_scan_error_of_a_witness():
+    # verify_witness raises InsufficientValuation on a congruent candidate
+    ctx, i = PrimeContext(7, 60), 9
+    e0, e1 = ctx.kappa_power(i), ctx.kappa_power(i + 1)
+    c = GammaCoeffs(ctx, i, [CycFrac(theta_a_eval(3, e0, e1), 45),
+                             CycFrac(-theta_a_eval(2, e0, e1), 45)], check=False, den_cap=100)
+    for m in range(i, ctx.M_work + 2):
+        want = search_outcome(scan_certified_move, c, c, m)
+        assert search_outcome(find_certified_move, c, c, m) == want
+        assert want in (InsufficientValuation, PrecisionExhausted)
+
+
+def test_move_congruent_calls_on_the_p7_tree(monkeypatch):
+    # enumerate-p7: 263 searches, 210 certified; the scan made 2,754
+    # move_congruent calls, the solve makes one per search here
+    calls = {"move_congruent": 0, "verify_witness": 0}
+    for name in calls:
+        real = getattr(isom, name)
+        monkeypatch.setattr(isom, name, lambda *args, _real=real, _name=name:
+                            calls.__setitem__(_name, calls[_name] + 1) or _real(*args))
+    searches = tree_searches(monkeypatch, 7, 9, 18, 1)
+    assert len(searches) == 263
+    assert calls["move_congruent"] <= 400 and calls["verify_witness"] == 210
+
+
+def test_find_certified_move_applies_each_galois_index_once(monkeypatch):
+    # c2 off the Galois-fixed integers: sigma_k of each of its coefficients is
+    # computed at most once per k, and not again on a repeated search
+    ctx, i, m = PrimeContext(7, 60), 9, 18
+    rng = random.Random(8)
+    units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, 2)]
+    gammas = p7_grid_gammas()
+    pairs = []
+    for c in gammas[:8]:
+        for other in (c, rng.choice(gammas)):
+            c2 = apply_move(other, IsoMove(rng.choice(units), rng.randrange(1, 7)), m)
+            if not all(ca.is_galois_fixed() for ca in c2.coeffs):
+                pairs.append((c, c2))
+    assert len(pairs) >= 8
+    for c, c2 in pairs:   # fills the rho cache and the witness memo
+        find_certified_move(c, c2, m)
+    calls = []
+    real = CycElt.galois
+    monkeypatch.setattr(CycElt, "galois", lambda self, k: calls.append((self, k)) or real(self, k))
+    counted = 0
+    for c, c2 in pairs:
+        fresh = GammaCoeffs(ctx, i, [CycFrac(ca.num, ca.den_exp) for ca in c2.coeffs], check=False)
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            find_certified_move(c, fresh, m)
+            runs.append([(a, k) for x, k in calls for a, ca in enumerate(fresh.coeffs) if x is ca.num])
+        assert len(runs[0]) == len(set(runs[0])) and runs[1] == []
+        counted += len(runs[0])
+    assert counted > 0
