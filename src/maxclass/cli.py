@@ -311,7 +311,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--i-max", type=natural, default=12, dest="i_max",
                     help="scan the levels i = 0..i-max (default: %(default)s)")
     grid(sp)
-    m_work(sp, "%(default)s", 60)
+    m_work(sp, "%(default)s", verify_mod.SCAN_M_WORK)
 
     sp = sub.add_parser("bch-regen", allow_abbrev=False,
                         help="regenerate the packaged BCH coefficient table")

@@ -2,12 +2,15 @@
 
 Each S_{i,m}(gamma) has order p^{m-i+1}; the P-factor acts on the Lazard
 group by multiplication with theta.  The frame of a branch is assembled by
-sweeping a coefficient grid, keeping one chain of truncations per surviving
-gamma (of maximal class by a lemma; s_group_lcs is the sweep that checks it),
-and merging vertices only when an isomorphism move has been verified: vertex
-counts are therefore upper bounds on the number of isomorphism types.  Pairs
-are tried only within one class of the level below, from level i on, where the
-classes are the lines of the coefficient vectors mod P, points of P^{l-1}(F_p).
+sweeping a coefficient grid and keeping, per surviving gamma, only the pair
+(gamma, top level m_top): its chain of truncations m = i .. m_top.  Each
+vertex has maximal class by a lemma (s_group_lcs is the sweep that checks it),
+and the Lie class is < p by the same lemma up to level p*i; only a gamma kept
+above p*i has its Lie series swept.  Vertices are merged only when an
+isomorphism move has been verified: vertex counts are therefore upper bounds
+on the number of isomorphism types.  Pairs are tried only within one class of
+the level below, from level i on, where the classes are the lines of the
+coefficient vectors mod P, points of P^{l-1}(F_p).
 """
 
 from __future__ import annotations
@@ -305,11 +308,12 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
                     budget: int = DEFAULT_BUDGET) -> FrameTree:
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
 
-    Every grid representative passing the Hhat_i test contributes the chain of
-    truncations m = i .. m_top = min(lambda, m_max) of one Lie ring, with lambda
-    from _line_lambda.  Vertices at each level are merged only under certified
-    moves, and a pair is tried only if it lies in one class of the level below;
-    at level i those classes are the lines of the vectors mod P (_line_key).
+    Every grid representative gamma passing the Hhat_i test is kept as the
+    pair (gamma, m_top = min(lambda, m_max)), the chain of truncations
+    m = i .. m_top of its Lie ring, with lambda from _line_lambda.  Vertices at
+    each level are merged only under certified moves, and a pair is tried only
+    if it lies in one class of the level below; at level i those classes are
+    the lines of the vectors mod P (_line_key).
 
     Maximal class is a lemma, not a sweep of s_group_lcs.  Let gamma be
     integral, i >= 1 and the Lie class < p.  sigma_a keeps valuations, so
@@ -323,13 +327,25 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
       exactly w+r+1, clamped at m.
     So step(w) = w+1 at r = 0, the chain is i, i+1, ..., m, and every vertex
     has maximal class.  Only the hypotheses are checked: i >= 1 (L_{0,m}(gamma)
-    is not nilpotent once m >= 2), integral grid gamma, class < p (Lazard).
+    is not nilpotent once m >= 2), integral grid gamma, and Lie class < p
+    (Lazard) at each gamma's top level m_top.
+
+    Class < p is the same lemma where it suffices.  By it gamma_k(L_{i,m})
+    lies in P^{ki} + P^m, so the class is at most ceil(m/i) - 1, below p
+    whenever m <= p i.  Only a gamma with m_top > p i has its Lie series swept
+    (LieRingSpec.nilpotency_class), after the grid and its "no grid
+    coefficient passes" check.  Skipping the sweep elsewhere drops no error it
+    could raise, for integral gamma and M_work >= lambda >= m_top:
+    - the bracket table is known mod P^{M_work-i}, inside P^{m_top-i}, so no
+      PrecisionExhausted;
+    - a LieElt valuation is exact or AtLeast(m), so no step is undecided;
+    - each step rises by at least i >= 1, so no NotNilpotent.
     """
     if i < 1:
         raise ValueError(f"i = {i}: the frame needs i >= 1; L_(0,m)(gamma) is not nilpotent")
     if m_max < i:
         raise ValueError(f"m_max = {m_max} lies below i = {i}: the tree would have no level")
-    specs: list[LieRingSpec] = []   # one per gamma, at its top level min(lambda, m_max)
+    kept: list[tuple[GammaCoeffs, int]] = []   # (gamma, its top level min(lambda, m_max))
     lam_of = _line_lambda(coeff_mod)
     passed = False
     for coeffs in _coefficient_grid(ctx, coeff_mod, budget):
@@ -340,24 +356,24 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         if not g.is_integral():
             raise MaxclassError(f"grid gamma {_coeff_key(g, coeff_mod)!r} is not integral")
         passed = True
-        lam = lam_of(g, i)
-        m_top = min(lam.value, m_max)
+        m_top = min(lam_of(g, i).value, m_max)
         if m_top >= i:
-            specs.append(LieRingSpec(ctx, i, m_top, g, lam=lam))
+            kept.append((g, m_top))
     if not passed:
         raise MaxclassError(f"no grid coefficient passes the Hhat_{i} test")
-    max_class = max([1] + [spec.nilpotency_class for spec in specs])
+    max_class = max([1] + [LieRingSpec(ctx, i, m_top, g).nilpotency_class
+                           for g, m_top in kept if m_top > ctx.p * i])
     if max_class >= ctx.p:
         raise ValueError(f"max_class {max_class} >= p = {ctx.p}: denominator p would appear")
 
     nodes: list[FrameNode] = []
     edges: list[tuple[str, str]] = []
     merged_by: list[dict] = []
-    prev_class_of = {idx: _line_key(spec.gamma) for idx, spec in enumerate(specs)}
-    keys = [_coeff_key(spec.gamma, coeff_mod) for spec in specs]
+    prev_class_of = {idx: _line_key(g) for idx, (g, _) in enumerate(kept)}
+    keys = [_coeff_key(g, coeff_mod) for g, _ in kept]
 
     for m in range(i, m_max + 1):
-        members = [idx for idx, spec in enumerate(specs) if spec.m >= m]
+        members = [idx for idx, (_, m_top) in enumerate(kept) if m_top >= m]
         # congruence mod P^m implies congruence mod P^{m-1}, so a pair can merge
         # only inside one bucket, a class of the level below; each ia walks the
         # later members of its bucket, in the lexicographic pair order.  rep[idx]
@@ -371,7 +387,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
             for ib in bucket[bucket.index(ia) + 1:]:
                 if rep[ia] == rep[ib]:
                     continue
-                mv = find_certified_move(specs[ia].gamma, specs[ib].gamma, m,
+                mv = find_certified_move(kept[ia][0], kept[ib][0], m,
                                          unit_modulus=coeff_mod, budget=budget)
                 if mv is not None:
                     merged_by.append({
@@ -392,7 +408,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         for n, root in enumerate(sorted(classes, key=keys.__getitem__)):
             node_id = f"m{m}n{n}"
             nodes.append(FrameNode(
-                i=i, m=m, gamma=specs[root].gamma,
+                i=i, m=m, gamma=kept[root][0],
                 classification=classify(i, m),
                 order_exp=m - i + 1,
                 s_class=m - i if m > i else 1,

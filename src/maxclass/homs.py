@@ -232,6 +232,8 @@ class GammaCoeffs:
         self.ctx = ctx
         self.i = i
         self.coeffs = coeffs
+        # the vector by value, for LieRingSpec equality and the witness memo of isom
+        self.content_key = tuple((c.den_exp, c.num.prec, c.num.digits) for c in coeffs)
         if check and not in_Hhat(self, i):
             raise NotInHhat(f"coefficient vector is not in Hhat_{i}")
         self.in_Hhat_at = i if check else None

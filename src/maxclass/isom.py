@@ -154,8 +154,7 @@ def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool
     if c.i != c2.i:
         return False
     memo = c.ctx._witness
-    key = (c.i, c2.ctx, mv.u.ctx, mv.k, mv.u.prec, mv.u.digits,
-           tuple((a.den_exp, a.num.prec, a.num.digits) for g in (c, c2) for a in g.coeffs))
+    key = (c.i, c2.ctx, mv.u.ctx, mv.k, mv.u.prec, mv.u.digits, c.content_key, c2.content_key)
     steps = memo.get(key)
     if steps is None:
         steps = memo[key] = _witness_differences(c, c2, mv)

@@ -129,8 +129,6 @@ class LieRingSpec:
         self.m = m
         self.gamma = gamma
         self.lam = lam
-        # gamma by value, so specs built from equal coefficient vectors are equal
-        self._gamma_key = tuple((c.den_exp, c.num.prec, c.num.digits) for c in gamma.coeffs)
         self._profile: LcsProfile | None = None
         self._moduli = ctx.digit_moduli(m - i)
         self._table: tuple | None = None
@@ -142,10 +140,10 @@ class LieRingSpec:
         if not isinstance(other, LieRingSpec):
             return NotImplemented
         return (self.ctx == other.ctx and self.i == other.i and self.m == other.m
-                and (self.gamma is other.gamma or self._gamma_key == other._gamma_key))
+                and self.gamma.content_key == other.gamma.content_key)
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.i, self.m, self._gamma_key))
+        return hash((self.ctx, self.i, self.m, self.gamma.content_key))
 
     # ---- elements ----
 

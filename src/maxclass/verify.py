@@ -444,7 +444,10 @@ def suite_membership_shift(p: int, samples: int = 30, seed: int = 0) -> CheckRes
 
 # ---- evidence scan: is the Jacobi ideal ever zero? (non-assertive) ----
 
-def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = 60,
+SCAN_M_WORK = 60   # the default M_work of scan_conjecture1, and of scan-conjecture1 --m-work
+
+
+def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = SCAN_M_WORK,
                      budget: int = DEFAULT_BUDGET) -> dict:
     """Sweep the coefficient grid and report lambda for every member of Hhat_i.
 

@@ -377,6 +377,10 @@ IDENTITY_LIST = [
     # lambda of the scan, which the one-line p = 5 grids cannot
     ("scan-conjecture1 --p 7 --i-max 14",
      "90376987470adde85218df2cb6522c16440395428ad62db6cf1343a61854278a"),
+    # every kept gamma has m_top = 6 > p i = 5, so enumerate_frame sweeps its
+    # Lie series for class < p: the one pinned tree that takes that path
+    ("enumerate --p 5 --i 1 --coeff-mod 1",
+     "0a7f468bfbe879059a5874e81396fba68ca37ec6808671a89b9c345c8833e341"),
 ]
 
 

@@ -167,8 +167,8 @@ def test_skeleton_contained_in_frame(ctx):
 
 def test_enumerate_frame_builds_no_s_group(ctx, monkeypatch):
     # maximal class comes from the lemma in enumerate_frame's docstring: no
-    # S-series, BCH product or BCH table; the Lie series of each gamma is still
-    # computed once, at its top level, for the Lazard precondition
+    # S-series, BCH product or BCH table; and as every top level m_top = 20 is
+    # at most p i = 35, class < p comes from it too: no Lie ring, no Lie series
     sweeps = []
     real = liering.lcs_profile
 
@@ -181,13 +181,13 @@ def test_enumerate_frame_builds_no_s_group(ctx, monkeypatch):
 
     monkeypatch.setattr(liering, "lcs_profile", counting)
     for name in ("verify_maximal_class", "s_group_lcs", "bch_multiply", "build_bch_table",
-                 "SGroup"):
+                 "SGroup", "LieRingSpec"):
         monkeypatch.setattr(frame, name, refuse)
     monkeypatch.setattr(lazard, "bch_multiply", refuse)
     monkeypatch.setattr(lazard, "build_bch_table", refuse)
     tree = enumerate_frame(ctx, 7, 20)
     assert len(tree.nodes) == 14
-    assert sweeps == [20] * 4
+    assert sweeps == []
 
 
 def test_enumerate_frame_tests_hhat_once_per_gamma(monkeypatch):
@@ -205,37 +205,82 @@ def test_enumerate_frame_tests_hhat_once_per_gamma(monkeypatch):
     assert calls == [7] * 5
 
 
-def _kept_specs(monkeypatch, ctx, i, m_max, coeff_mod, points=None):
-    """The top-level Lie rings enumerate_frame keeps, on the first points of its grid."""
-    kept = []
-    real_spec, real_grid = frame.LieRingSpec, frame._coefficient_grid
+def _kept(monkeypatch, ctx, i, m_max, coeff_mod, points=None):
+    """The pairs (gamma, m_top) enumerate_frame keeps, on the first points of its grid.
 
-    def recording(*args, **kwargs):
-        kept.append(real_spec(*args, **kwargs))
-        return kept[-1]
+    They are read off the lambdas its _line_lambda hands out, and checked
+    against the tree: the members of each level m are the kept gammas with
+    m_top >= m.
+    """
+    seen = []
+    real_lambda, real_grid = frame._line_lambda, frame._coefficient_grid
 
-    monkeypatch.setattr(frame, "LieRingSpec", recording)
+    def recording(coeff_mod):
+        lam_of = real_lambda(coeff_mod)
+
+        def lam(g, i):
+            seen.append((g, lam_of(g, i)))
+            return seen[-1][1]
+        return lam
+
+    monkeypatch.setattr(frame, "_line_lambda", recording)
     monkeypatch.setattr(frame, "_coefficient_grid",
                         lambda *args: islice(real_grid(*args), points))
-    enumerate_frame(ctx, i, m_max, coeff_mod=coeff_mod, budget=10 ** 6)
+    tree = enumerate_frame(ctx, i, m_max, coeff_mod=coeff_mod, budget=10 ** 6)
+    kept = [(g, min(lam.value, m_max)) for g, lam in seen if min(lam.value, m_max) >= i]
+    for m in range(i, m_max + 1):
+        members = sorted(k for n in tree.nodes if n.m == m for k in n.member_keys)
+        assert members == sorted(_coeff_key(g, coeff_mod) for g, top in kept if top >= m)
     return kept
 
 
-@pytest.mark.parametrize("p, i, m_max, coeff_mod, m_work, points, kept", [
-    (5, 7, 20, 1, 40, None, 4), (5, 7, 20, 2, 40, None, 20), (7, 9, 22, 1, 48, None, 42),
-    (11, 13, 16, 1, 84, 40, 37)])
+LEMMA_CONFIGS = [(5, 7, 20, 1, 40, None, 4), (5, 7, 20, 2, 40, None, 20),
+                 (7, 9, 22, 1, 48, None, 42), (11, 13, 16, 1, 84, 40, 37)]
+
+
+@pytest.mark.parametrize("p, i, m_max, coeff_mod, m_work, points, kept", LEMMA_CONFIGS)
 def test_lemma_agrees_with_the_s_group_sweep(monkeypatch, p, i, m_max, coeff_mod, m_work,
                                              points, kept):
     # the oracle for enumerate_frame's lemma: the sweep of s_group_lcs on every
     # gamma the frame keeps, at its top level (lower levels are the clamped
     # top series, test_s_series_of_truncation_is_clamped_top_series)
     ctx = PrimeContext(p, m_work)
-    specs = _kept_specs(monkeypatch, ctx, i, m_max, coeff_mod, points)
+    specs = [LieRingSpec(ctx, i, top, g) for g, top in _kept(monkeypatch, ctx, i, m_max,
+                                                              coeff_mod, points)]
     assert len(specs) == kept
     table = build_bch_table(max(spec.nilpotency_class for spec in specs), p=p)
     for spec in specs:
         assert s_group_lcs(SGroup(spec, table)).exponents == tuple(range(i, spec.m + 1))
         assert verify_maximal_class(SGroup(spec, table))
+
+
+@pytest.mark.parametrize("p, i, m_max, coeff_mod, m_work, points, kept, above", [
+    config + (0,) for config in LEMMA_CONFIGS] + [
+    (5, 1, 5, 1, 40, None, 4, 0), (5, 1, 6, 1, 40, None, 4, 4), (5, 1, 10, 1, 40, None, 4, 4),
+    (7, 2, 16, 1, 40, None, 42, 0)])
+def test_lie_class_below_p_up_to_level_p_i(monkeypatch, p, i, m_max, coeff_mod, m_work, points,
+                                           kept, above):
+    # the oracle for the class bound of enumerate_frame: the swept Lie class of
+    # each kept gamma is at most ceil(m_top/i) - 1, so below p when m_top <= p i;
+    # enumerate_frame reads the class of exactly the gammas kept above p i (at
+    # p = 5, i = 1 and m_max = 5 every m_top is p i itself)
+    ctx = PrimeContext(p, m_work)
+    reads = []
+    real = liering.LieRingSpec.nilpotency_class
+
+    def recording(spec):
+        reads.append((spec.gamma.content_key, spec.m))
+        return real.fget(spec)
+
+    monkeypatch.setattr(liering.LieRingSpec, "nilpotency_class", property(recording))
+    pairs = _kept(monkeypatch, ctx, i, m_max, coeff_mod, points)
+    assert len(pairs) == kept
+    assert reads == [(g.content_key, top) for g, top in pairs if top > p * i]
+    assert len(reads) == above
+    for g, top in pairs:
+        cls = LieRingSpec(ctx, i, top, g).nilpotency_class
+        assert cls <= -(-top // i) - 1
+        assert cls < p or top > p * i
 
 
 def test_enumerate_frame_needs_i_at_least_1(ctx):
@@ -252,10 +297,22 @@ def test_enumerate_frame_refuses_a_non_integral_gamma(ctx, monkeypatch):
         enumerate_frame(ctx, 7, 10)
 
 
-def test_enumerate_frame_keeps_the_lazard_precondition(ctx, monkeypatch):
+def test_enumerate_frame_keeps_the_lazard_precondition(monkeypatch):
+    # at p = 5, i = 1 every kept gamma has m_top = 6 > p i, the one tested
+    # case where the lemma leaves class < p open; a patched class 5 must raise
     monkeypatch.setattr(liering.LieRingSpec, "nilpotency_class", property(lambda spec: 5))
     with pytest.raises(ValueError, match="max_class 5 >= p = 5"):
-        enumerate_frame(ctx, 7, 10)
+        enumerate_frame(PrimeContext(5, 40), 1, 6)
+
+
+def test_enumerate_frame_reads_no_lie_class_up_to_level_p_i(ctx, monkeypatch):
+    # the converse: at p = 5, i = 7, m <= 10 the lemma bounds the class, so the
+    # patched class 5 is never read
+    reads = []
+    monkeypatch.setattr(liering.LieRingSpec, "nilpotency_class",
+                        property(lambda spec: reads.append(spec) or 5))
+    assert len(enumerate_frame(ctx, 7, 10).nodes) == 4
+    assert reads == []
 
 
 def test_s_series_of_truncation_is_clamped_top_series(ctx):
