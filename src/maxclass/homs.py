@@ -4,7 +4,8 @@ theta_a sends x ^ y to sigma_a(x) sigma_{1-a}(y) - sigma_{1-a}(x) sigma_a(y);
 with a running over 2 .. (p-1)/2 these span the homomorphism space, so a
 coefficient vector (c_2, ..., c_{l+1}) is the universal coordinate system.
 Membership in the surjective set Hhat_i is decided through the Vandermonde
-criterion: (c) V_i B must be integral with at least one unit entry.
+criterion: (c) V_i B must be integral with at least one unit entry; for a
+vector without kappa-denominators, from residues mod P.
 """
 
 from __future__ import annotations
@@ -327,7 +328,11 @@ def bracket_table(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
 
 
 class VandermondeData:
-    """The unit diagonal V_i, the Vandermonde matrix B, the u_a, and V_i B (VB)."""
+    """The unit diagonal V_i, the Vandermonde matrix B, the u_a, and V_i B (VB).
+
+    residue_cols[j][a] is what in_Hhat reads of VB[a][j] for a vector with
+    no kappa-denominator: (digit 0 mod p, precision, valuation bound).
+    """
 
     def __init__(self, ctx: PrimeContext, i: int, v_diag, b, u):
         self.ctx = ctx
@@ -336,6 +341,9 @@ class VandermondeData:
         self.B = tuple(tuple(row) for row in b)
         self.u = tuple(u)
         self.VB = tuple(tuple(v * x for x in row) for v, row in zip(self.V_diag, self.B))
+        self.residue_cols = tuple(
+            tuple((row[j].digits[0] % ctx.p, row[j].prec, row[j].valuation().bound) for row in self.VB)
+            for j in range(ctx.l))
 
 
 def vandermonde(ctx: PrimeContext, i: int) -> VandermondeData:
@@ -369,13 +377,58 @@ def _row_times_vib(g: GammaCoeffs, vd: VandermondeData) -> list[CycFrac]:
     return entries
 
 
+def _unit_entry_mod_p(g: GammaCoeffs, vd: VandermondeData) -> bool:
+    """in_Hhat for a vector with every den_exp 0, from residues mod P."""
+    p, unit = g.ctx.p, vd.V_diag[0]
+    cs = []
+    for c in g.coeffs:
+        c.num._check_ctx(unit)
+        cs.append((c.num.digits[0] % p, c.num.prec, c.num.valuation().bound))
+    undecided_unit = False
+    for col in vd.residue_cols:
+        n, s = g.ctx.M_work, 0
+        for (r, prec, v), (cr, cprec, cv) in zip(col, cs):
+            n = min(n, cprec + v, prec + cv)
+            s += cr * r
+        if n == 0:
+            undecided_unit = True
+        elif s % p:
+            return True
+    if undecided_unit:
+        raise PrecisionExhausted("unit test undecidable at working precision")
+    return False
+
+
 def in_Hhat(g: GammaCoeffs, i: int | None = None) -> bool:
-    """Surjectivity criterion: (c) V_i B integral with at least one unit entry."""
+    """Surjectivity criterion: (c) V_i B integral with at least one unit entry.
+
+    Two routes give the same verdict, or the same PrecisionExhausted.
+
+    A vector with every den_exp 0 (every grid vector, every --coeff build) is
+    decided mod P.  O/P = F_p, and the residue of x there is digit 0 of x
+    mod p: each entry -binom(p, j+1) of the kappa^{p-1} reduction row is
+    divisible by p, so a product's digit 0 is a_0 b_0 mod p.  Entry j of
+    (c) V_i B is sum_a c_a VB[a][j], integral, and the ring operations give
+    it the precision
+        n_j = min(M_work, min_a min(prec c_a + v(VB[a][j]), prec VB[a][j] + v(c_a))),
+    v the valuation bound, so n_j >= 0.  If n_j >= 1, its digit 0 is
+    sum_a c_a,0 VB[a][j],0 mod p, and the entry is a unit iff that sum is
+    nonzero mod p; otherwise its valuation is at least 1.  If n_j = 0 the
+    entry is unknown mod P: the undecided unit, which raises when no other
+    entry is a unit.  No valuation is negative.  VandermondeData keeps the
+    residues, precisions and valuation bounds of VB, once per (ctx, i).
+
+    A vector with kappa-denominators forms the row product in K
+    (_row_times_vib).  Only there can an entry have a negative valuation:
+    exact, so the vector is not in Hhat_i, or a bound, which raises.
+    """
     i = g.i if i is None else i
-    entries = _row_times_vib(g, vandermonde(g.ctx, i))
+    vd = vandermonde(g.ctx, i)
+    if all(c.den_exp == 0 for c in g.coeffs):
+        return _unit_entry_mod_p(g, vd)
     saw_unit = False
     undecided_unit = False
-    for e in entries:
+    for e in _row_times_vib(g, vd):
         v = e.valuation()
         if v.exact:
             if v.value < 0:

@@ -381,6 +381,10 @@ IDENTITY_LIST = [
     # Lie series for class < p: the one pinned tree that takes that path
     ("enumerate --p 5 --i 1 --coeff-mod 1",
      "0a7f468bfbe879059a5874e81396fba68ca37ec6808671a89b9c345c8833e341"),
+    # a scan whose grid digits go beyond digit 0 (25 residues mod P^2), with
+    # 155 of its 275 entries unresolved at M_work 20
+    ("scan-conjecture1 --p 5 --i-max 12 --m-work 20 --coeff-mod 2",
+     "5d4a957b9cae13d8832d3e017227625bd89d9d87df80ea25d3c907a0d56f5454"),
 ]
 
 

@@ -315,6 +315,15 @@ def test_enumerate_frame_reads_no_lie_class_up_to_level_p_i(ctx, monkeypatch):
     assert reads == []
 
 
+def test_enumerate_frame_drops_bracket_tables_up_to_level_p_i(ctx):
+    # only the class sweep of a gamma with m_top > p i reads its bracket table
+    # after lambda; every other kept gamma holds no table to the end of the run
+    low = enumerate_frame(ctx, 7, 10, coeff_mod=2)
+    assert low.nodes and all(n.gamma._tables == {} for n in low.nodes)
+    high = enumerate_frame(ctx, 1, 6)
+    assert high.nodes and all(list(n.gamma._tables) == [1] for n in high.nodes)
+
+
 def test_s_series_of_truncation_is_clamped_top_series(ctx):
     # gamma_k(S/N) = gamma_k(S)N/N: the S-series of every vertex below the top
     # is the top series clamped at m, so the sweep at each gamma's top level

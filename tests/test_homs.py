@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -12,6 +13,7 @@ from maxclass import (
     PrimeContext,
     Valuation,
     epsilon,
+    frame,
     gamma_eval,
     homs,
     images_to_coeffs,
@@ -22,6 +24,7 @@ from maxclass import (
     theta_a_eval,
     vandermonde,
 )
+from maxclass.cyclotomic import DEFAULT_BUDGET
 from oracles import o_a as o_a_oracle
 
 
@@ -172,6 +175,141 @@ def test_vandermonde_row_products_formed_once(monkeypatch):
         in_Hhat(g, i)
     assert [images_to_coeffs(ctx, i, imgs).to_json() for imgs in images] == solved
     assert products and not any(products)
+
+
+def row_product_in_hhat(g, i):
+    # the oracle: form (c) V_i B in K by CycFrac products and sums, entry by
+    # entry, and read integrality and a unit entry off their valuations
+    ctx = g.ctx
+    vd = vandermonde(ctx, i)
+    saw_unit = undecided_unit = False
+    for j in range(ctx.l):
+        acc = CycFrac(ctx.zero())
+        for a, c in enumerate(g.coeffs):
+            acc = acc + c * vd.VB[a][j]
+        v = acc.valuation()
+        if v.exact:
+            if v.value < 0:
+                return False
+            saw_unit = saw_unit or v.value == 0
+        else:
+            if v.value < 0:
+                raise PrecisionExhausted("entry valuation undecidable")
+            undecided_unit = undecided_unit or v.value == 0
+    if saw_unit:
+        return True
+    if undecided_unit:
+        raise PrecisionExhausted("unit test undecidable")
+    return False
+
+
+def hhat_outcome(decide, g, i):
+    try:
+        return decide(g, i)
+    except PrecisionExhausted:
+        return "raised"
+
+
+def reduced_precision_vectors(rng, count):
+    # integral vectors with digits beyond digit 0, each coefficient known only
+    # mod P^prec, prec in 0 .. M_work; i keeps V_i B formable
+    contexts = {}
+    for _ in range(count):
+        p = rng.choice((5, 7, 11))
+        m_work = rng.randrange(5, 61)
+        ctx = contexts.setdefault((p, m_work), PrimeContext(p, m_work))
+        i = rng.randrange((ctx.M_work - 1) // 2)
+        coeffs = []
+        for _ in range(ctx.l):
+            digits = [rng.randrange(p ** 2) if rng.random() < 0.7 else 0 for _ in range(ctx.d)]
+            prec = rng.choice((0, 1, ctx.M_work, rng.randrange(ctx.M_work + 1)))
+            coeffs.append(CycFrac(ctx.element(digits, prec)))
+        yield GammaCoeffs(ctx, i, coeffs, check=False)
+
+
+def hhat_grid_cases():
+    for m_work in (20, 60):
+        ctx = PrimeContext(5, m_work)
+        for coeff_mod in (1, 2):
+            for i in range(13):
+                yield from ((ctx, i, c) for c in frame._coefficient_grid(ctx, coeff_mod, DEFAULT_BUDGET))
+    for m_work in (60, 16):
+        ctx = PrimeContext(7, m_work)
+        for i in range(15):
+            yield from ((ctx, i, c) for c in frame._coefficient_grid(ctx, 1, DEFAULT_BUDGET))
+    ctx = PrimeContext(11, 60)
+    for i in (0, 13):
+        yield from ((ctx, i, c) for c in islice(frame._coefficient_grid(ctx, 1, DEFAULT_BUDGET), 121))
+
+
+def test_in_hhat_agrees_with_the_row_product():
+    outcomes = {}
+    for ctx, i, coeffs in hhat_grid_cases():
+        g = GammaCoeffs(ctx, i, coeffs, check=False)
+        want = hhat_outcome(row_product_in_hhat, g, i)
+        assert hhat_outcome(in_Hhat, g, i) == want, (ctx, i, g)
+        outcomes[want] = outcomes.get(want, 0) + 1
+    # p = 7 at M_work 16 cannot form V_i B for i >= 8, as at p = 5, M_work 20, i >= 10
+    assert set(outcomes) == {True, False, "raised"}
+    outcomes = {}
+    for g in reduced_precision_vectors(random.Random(15), 1500):
+        want = hhat_outcome(row_product_in_hhat, g, g.i)
+        assert hhat_outcome(in_Hhat, g, g.i) == want, g
+        outcomes[want] = outcomes.get(want, 0) + 1
+    # here V_i B is formed, so every raise is an entry of precision 0
+    assert set(outcomes) == {True, False, "raised"} and min(outcomes.values()) >= 50
+    # such vectors with kappa-denominators take the row product in K on both sides
+    outcomes = {}
+    for g in reduced_precision_vectors(random.Random(16), 100):
+        g = GammaCoeffs(g.ctx, g.i, [CycFrac(c.num, (n + 1) % 3) for n, c in enumerate(g.coeffs)],
+                        check=False)
+        want = hhat_outcome(row_product_in_hhat, g, g.i)
+        assert hhat_outcome(in_Hhat, g, g.i) == want, g
+        outcomes[want] = outcomes.get(want, 0) + 1
+    assert set(outcomes) == {True, False, "raised"}
+
+
+def test_in_hhat_forms_no_product_on_integral_vectors(monkeypatch):
+    built = []
+
+    class Counted(homs.VandermondeData):
+        def __init__(self, ctx, i, *rest):
+            built.append(i)
+            super().__init__(ctx, i, *rest)
+
+    monkeypatch.setattr(homs, "VandermondeData", Counted)
+    ctx = PrimeContext(7, 44)
+    rng = random.Random(7)
+    gammas = [GammaCoeffs(ctx, i, [CycFrac(ctx.element([rng.randrange(49) for _ in range(6)],
+                                                       rng.randrange(45))) for _ in range(2)],
+                          check=False)
+              for i in (9, 10) for _ in range(30)]
+    want = [hhat_outcome(row_product_in_hhat, g, g.i) for g in gammas]
+    cols = {i: vandermonde(ctx, i).residue_cols for i in (9, 10)}
+    vb = {id(x) for i in (9, 10) for row in vandermonde(ctx, i).VB for x in row}
+    formed, vb_read = [], []
+    real_mul, real_add, real_val = homs.CycElt.__mul__, homs.CycElt.__add__, homs.CycElt.valuation
+
+    def mul(self, other):
+        formed.append("mul")
+        return real_mul(self, other)
+
+    def add(self, other):
+        formed.append("add")
+        return real_add(self, other)
+
+    def valuation(self):
+        if id(self) in vb:
+            vb_read.append(self)
+        return real_val(self)
+
+    monkeypatch.setattr(homs.CycElt, "__mul__", mul)
+    monkeypatch.setattr(homs.CycElt, "__add__", add)
+    monkeypatch.setattr(homs.CycElt, "valuation", valuation)
+    assert [hhat_outcome(in_Hhat, g, g.i) for g in gammas] == want
+    assert set(want) == {True, False, "raised"}
+    assert formed == [] and vb_read == []
+    assert built == [9, 10] and all(vandermonde(ctx, i).residue_cols is cols[i] for i in (9, 10))
 
 
 def test_v_a_factor_is_the_diagonal_entry(ctx7):
