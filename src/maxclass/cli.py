@@ -171,14 +171,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     m_work = max(m_max + 2 * (p - 1), 3 * (i + p) + 12) if args.m_work is None else args.m_work
     ctx = PrimeContext(p, m_work)
     tree = enumerate_frame(ctx, i, m_max, coeff_mod=args.coeff_mod, budget=args.budget)
-    payload = tree.to_json()
-    payload["membership_shift_note"] = (
-        f"the same coefficient grid defines frames at every i' == {i} mod p-1 = "
-        f"{i % (p - 1)}; lambda shifts by 3(p-1) per step of p-1 in i")
+    # the JSON and the dot text are built only when they are written
+    if args.out_json or args.fmt == "json":
+        payload = tree.to_json()
+        payload["membership_shift_note"] = (
+            f"the same coefficient grid defines frames at every i' == {i} mod p-1 = "
+            f"{i % (p - 1)}; lambda shifts by 3(p-1) per step of p-1 in i")
     if args.out_json:
         _emit(payload, "json", args.out_json, [])
     if args.out_dot:
         _write(args.out_dot, tree.to_dot())
+    if args.fmt == "json":
+        _emit(payload, "json", args.out, [])
+        return EXIT_OK
     lines = [
         f"frame grid p={p}, i={i}, m <= {m_max}, coefficients mod P^{args.coeff_mod}",
         f"{len(tree.nodes)} vertices (upper bounds on isomorphism types), "
@@ -186,7 +191,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     ]
     if not args.out_dot and not args.out_json:
         lines.append(tree.to_dot())
-    _emit(payload, args.fmt, args.out, lines)
+    _emit(None, "text", args.out, lines)
     return EXIT_OK
 
 

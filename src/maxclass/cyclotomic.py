@@ -122,12 +122,15 @@ class PrimeContext:
         self._basis_thetas: dict[int, tuple] = {}
         self._vandermonde: dict[int, object] = {}
         # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u),
-        # and the witness checks of verify_witness by the content of (c, c2, move)
+        # the witness checks of verify_witness by the content of (c, c2, move), and
+        # sigma_k(kappa^{i+u})/kappa^i by (k, i)
         self._theta_mats: dict[tuple[int, int], tuple] = {}
         self._rho: dict[tuple, CycElt] = {}
         self._witness: dict[tuple, tuple] = {}
-        # the positions of find_certified_move's grid units keyed by rho_a(u) mod P^n,
-        # by (a, unit modulus, n)
+        self._coordinates: dict[tuple[int, int], tuple] = {}
+        # find_certified_move's grid units lifted to M_work by unit modulus, and their
+        # positions keyed by rho_a(u) mod P^n, by (a, unit modulus, n)
+        self._units: dict[int, list] = {}
         self._unit_index: dict[tuple, dict] = {}
         self._kappa_pows: list[tuple[int, ...]] = []
         self._theta_pows: list[tuple[int, ...]] = []

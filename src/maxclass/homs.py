@@ -11,6 +11,7 @@ vector without kappa-denominators, from residues mod P.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import add, mul
 
@@ -239,10 +240,31 @@ class GammaCoeffs:
             raise NotInHhat(f"coefficient vector is not in Hhat_{i}")
         self.in_Hhat_at = i if check else None
         self._tables: dict[int, dict[tuple[int, int], CycElt]] = {}   # bracket_table by i
+        vars(self).pop("integer_coeffs", None)   # a vector initialised again is computed again
 
     @classmethod
     def from_integers(cls, ctx: PrimeContext, i: int, values, check: bool = True) -> GammaCoeffs:
         return cls(ctx, i, [CycFrac(ctx.from_int(v)) for v in values], check=check)
+
+    @cached_property
+    def integer_coeffs(self) -> tuple[tuple[int, int, int, int | None], ...] | None:
+        """(digit 0, precision, valuation bound, inverse) of each c_a, or None unless every c_a is an integer.
+
+        An integer here is a Galois-fixed c_a (is_galois_fixed) of this context,
+        known mod P^prec with prec <= M_work, so its digit 0 is its residue mod
+        p^e, e = ceil(prec/(p-1)); the inverse is that of a unit mod p^e, else
+        None.  Every grid vector at coeff_mod 1 has only such coefficients.
+        Computed once per gamma, for the move search.
+        """
+        ctx = self.ctx
+        if not all(c.is_galois_fixed() and c.num.prec <= ctx.M_work and c.ctx == ctx
+                   for c in self.coeffs):
+            return None
+        out = []
+        for c in self.coeffs:
+            a, mod = c.num.digits[0], ctx.digit_moduli(c.num.prec)[0]
+            out.append((a, c.num.prec, c.num.valuation().bound, pow(a, -1, mod) if a % ctx.p else None))
+        return tuple(out)
 
     def is_integral(self) -> bool:
         """Integral at working precision: every c_a has den_exp 0, every nonzero c_a is known mod P^M_work."""
@@ -301,26 +323,50 @@ def basis_brackets(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
             for k, rs in enumerate(combinations(range(ctx.d), 2))}
 
 
+def numerator_table(g: GammaCoeffs, i: int) -> list[tuple[int, ...]]:
+    """kappa^D gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{M-i} as canonical digits, by pair r < s.
+
+    D is the largest den_exp, so the entry is sum_a c_a kappa^(D - e_a) (theta_a/kappa^i)
+    over the representatives c_a of the numerators, from the cached quotients:
+    no division, and no precision of the c_a is read.  For i >= M_work every
+    entry is 0.  Built afresh on each call.
+    """
+    ctx, n = g.ctx, g.ctx.M_work - i
+    pairs = ctx.d * (ctx.d - 1) // 2
+    if n <= 0:
+        return [(0,) * ctx.d] * pairs
+    d_max = max(c.den_exp for c in g.coeffs)
+    table = [[0] * ctx.d for _ in range(pairs)]
+    for c, row in zip(g.coeffs, _basis_thetas(ctx, i)[1]):
+        if c.is_zero():
+            continue
+        num = c.num.digits
+        if c.den_exp < d_max:
+            num = ctx._mul_raw(num, ctx.kappa_power(d_max - c.den_exp).digits)
+        if any(num[1:]):
+            terms = (ctx._mul_raw(num, q.digits) for q in row)
+        else:
+            # an integer times q: the product that _mul_raw forms, with nothing to reduce
+            terms = ([num[0] * x for x in q.digits] for q in row)
+        for acc, term in zip(table, terms):
+            acc[:] = map(add, acc, term)
+    return [ctx._canonical(acc, n) for acc in table]
+
+
 def bracket_table(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
     """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by basis pair r < s < p-1, built once per i.
 
     Each entry is basis_brackets(g, i)[r, s] divided by kappa^i, in digits and
     precision.  For gamma integral at working precision M, c_a and theta_a and
     hence that bracket are known mod P^M, so C[r][s] = sum_a c_a (theta_a/kappa^i)
-    mod P^{M-i}, from the cached quotients.
+    mod P^{M-i}: the numerator_table of g, with D = 0.
     """
     table = g._tables.get(i)
     if table is None:
         ctx, n = g.ctx, g.ctx.M_work - i
         if g.is_integral() and n > 0:
-            terms = [(c.num.digits, row) for c, row in zip(g.coeffs, _basis_thetas(ctx, i)[1])
-                     if not c.is_zero()]
-            table = {}
-            for k, rs in enumerate(combinations(range(ctx.d), 2)):
-                acc = [0] * ctx.d
-                for c, row in terms:
-                    acc = list(map(add, acc, ctx._mul_raw(c, row[k].digits)))
-                table[rs] = CycElt(ctx, ctx._canonical(acc, n), n)
+            table = {rs: CycElt(ctx, e, n)
+                     for rs, e in zip(combinations(range(ctx.d), 2), numerator_table(g, i))}
         else:
             table = {rs: e.div_kappa(i) for rs, e in basis_brackets(g, i).items()}
         g._tables[i] = table

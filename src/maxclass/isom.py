@@ -7,15 +7,26 @@ between the level-m groups, twisting the theta-action by theta -> theta^k.
 Only this sufficient direction is ever used: distinct canonical forms are
 reported as "not merged", never as non-isomorphic.
 
+verify_witness checks the witness by linear algebra on coordinates, the
+approach of Eick, Leedham-Green and O'Brien, "Constructing automorphism groups
+of p-groups", Comm. Algebra 30 (2002): the images of the basis of P^i are
+coordinate vectors, and each bracket of two images contracts them with the
+numerator_table of c.  No gamma is evaluated, and every stored precision is,
+in closed form, the one that evaluating gamma with ring operations gives.
+
 find_certified_move solves the congruence at one coefficient for the unit
 rather than scanning the unit grid: it skips a candidate only when that
 candidate is proven to fail, so each search returns the move, or raises the
-error, that trying every candidate in order would.
+error, that trying every candidate in order would.  On integer vectors (every
+grid vector at coeff_mod 1) its quotients and congruences are Z_p arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import mul, sub
+
 from .cyclotomic import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -27,7 +38,7 @@ from .cyclotomic import (
     PrimeContext,
     enumerate_units,
 )
-from .homs import CycFrac, GammaCoeffs, basis_brackets, gamma_eval
+from .homs import CycFrac, GammaCoeffs, _basis_thetas, basis_brackets, numerator_table
 
 
 @dataclass(frozen=True)
@@ -95,7 +106,16 @@ def apply_move(c: GammaCoeffs, mv: IsoMove, m: int) -> GammaCoeffs:
 
 
 def move_congruent(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool:
-    """The move congruence sigma_k(c2_a) = rho_a(u) c_a mod P^m, all a."""
+    """The move congruence sigma_k(c2_a) = rho_a(u) c_a mod P^m, all a.
+
+    For integer vectors and an integer unit of c's context it is Z_p arithmetic
+    (_integer_congruent), with the verdict or the error of the ring operations.
+    """
+    u, ctx = mv.u, c.ctx
+    zc, zc2 = c.integer_coeffs, c2.integer_coeffs
+    if (zc is not None and zc2 is not None and c2.ctx == ctx == u.ctx
+            and u.prec <= ctx.M_work and not any(u.digits[1:])):
+        return _integer_congruent(ctx.p, zc, zc2, u, m)
     for a_idx, (ca, ca2) in enumerate(zip(c.coeffs, c2.coeffs)):
         lhs = ca2.galois(mv.k)
         rhs = ca * rho(a_idx + 2, mv.u)
@@ -111,26 +131,135 @@ def witness_map(mv: IsoMove):
     return phi
 
 
+def _coordinates(ctx: PrimeContext, k: int, i: int) -> tuple:
+    """What a witness needs of (k, i) alone, cached on the context.
+
+    sigma_k(kappa^{i+t})/kappa^i by t < p-1, known mod P^{M_work-i}, and the
+    valuation bounds of theta_a(kappa^{i+r} ^ kappa^{i+s}) mod P^M_work by a
+    and pair r < s.  For i >= M_work every kappa^{i+t} is 0 mod P^M_work, and
+    each quotient is 0 at precision M_work - i.
+    """
+    data = ctx._coordinates.get((k, i))
+    if data is None:
+        n = ctx.M_work - i
+        data = ctx._coordinates[k, i] = (
+            tuple(ctx.kappa_power(i + t).galois(k).div_kappa(i) if n > 0
+                  else CycElt(ctx, (0,) * ctx.d, n) for t in range(ctx.d)),
+            tuple(tuple(t.valuation().bound for t in row) for row in _basis_thetas(ctx, i)[0]))
+    return data
+
+
 def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
     """(precision, valuation bound) of each difference verify_witness tests, in its order.
 
     A MaxclassError met on the way takes the place of its difference and ends
     the tuple: the checks never get past it.
+
+    The differences are phi(theta e_r) - theta^k phi(e_r), then
+    phi(gamma_{c2}(e_r ^ e_s)) - gamma_c(phi e_r ^ phi e_s) for s > r, where
+    e_r = kappa^{i+r} and phi(x) = u sigma_k(x).  Each entry is the one that
+    evaluating them with CycElt ring operations stores (that route is the
+    oracle in tests/), yet no gamma is evaluated.  Why: a ring operation acts on
+    digit representatives and reduces mod P^n, n its result's precision, and n
+    never exceeds what the operands' precisions and valuation bounds guarantee.
+    So a value stored at precision n is, mod P^n, the same formula evaluated
+    exactly on the representatives of u, c_a and c2_a, and its bound is
+    min(v, n), v that value's valuation.  It suffices to find the value mod P^n
+    by another route, and n in closed form from the product rule
+    prec(xy) = min(prec x + v(y), prec y + v(x), M), M = M_work.  Below, pi_a,
+    nu_a and e_a are the precision, valuation and den_exp of a nonzero c_a, pi'_a
+    that of c2_a, D the largest e_a, and omega_a >= 2i + r + s the valuation
+    bound of theta_a(e_r ^ e_s) mod P^M.
+    - X_r = phi(e_r)/kappa^i is u times sigma_k(e_r)/kappa^i, known mod P^{M-i}.
+      It has valuation r and precision P_r - i, where P_r = min(u.prec + i + r, M)
+      is the precision of the ring product u sigma_k(e_r).
+    - theta-check: phi(theta e_r) = u theta^k sigma_k(e_r) = theta^k phi(e_r)
+      exactly, and both sides have precision P_r, theta being a unit known mod
+      P^M; so the entry is (P_r, P_r).
+    - gamma_c(phi e_r ^ phi e_s).  In the ring route theta_a(phi e_r ^ phi e_s),
+      a unit times sigma_k theta_a(e_r ^ e_s), has a precision T >= min(P_r, P_s)
+      and the bound min(omega_a, T); its product with c_a has the precision
+      tau_a = min(pi_a + min(omega_a, T), T + nu_a, M), which the factor
+      kappa^{D-e_a} raises to min(tau_a + min(D - e_a, nu_a + omega_a, tau_a), M);
+      and the sum, which starts at precision min(P_r, P_s) = P_r, has the least
+      of these.  A term at least P_r never decides it, and nu_a < pi_a, so it is
+      n_G = min(P_r, pi_a + omega_a + min(D - e_a, nu_a + omega_a) over a).
+      The value: gamma is Z_p-bilinear and phi(e_r) = sum_t X_{r,t} e_t, so
+      kappa^D gamma_c(phi e_r ^ phi e_s) = kappa^i G, where
+      G = sum_{t<w} (X_{r,t} X_{s,w} - X_{r,w} X_{s,t}) N[t][w] and N is the
+      numerator_table of c.  An error of X_r in P^{P_r-i} moves kappa^i G by
+      P^{P_r+i+s}, N errs by P^{M-i}, and n_G <= P_r <= P_s.  For D > 0 the
+      ring route divides by kappa^D with div_kappa: the same call on the same
+      digits here, so it raises where the ring route does.
+    - phi(gamma_{c2}(e_r ^ e_s)) when c2 has no kappa-denominator.  The bracket
+      b = kappa^i C2[r][s], C2 the numerator_table of c2, has the precision
+      n_b = min(M, pi'_a + omega_a over nonzero c2_a) and a valuation
+      v >= 2i + r + s, so phi(b) has the precision Pi = min(u.prec + v, n_b),
+      at least min(P_r, n_b); as n_G <= P_r, the difference has the precision
+      n = min(n_b, n_G).  And phi(b) = sum_t C2[r][s]_t phi(e_t) = kappa^i Y,
+      Y = sum_t C2[r][s]_t X_t: term t errs by C2_t P^{P_t}, inside P^Pi since
+      t + (p-1) v_p(C2_t) >= v - i.  A c2 with kappa-denominators, or of another
+      context, keeps basis_brackets and the ring product u sigma_k(b), raising
+      where it did.
+    - With D = 0 the difference is kappa^i (Y - G), so its bound is i plus the
+      bound of Y - G at precision n - i.  Otherwise kappa^i Y and kappa^i G are
+      put to precision n_b and n_G and subtracted as ring elements.
+    - When u, every c_a and every c2_a are integers (Galois-fixed), sigma_k
+      fixes them and gamma is Z-bilinear, so gamma_c(phi x ^ phi y) =
+      u^2 sigma_k gamma_c(x ^ y), and Y - G = u s^i sigma_k(C2[r][s] - u N[r][s])
+      with s = sigma_k(kappa)/kappa a unit.  That has the valuation of
+      C2[r][s] - u N[r][s], which needs no contraction.
     """
-    ctx, i = c.ctx, c.i
+    ctx, i, top = c.ctx, c.i, c.ctx.M_work
     out = []
     try:
-        phi = witness_map(mv)
-        basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
-        phis = [phi(x) for x in basis]
-        brackets2 = basis_brackets(c2, i)
-        theta, theta_k = ctx.theta(), ctx.theta(mv.k)
+        coordinates, omegas = _coordinates(ctx, mv.k, i)
+        xs = [mv.u * z for z in coordinates]
+        prec = [x.prec + i for x in xs]
+        tabled = c2.ctx == ctx and all(x.den_exp == 0 for x in c2.coeffs)
+        if tabled:
+            table2 = numerator_table(c2, i)
+        else:
+            brackets2 = basis_brackets(c2, i)
+        integer = tabled and not any(mv.u.digits[1:]) and all(
+            x.is_galois_fixed() for x in c.coeffs + c2.coeffs)
+        d_max = max(x.den_exp for x in c.coeffs)
+        terms = [(x.num.prec, x.num.valuation().bound, d_max - x.den_exp, om)
+                 for x, om in zip(c.coeffs, omegas) if not x.is_zero()]
+        terms2 = [(x.num.prec, om) for x, om in zip(c2.coeffs, omegas) if not x.is_zero()]
+        table, unit = numerator_table(c, i), mv.u.digits[0]
+        cols, xcols = list(zip(*table)), list(zip(*(x.digits for x in xs)))
+        pairs, kappa_i = list(combinations(range(ctx.d), 2)), ctx.kappa_power(i).digits
+        j = 0   # the pair (r, s) in combinations order
         for r in range(ctx.d):
-            d = phi(theta * basis[r]) - theta_k * phis[r]
-            out.append((d.prec, d.valuation().bound))
+            out.append((prec[r], prec[r]))
+            x_r = xs[r].digits
             for s in range(r + 1, ctx.d):
-                d = phi(brackets2[r, s]) - gamma_eval(c, phis[r], phis[s])
-                out.append((d.prec, d.valuation().bound))
+                n_g = min([prec[r]] + [pi + om[j] + min(e, nu + om[j]) for pi, nu, e, om in terms])
+                if tabled:
+                    n_b, c2rs = min([top] + [pi + om[j] for pi, om in terms2]), table2[j]
+                if integer:
+                    delta = [t2 - unit * t1 for t1, t2 in zip(table[j], c2rs)]
+                else:
+                    x_s = xs[s].digits
+                    wedge = [x_r[t] * x_s[w] - x_r[w] * x_s[t] for t, w in pairs]
+                    g = [sum(map(mul, wedge, col)) for col in cols]
+                    if tabled:
+                        y = [sum(map(mul, c2rs, col)) for col in xcols]
+                        delta = list(map(sub, y, g))
+                if tabled and not d_max:
+                    n = min(n_b, n_g) - i
+                    diff = CycElt(ctx, ctx._canonical(delta, n), n)
+                    out.append((n + i, diff.valuation().bound + i))
+                else:
+                    if tabled:
+                        b = CycElt(ctx, ctx._canonical(ctx._mul_raw(kappa_i, y), n_b), n_b)
+                    else:
+                        b = mv.u * brackets2[r, s].galois(mv.k)
+                    acc = CycElt(ctx, ctx._canonical(ctx._mul_raw(kappa_i, g), n_g), n_g)
+                    diff = b - (acc.div_kappa(d_max) if d_max else acc)
+                    out.append((diff.prec, diff.valuation().bound))
+                j += 1
     except MaxclassError as exc:
         out.append(exc)
     return tuple(out)
@@ -199,6 +328,54 @@ def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[Cy
     return out
 
 
+# The move search on integer vectors.  Let c_a = A known mod P^pa and c2_a = B
+# known mod P^pb be integers (GammaCoeffs.integer_coeffs), pa, pb <= M_work, with
+# every nonzero A a unit.  An integer known mod P^n is its residue mod
+# p^e, e = ceil(n/(p-1)) (digit 0, as p is kappa^{p-1} times a unit), and the ring
+# route stays among integers: 1/c_a is A^{-1} at precision pa, and the quotient
+# c2_a/c_a is B A^{-1} at precision min(pb, pa + v(B)), the product rule with
+# v(1/c_a) = 0.  Galois-fixed c2_a and u make sigma_k(c2_a) = c2_a and
+# rho_a(u) = u, at the precision of u.  So each of the three helpers below gives
+# the value, the precision and the PrecisionExhausted of its ring counterpart.
+
+def _integer_candidates(ctx: PrimeContext, zc: tuple, zc2: tuple) -> list[CycElt]:
+    """_derived_unit_candidates for integer vectors: B/A is a unit iff B is, at precision min(pa, pb)."""
+    out, zeros = [], (0,) * (ctx.d - 1)
+    for (_, pa, _, inv), (b, pb, _, _) in zip(zc, zc2):
+        if inv is not None and b % ctx.p:
+            mod = ctx.digit_moduli(min(pa, pb))[0]
+            out.append(CycElt(ctx, (b * inv % mod,) + zeros, min(pa, pb)))
+    return out
+
+
+def _integer_key(ctx: PrimeContext, za: tuple, zb: tuple, n: int) -> tuple | None:
+    """_quotient_key for integers c_a = A, a unit, and c2_a = B."""
+    (_, pa, _, inv), (b, pb, vb, _) = za, zb
+    if min(pb, pa + vb) < n:
+        return None
+    mod = ctx.digit_moduli(n)[0]
+    return (b * inv % mod,) + (0,) * (ctx.d - 1)
+
+
+def _integer_congruent(p: int, zc: tuple, zc2: tuple, u: CycElt, m: int) -> bool:
+    """move_congruent for integer vectors and an integer unit u = U known mod P^pu, pu <= M_work.
+
+    At each a, in order: c_a rho_a(u) = A U has precision min(pa, pu + v(A)), so
+    the difference B - A U has precision n = min(pb, pa, pu + v(A)) and raises
+    when n < m.  Otherwise it lies in P^m iff p^ceil(m/(p-1)) divides B - A U:
+    its canonical digit 0 is B - A U mod p^e with e >= ceil(m/(p-1)), and a
+    nonzero one has valuation (p-1) v_p.
+    """
+    x, pu, mod = u.digits[0], u.prec, p ** max(0, -(-m // (p - 1)))
+    for (a, pa, va, _), (b, pb, _, _) in zip(zc, zc2):
+        n = min(pb, pa, pu + va)
+        if n < m:
+            raise PrecisionExhausted(f"congruence mod P^{m} undecidable at precision {n}")
+        if (b - a * x) % mod:
+            return False
+    return True
+
+
 def _pivot(c: GammaCoeffs, m: int) -> tuple[int, int] | None:
     """(v, a): the least exact valuation v < m of a coefficient c_a, first a on ties."""
     vals = [(ca.valuation(), a) for a, ca in enumerate(c.coeffs)]
@@ -212,10 +389,19 @@ def _decidable(c: GammaCoeffs, c2: GammaCoeffs, m: int, prec: int, ks) -> bool:
     every precision move_congruent meets depends on rho_a(u) only through those
     two facts, so the stand-in 1 + P^prec raises exactly where rho_a(u) would.
     Any error on the way counts as undecidable.
+
+    When no coefficient has a kappa-denominator, and all share c's context, this
+    is read off the precisions: sigma_k keeps the precision of c2_a, the
+    stand-in product c_a (1 + P^prec) has precision min(prec c_a, prec + v(c_a),
+    M_work), v the valuation bound, and the congruence raises iff the least of
+    these and prec c2_a is below m, whatever k.
     """
     ctx = c.ctx
     if prec > ctx.M_work:
         return False
+    if all(x.den_exp == 0 and x.num.ctx is ctx for x in c.coeffs + c2.coeffs):
+        return all(min(x2.num.prec, x.num.prec, prec + x.num.valuation().bound, ctx.M_work) >= m
+                   for x, x2 in zip(c.coeffs, c2.coeffs))
     one = ctx.one(prec)
     try:
         for ca, ca2 in zip(c.coeffs, c2.coeffs):
@@ -241,6 +427,19 @@ def _quotient_key(ca2: CycFrac, k: int, ca: CycFrac, n: int) -> tuple | None:
     if q.num.prec - q.den_exp < n:
         return None
     return () if q.den_exp else q.num.reduce_to(n).digits
+
+
+def _grid_units(ctx: PrimeContext, unit_modulus: int, budget: int) -> list[CycElt]:
+    """The units of O/P^{unit_modulus} lifted to M_work, in enumerate_units order; cached on the context.
+
+    A cached list longer than budget is enumerated again, so enumerate_units
+    raises BudgetExceeded as on every call before.
+    """
+    units = ctx._units.get(unit_modulus)
+    if units is None or len(units) > budget:
+        units = ctx._units[unit_modulus] = [u.lift_to(ctx.M_work)
+                                            for u in enumerate_units(ctx, unit_modulus, budget)]
+    return units
 
 
 def _unit_index(ctx: PrimeContext, a: int, unit_modulus: int, n: int,
@@ -283,13 +482,24 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
       is dropped.
     - When every c2_a is Galois-fixed (every grid vector at unit_modulus 1),
       sigma_k(c2_a) is c2_a itself, so move_congruent(u, k) is one computation
-      for every k: it runs once per u, and the derived list once.
+      for every k: it runs once per u, the derived list is formed once, and
+      after the first k only its congruent units are tried.
+    - When c and c2 are integer vectors (every grid vector at coeff_mod 1)
+      and every nonzero c_a is a unit, the pivot is the first nonzero c_a, and
+      the derived list and q_k are Z_p arithmetic (_integer_candidates,
+      _integer_key), as is move_congruent on each derived unit.
     The grid is enumerated only after the derived candidates fail, so
     BudgetExceeded is raised where the scan would raise it.
     """
     ctx, ks = c.ctx, range(1, c.ctx.p)
     fixed = all(ca2.is_galois_fixed() for ca2 in c2.coeffs)
-    pivot = _pivot(c, m)
+    zc, zc2 = c.integer_coeffs, c2.integer_coeffs
+    if zc2 is None or c2.ctx != ctx or zc is None or any(inv is None for a, _, _, inv in zc if a):
+        zc = None
+    if zc:   # every nonzero c_a is a unit, so the first one has the least valuation, 0
+        pivot = next(((0, a) for a, z in enumerate(zc) if z[0] and m > 0), None)
+    else:
+        pivot = _pivot(c, m)
     n = None if pivot is None else m - pivot[0]
     keys: dict[int, tuple | None] = {}     # q_k mod P^n by k, 1 standing for every k when fixed
     decided: dict[int, bool] = {}          # _decidable by unit precision
@@ -299,7 +509,9 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     def key(k: int) -> tuple | None:
         k = 1 if fixed else k
         if k not in keys:
-            keys[k] = _quotient_key(c2.coeffs[pivot[1]], k, c.coeffs[pivot[1]], n)
+            a = pivot[1]
+            keys[k] = (_integer_key(ctx, zc[a], zc2[a], n) if zc
+                       else _quotient_key(c2.coeffs[a], k, c.coeffs[a], n))
         return keys[k]
 
     def solvable(prec: int) -> bool:
@@ -310,7 +522,7 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     def skip(u: CycElt, k: int) -> bool:
         if not solvable(u.prec) or u.prec < n or key(k) is None:
             return False
-        return u.reduce_to(n).digits != key(k)
+        return ctx._canonical(u.digits, n) != key(k)
 
     def certified(u: CycElt, k: int) -> IsoMove | None:
         vkey = (u.prec, u.digits) if fixed else (u.prec, u.digits, k)
@@ -325,18 +537,22 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     for k in ks:
         j = 1 if fixed else k
         if j not in derived:
-            derived[j] = [u for u in dict.fromkeys(_derived_unit_candidates(c, c2, j)) if not skip(u, j)]
+            found = _integer_candidates(ctx, zc, zc2) if zc else _derived_unit_candidates(c, c2, j)
+            derived[j] = [u for u in dict.fromkeys(found) if not skip(u, j)]
         for u in derived[j]:
             if mv := certified(u, k):
                 return mv
+        if fixed:
+            # every verdict is known now, and holds for every k: keep the congruent units
+            derived[j] = [u for u in derived[j] if verdicts[u.prec, u.digits]]
 
-    units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, unit_modulus, budget)]
+    units = _grid_units(ctx, unit_modulus, budget)
     pairs = ((pos, k) for pos in range(len(units)) for k in ks)
-    if solvable(ctx.M_work) and any(key(k) is not None for k in ks):
+    known = [(k, key(k)) for k in ks] if solvable(ctx.M_work) else []
+    if any(q is not None for _, q in known):
         # a known q_k is known mod P^n, and never beyond M_work, so rho_{a*}(u) mod P^n exists
         index, every = _unit_index(ctx, pivot[1], unit_modulus, n, units), range(len(units))
-        pairs = sorted((pos, k) for k in ks
-                       for pos in (every if key(k) is None else index.get(key(k), ())))
+        pairs = sorted((pos, k) for k, q in known for pos in (every if q is None else index.get(q, ())))
     for pos, k in pairs:
         if mv := certified(units[pos], k):
             return mv

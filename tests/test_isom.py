@@ -1,10 +1,11 @@
 import random
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
 from maxclass import (
     BudgetExceeded,
+    ContextMismatch,
     CycElt,
     CycFrac,
     GammaCoeffs,
@@ -33,7 +34,18 @@ from maxclass import (
 )
 from maxclass.cyclotomic import DEFAULT_BUDGET
 from maxclass.frame import _coefficient_grid
-from maxclass.isom import _coeff_key, _derived_unit_candidates
+from maxclass import homs, liering
+from maxclass.homs import basis_brackets
+from maxclass.isom import (
+    _coeff_key,
+    _decidable,
+    _derived_unit_candidates,
+    _integer_candidates,
+    _integer_congruent,
+    _integer_key,
+    _quotient_key,
+    _witness_differences,
+)
 
 
 @pytest.fixture(scope="module")
@@ -296,15 +308,22 @@ def test_derived_candidates_equal_quotients_on_p7_grid():
 
 
 def test_find_certified_move_inverts_each_coefficient_once(monkeypatch):
+    # grid vectors are integers, whose quotients the search forms in Z_p: no
+    # inversion at all.  A c2 twisted off the integers takes the ring route,
+    # which inverts each c_a once
     gammas = p7_grid_gammas()
-    ctx, pairs = gammas[0].ctx, [(gammas[0], g) for g in gammas[1:8]] + [(gammas[3], gammas[5])]
-    for c, c2 in pairs:   # fills the rho cache, so only the quotients invert below
+    ctx = gammas[0].ctx
+    grid = [(gammas[0], g) for g in gammas[1:8]] + [(gammas[3], gammas[5])]
+    twist = IsoMove(ctx.element([2, 1]).lift_to(ctx.M_work), 3)
+    ring = [(c, apply_move(c2, twist, 18)) for c, c2 in grid]
+    assert all(c2.integer_coeffs is None for _, c2 in ring)
+    for c, c2 in grid + ring:   # fills the rho cache, so only the quotients invert below
         find_certified_move(GammaCoeffs(ctx, 9, c.coeffs, check=False), c2, 18)
     inversions = []
     real = CycElt.unit_inverse
     monkeypatch.setattr(CycElt, "unit_inverse", lambda self: inversions.append(self) or real(self))
     counts = []
-    for c, c2 in pairs:
+    for c, c2 in grid + ring:
         fresh = GammaCoeffs(ctx, 9, [CycFrac(ca.num) for ca in c.coeffs], check=False)
         inversions.clear()
         find_certified_move(fresh, c2, 18)
@@ -312,8 +331,261 @@ def test_find_certified_move_inverts_each_coefficient_once(monkeypatch):
         inversions.clear()
         find_certified_move(fresh, c2, 18)
         assert inversions == []
+    assert counts[:len(grid)] == [0] * len(grid)
     # one inversion per c_a that meets a nonzero c2_a, whatever the Galois index
     assert max(counts) <= ctx.l and sum(counts) > 0
+
+
+def witness_differences_by_gamma_eval(c, c2, mv):
+    # the ring route of isom._witness_differences: gamma_c evaluated on the
+    # images phi(e_r), phi(e_s) and phi applied to gamma_{c2}(e_r ^ e_s)
+    ctx, i = c.ctx, c.i
+    out = []
+    try:
+        phi = witness_map(mv)
+        basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+        phis = [phi(x) for x in basis]
+        brackets2 = basis_brackets(c2, i)
+        theta, theta_k = ctx.theta(), ctx.theta(mv.k)
+        for r in range(ctx.d):
+            d = phi(theta * basis[r]) - theta_k * phis[r]
+            out.append((d.prec, d.valuation().bound))
+            for s in range(r + 1, ctx.d):
+                d = phi(brackets2[r, s]) - gamma_eval(c, phis[r], phis[s])
+                out.append((d.prec, d.valuation().bound))
+    except MaxclassError as exc:
+        out.append(exc)
+    return tuple(out)
+
+
+def stored(steps):
+    # a stored tuple, each error as its type and message
+    return [(type(x), str(x)) if isinstance(x, MaxclassError) else x for x in steps]
+
+
+def tree_witnesses(monkeypatch, p, i, m_max, coeff_mod, points=None):
+    # the arguments of every witness enumerate_frame computes, at the M_work of
+    # `maxclass enumerate`, on the first points of the grid
+    ctx = PrimeContext(p, max(m_max + 2 * (p - 1), 3 * (i + p) + 12))
+    calls, real = [], isom._witness_differences
+    monkeypatch.setattr(isom, "_witness_differences", lambda *args: calls.append(args) or real(*args))
+    if points is not None:
+        grid = frame._coefficient_grid
+        monkeypatch.setattr(frame, "_coefficient_grid", lambda *args: islice(grid(*args), points))
+    enumerate_frame(ctx, i, m_max, coeff_mod=coeff_mod, budget=10 ** 6)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("p, i, m_max, coeff_mod, points, witnesses", [
+    (5, 7, 20, 1, None, 3), (5, 7, 20, 2, None, 9), (7, 9, 18, 1, None, 21),
+    (11, 13, 16, 1, 1000, 197)])
+def test_witness_differences_equal_gamma_eval_route_on_trees(monkeypatch, p, i, m_max, coeff_mod,
+                                                             points, witnesses):
+    # every stored (precision, bound) of every witness of the tree, entry by entry
+    calls = tree_witnesses(monkeypatch, p, i, m_max, coeff_mod, points)
+    assert len(calls) == witnesses
+    for args in calls:
+        assert stored(_witness_differences(*args)) == stored(witness_differences_by_gamma_eval(*args))
+
+
+def test_witness_differences_equal_gamma_eval_route_off_the_grid():
+    # coefficients cut to a lower precision, scaled by kappa powers, given
+    # kappa-denominators or random digits; c2 a move image or another vector;
+    # units of every precision, on or off the integers; i up to and past M_work
+    seen = set()
+    for p, i, m_work, count in [(5, 7, 24, 60), (7, 9, 30, 60), (7, 9, 60, 40), (5, 0, 20, 20),
+                                (5, 18, 20, 20), (5, 23, 20, 10), (7, 9, 10, 20), (11, 13, 40, 10)]:
+        ctx = PrimeContext(p, m_work)
+        rng = random.Random(p * 1000 + i * 10 + m_work)
+        grid = [GammaCoeffs(ctx, i, coeffs, check=False)
+                for coeffs in islice(_coefficient_grid(ctx, 1, 10 ** 6), 200)]
+
+        def vary(g):
+            out = []
+            for ca in g.coeffs:
+                r = rng.random()
+                if r < 0.3:
+                    top = ca.num.prec if r < 0.15 else min(ca.num.prec, 6)
+                    ca = CycFrac(ca.num.reduce_to(rng.randrange(1, top + 1)), ca.den_exp)
+                elif r < 0.4:
+                    ca = ca * ctx.kappa_power(rng.randrange(1, 4))
+                elif r < 0.6:
+                    ca = CycFrac(ca.num, ca.den_exp + rng.randrange(1, (3 if r < 0.5 else 1) * i + 4))
+                elif r < 0.7:
+                    ca = CycFrac(ctx.element([rng.randrange(p ** 5) for _ in range(ctx.d)],
+                                             rng.randrange(1, m_work + 1)))
+                out.append(ca)
+            return GammaCoeffs(ctx, i, out, check=False, den_cap=1000)
+
+        for _ in range(count):
+            c = vary(rng.choice(grid)) if rng.random() < 0.7 else rng.choice(grid)
+            c2 = vary(rng.choice(grid)) if rng.random() < 0.5 else rng.choice(grid)
+            if rng.random() < 0.3:
+                twist = IsoMove(ctx.element([rng.randrange(1, p)] + [rng.randrange(p ** 3)
+                                                                     for _ in range(ctx.d - 1)]), 2)
+                try:
+                    c2 = apply_move(c, twist, rng.randrange(1, m_work + 1))
+                except MaxclassError:
+                    pass
+            digits = [rng.randrange(1, p)] + ([rng.randrange(p ** 6) for _ in range(ctx.d - 1)]
+                                              if rng.random() < 0.5 else [0] * (ctx.d - 1))
+            prec = rng.choice([1, 2, 3, rng.randrange(1, m_work + 1), m_work, m_work])
+            mv = IsoMove(ctx.element(digits, prec), rng.randrange(1, p))
+            got = stored(_witness_differences(c, c2, mv))
+            assert got == stored(witness_differences_by_gamma_eval(c, c2, mv))
+            seen.add(got[-1][0] if isinstance(got[-1][0], type) else "no error")
+    # a kappa-denominator on c_2 raises the precision of the c_3 term, known
+    # only mod P^3, by kappa^4
+    ctx = PrimeContext(7, 60)
+    c = GammaCoeffs(ctx, 9, [CycFrac(ctx.from_int(3), 4), CycFrac(ctx.from_int(2, 3))], check=False)
+    for k in range(1, 7):
+        args = (c, p7_grid_gammas()[k], IsoMove(ctx.from_int(2 + k % 4), k))
+        got = stored(_witness_differences(*args))
+        assert got == stored(witness_differences_by_gamma_eval(*args))
+        assert all(isinstance(prec, int) and prec < 40 for prec, _ in got[1:ctx.d])
+    # a unit or a c2 of another context
+    ctx, other = PrimeContext(5, 24), PrimeContext(5, 30)
+    c, c2 = GammaCoeffs.from_integers(ctx, I, [1]), GammaCoeffs.from_integers(other, I, [2])
+    for args in ((c, c2, IsoMove(ctx.from_int(2), 1)), (c, c, IsoMove(other.from_int(2), 1))):
+        got = stored(_witness_differences(*args))
+        assert got == stored(witness_differences_by_gamma_eval(*args))
+        seen.add(got[-1][0])
+    assert seen == {"no error", PrecisionExhausted, InsufficientValuation, ContextMismatch}
+
+
+def test_merge_phase_evaluates_no_gamma(monkeypatch):
+    # the p = 5 and p = 7 trees with gamma_eval raising: identical, so neither
+    # lambda nor a merge evaluates gamma on these grids
+    def configs():
+        for p, i, m_max, coeff_mod in [(5, 7, 20, 1), (5, 7, 20, 2), (7, 9, 18, 1)]:
+            ctx = PrimeContext(p, max(m_max + 2 * (p - 1), 3 * (i + p) + 12))
+            yield enumerate_frame(ctx, i, m_max, coeff_mod=coeff_mod).to_json()
+
+    want = list(configs())
+
+    def refused(*args):
+        raise AssertionError("gamma_eval called")
+
+    for module in (homs, liering, isom):
+        if hasattr(module, "gamma_eval"):
+            monkeypatch.setattr(module, "gamma_eval", refused)
+    assert list(configs()) == want
+    assert [len(t["merged_by"]) for t in want] == [42, 126, 210]
+
+
+def integer_vectors(ctx, i, rng, count):
+    # integer vectors with precisions at most M_work, some coefficients zero
+    # or in pO, and their move images by integer units
+    for _ in range(count):
+        out = []
+        for _ in range(ctx.l):
+            prec = rng.choice([ctx.M_work, ctx.M_work, rng.randrange(1, ctx.M_work + 1)])
+            value = rng.choice([0, rng.randrange(1, ctx.p), rng.randrange(ctx.p ** 4),
+                                ctx.p * rng.randrange(1, ctx.p)])
+            out.append(CycFrac(ctx.from_int(value, prec)))
+        yield GammaCoeffs(ctx, i, out, check=False)
+
+
+def test_integer_coeffs_once_per_gamma_and_after_reinitialisation():
+    # computed once per gamma, and afresh for a vector initialised again in place
+    ctx = PrimeContext(5, 24)
+    g = GammaCoeffs.from_integers(ctx, I, [2])
+    assert g.integer_coeffs == ((2, 24, 0, pow(2, -1, 5 ** 6)),) and g.integer_coeffs is g.integer_coeffs
+    g.__init__(ctx, I, [CycFrac(ctx.theta())], check=False)
+    assert g.integer_coeffs is None
+
+
+def move_congruent_by_ring(c, c2, mv, m):
+    # move_congruent with the ring operations at every a, integers included
+    for a_idx, (ca, ca2) in enumerate(zip(c.coeffs, c2.coeffs)):
+        if not ca2.galois(mv.k).congruent(ca * rho(a_idx + 2, mv.u), m):
+            return False
+    return True
+
+
+def ring_decidable(c, c2, m, prec, ks):
+    # _decidable by the ring operations: the congruence of each c2_a with the
+    # stand-in c_a (1 + P^prec), for each k
+    if prec > c.ctx.M_work:
+        return False
+    one = c.ctx.one(prec)
+    try:
+        for ca, ca2 in zip(c.coeffs, c2.coeffs):
+            for k in ks:
+                ca2.galois(k).congruent(ca * one, m)
+    except MaxclassError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("p, i, m_work", [(5, 7, 24), (7, 9, 40), (11, 13, 30)])
+def test_integer_search_steps_equal_the_ring_route(p, i, m_work):
+    # the Z_p quotients, keys and congruences give the values, precisions and
+    # errors of their ring counterparts; _decidable's closed form that of its
+    # ring loop, also off the integers
+    ctx = PrimeContext(p, m_work)
+    rng = random.Random(p)
+    vectors = list(integer_vectors(ctx, i, rng, 40))
+    units = [ctx.from_int(rng.randrange(1, p ** 3), rng.randrange(1, m_work + 1)) for _ in range(20)]
+    units = [u for u in units if u.digits[0] % p]
+    seen = set()
+    for _ in range(300):
+        c, c2 = rng.choice(vectors), rng.choice(vectors)
+        zc, zc2 = c.integer_coeffs, c2.integer_coeffs
+        m = rng.randrange(0, m_work + 3)
+        for prec in (1, rng.randrange(1, m_work + 1), m_work, m_work + 1):
+            assert _decidable(c, c2, m, prec, range(1, p)) == ring_decidable(c, c2, m, prec, range(1, p))
+            twisted = apply_move(c2, IsoMove(ctx.element([1, 1]).lift_to(m_work), 2), m_work)
+            assert _decidable(c, twisted, m, prec, range(1, p)) == \
+                ring_decidable(c, twisted, m, prec, range(1, p))
+        if any(inv is None for a, _, _, inv in zc if a):
+            continue
+        assert _integer_candidates(ctx, zc, zc2) == _derived_unit_candidates(c, c2, 1)
+        for a, (za, zb) in enumerate(zip(zc, zc2)):
+            if za[3] is not None:
+                n = rng.randrange(1, m_work + 3)
+                assert _integer_key(ctx, za, zb, n) == _quotient_key(c2.coeffs[a], 1, c.coeffs[a], n)
+        for u in rng.sample(units, 3):
+            want = outcome(move_congruent_by_ring, c, c2, IsoMove(u, 1), m)
+            assert outcome(_integer_congruent, p, zc, zc2, u, m) == want
+            assert outcome(move_congruent, c, c2, IsoMove(u, 1), m) == want
+            seen.add(want)
+    assert seen == {True, False, PrecisionExhausted}
+    # a unit of another context keeps the ring route and its error
+    stranger = IsoMove(PrimeContext(p, m_work - 1).from_int(2), 1)
+    assert outcome(move_congruent, vectors[0], vectors[1], stranger, i) is ContextMismatch
+
+
+def test_find_certified_move_tries_a_congruent_unit_under_every_galois_index(monkeypatch):
+    # with every c2_a Galois-fixed, the derived unit 9 is congruent for every k;
+    # a witness refused at k = 1 leaves it to k = 2, and no grid unit is congruent
+    ctx = PrimeContext(7, 60)
+    c = GammaCoeffs.from_integers(ctx, 9, [1, 3], check=False)
+    c2 = GammaCoeffs.from_integers(ctx, 9, [9, 27], check=False)
+    real = isom.verify_witness
+    monkeypatch.setattr(isom, "verify_witness", lambda c, c2, mv, m: mv.k != 1 and real(c, c2, mv, m))
+    mv = find_certified_move(c, c2, 18)
+    assert (mv.k, mv.u.digits[0], mv.u.prec) == (2, 9, 60)
+
+
+@pytest.mark.parametrize("p, i, m_work", [(5, 7, 24), (7, 9, 40)])
+def test_find_certified_move_equals_scan_on_integer_vectors(p, i, m_work):
+    # every outcome on integer vectors of every precision and their move
+    # images by integer units, on both unit grids and under a low budget
+    ctx = PrimeContext(p, m_work)
+    rng = random.Random(p + 1)
+    vectors = list(integer_vectors(ctx, i, rng, 30))
+    vectors += [apply_move(c, IsoMove(ctx.from_int(rng.randrange(1, p)), rng.randrange(1, p)),
+                           rng.randrange(i, m_work + 1)) for c in vectors]
+    seen = set()
+    for _ in range(150):
+        c, c2, m = rng.choice(vectors), rng.choice(vectors), rng.randrange(i, m_work + 2)
+        for unit_modulus, budget in ((1, DEFAULT_BUDGET), (2, DEFAULT_BUDGET), (2, 10)):
+            want = search_outcome(scan_certified_move, c, c2, m, unit_modulus, budget)
+            assert search_outcome(find_certified_move, c, c2, m, unit_modulus, budget) == want
+            seen.add(want if want is None or isinstance(want, type) else "move")
+    assert {None, "move", PrecisionExhausted} <= seen
 
 
 def verify_witness_by_gamma_eval(c, c2, mv, m):
@@ -425,13 +697,13 @@ def test_verify_witness_memo_keyed_by_content():
 
 def scan_certified_move(c, c2, m, unit_modulus=1, budget=DEFAULT_BUDGET):
     # the oracle: every derived candidate k-major, then every grid unit u-major
-    # and k-minor, each tested by move_congruent and then verify_witness
+    # and k-minor, each tested by the ring congruence and then verify_witness
     ctx, ks = c.ctx, range(1, c.ctx.p)
     derived = ((u, k) for k in ks for u in _derived_unit_candidates(c, c2, k))
     lifted = (u.lift_to(ctx.M_work) for u in enumerate_units(ctx, unit_modulus, budget))
     for u, k in chain(derived, ((u, k) for u in lifted for k in ks)):
         mv = IsoMove(u, k)
-        if move_congruent(c, c2, mv, m) and verify_witness(c, c2, mv, m):
+        if move_congruent_by_ring(c, c2, mv, m) and verify_witness(c, c2, mv, m):
             return mv
     return None
 
