@@ -240,7 +240,6 @@ class GammaCoeffs:
             raise NotInHhat(f"coefficient vector is not in Hhat_{i}")
         self.in_Hhat_at = i if check else None
         self._tables: dict[int, dict[tuple[int, int], CycElt]] = {}   # bracket_table by i
-        vars(self).pop("integer_coeffs", None)   # a vector initialised again is computed again
 
     @classmethod
     def from_integers(cls, ctx: PrimeContext, i: int, values, check: bool = True) -> GammaCoeffs:

@@ -204,11 +204,6 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
     - With D = 0 the difference is kappa^i (Y - G), so its bound is i plus the
       bound of Y - G at precision n - i.  Otherwise kappa^i Y and kappa^i G are
       put to precision n_b and n_G and subtracted as ring elements.
-    - When u, every c_a and every c2_a are integers (Galois-fixed), sigma_k
-      fixes them and gamma is Z-bilinear, so gamma_c(phi x ^ phi y) =
-      u^2 sigma_k gamma_c(x ^ y), and Y - G = u s^i sigma_k(C2[r][s] - u N[r][s])
-      with s = sigma_k(kappa)/kappa a unit.  That has the valuation of
-      C2[r][s] - u N[r][s], which needs no contraction.
     """
     ctx, i, top = c.ctx, c.i, c.ctx.M_work
     out = []
@@ -221,13 +216,11 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
             table2 = numerator_table(c2, i)
         else:
             brackets2 = basis_brackets(c2, i)
-        integer = tabled and not any(mv.u.digits[1:]) and all(
-            x.is_galois_fixed() for x in c.coeffs + c2.coeffs)
         d_max = max(x.den_exp for x in c.coeffs)
         terms = [(x.num.prec, x.num.valuation().bound, d_max - x.den_exp, om)
                  for x, om in zip(c.coeffs, omegas) if not x.is_zero()]
         terms2 = [(x.num.prec, om) for x, om in zip(c2.coeffs, omegas) if not x.is_zero()]
-        table, unit = numerator_table(c, i), mv.u.digits[0]
+        table = numerator_table(c, i)
         cols, xcols = list(zip(*table)), list(zip(*(x.digits for x in xs)))
         pairs, kappa_i = list(combinations(range(ctx.d), 2)), ctx.kappa_power(i).digits
         j = 0   # the pair (r, s) in combinations order
@@ -238,18 +231,14 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
                 n_g = min([prec[r]] + [pi + om[j] + min(e, nu + om[j]) for pi, nu, e, om in terms])
                 if tabled:
                     n_b, c2rs = min([top] + [pi + om[j] for pi, om in terms2]), table2[j]
-                if integer:
-                    delta = [t2 - unit * t1 for t1, t2 in zip(table[j], c2rs)]
-                else:
-                    x_s = xs[s].digits
-                    wedge = [x_r[t] * x_s[w] - x_r[w] * x_s[t] for t, w in pairs]
-                    g = [sum(map(mul, wedge, col)) for col in cols]
-                    if tabled:
-                        y = [sum(map(mul, c2rs, col)) for col in xcols]
-                        delta = list(map(sub, y, g))
+                x_s = xs[s].digits
+                wedge = [x_r[t] * x_s[w] - x_r[w] * x_s[t] for t, w in pairs]
+                g = [sum(map(mul, wedge, col)) for col in cols]
+                if tabled:
+                    y = [sum(map(mul, c2rs, col)) for col in xcols]
                 if tabled and not d_max:
                     n = min(n_b, n_g) - i
-                    diff = CycElt(ctx, ctx._canonical(delta, n), n)
+                    diff = CycElt(ctx, ctx._canonical(list(map(sub, y, g)), n), n)
                     out.append((n + i, diff.valuation().bound + i))
                 else:
                     if tabled:
@@ -337,6 +326,9 @@ def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[Cy
 # v(1/c_a) = 0.  Galois-fixed c2_a and u make sigma_k(c2_a) = c2_a and
 # rho_a(u) = u, at the precision of u.  So each of the three helpers below gives
 # the value, the precision and the PrecisionExhausted of its ring counterpart.
+# They stay beside the ring route, which remains the only route for other
+# vectors: on integer vectors it is slower even with integer shortcuts in CycElt
+# (BENCH_16.json, simplification_controls).
 
 def _integer_candidates(ctx: PrimeContext, zc: tuple, zc2: tuple) -> list[CycElt]:
     """_derived_unit_candidates for integer vectors: B/A is a unit iff B is, at precision min(pa, pb)."""
@@ -482,8 +474,7 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
       is dropped.
     - When every c2_a is Galois-fixed (every grid vector at unit_modulus 1),
       sigma_k(c2_a) is c2_a itself, so move_congruent(u, k) is one computation
-      for every k: it runs once per u, the derived list is formed once, and
-      after the first k only its congruent units are tried.
+      for every k: it runs once per u, and the derived list once.
     - When c and c2 are integer vectors (every grid vector at coeff_mod 1)
       and every nonzero c_a is a unit, the pivot is the first nonzero c_a, and
       the derived list and q_k are Z_p arithmetic (_integer_candidates,
@@ -542,9 +533,6 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
         for u in derived[j]:
             if mv := certified(u, k):
                 return mv
-        if fixed:
-            # every verdict is known now, and holds for every k: keep the congruent units
-            derived[j] = [u for u in derived[j] if verdicts[u.prec, u.digits]]
 
     units = _grid_units(ctx, unit_modulus, budget)
     pairs = ((pos, k) for pos in range(len(units)) for k in ks)
