@@ -6,12 +6,12 @@ sweeping a coefficient grid and keeping, per surviving gamma, only the pair
 (gamma, top level m_top): its chain of truncations m = i .. m_top.  Each
 vertex has maximal class by a lemma (s_group_lcs is the sweep that checks it),
 and the Lie class is < p by the same lemma up to level p*i; only a gamma kept
-above p*i has its Lie series swept, and only it keeps its bracket table
-after lambda.  Vertices are merged only when an isomorphism move has been
-verified: vertex counts are therefore upper bounds on the number of
-isomorphism types.  Pairs are tried only within one class of
-the level below, from level i on, where the classes are the lines of the
-coefficient vectors mod P, points of P^{l-1}(F_p).
+above p*i has its Lie series swept, and only it gets a bracket table.
+Vertices are merged only when an isomorphism move has been verified: vertex
+counts are therefore upper bounds on the number of isomorphism types.  Pairs
+are tried only within one class of the level below, from level i on, where
+the classes are the lines of the coefficient vectors mod P, points of
+P^{l-1}(F_p).
 """
 
 from __future__ import annotations
@@ -205,6 +205,8 @@ class FrameTree:
     merged_by: list[dict]
 
     def to_json(self) -> dict:
+        """The tree as JSON data; vertices that share a gamma share its serialisation."""
+        gammas = {id(g): g.to_json() for g in {id(n.gamma): n.gamma for n in self.nodes}.values()}
         return {
             "p": self.p,
             "i": self.i,
@@ -219,7 +221,7 @@ class FrameTree:
                     "class": n.s_class,
                     "classification": n.classification,
                     "branch_root": n.branch_root,
-                    "gamma": n.gamma.to_json(),
+                    "gamma": gammas[id(n.gamma)],
                     "members": [repr(k) for k in n.member_keys],
                 }
                 for n in self.nodes
@@ -335,9 +337,9 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     lies in P^{ki} + P^m, so the class is at most ceil(m/i) - 1, below p
     whenever m <= p i.  Only a gamma with m_top > p i has its Lie series swept
     (LieRingSpec.nilpotency_class), after the grid and its "no grid
-    coefficient passes" check, and only such a gamma keeps the bracket table
-    that lambda built.  Skipping the sweep elsewhere drops no error it
-    could raise, for integral gamma and M_work >= lambda >= m_top:
+    coefficient passes" check; lambda builds no bracket table on gamma, so
+    only such a gamma gets one.  Skipping the sweep elsewhere drops no error
+    it could raise, for integral gamma and M_work >= lambda >= m_top:
     - the bracket table is known mod P^{M_work-i}, inside P^{m_top-i}, so no
       PrecisionExhausted;
     - a LieElt valuation is exact or AtLeast(m), so no step is undecided;
@@ -361,9 +363,6 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         m_top = min(lam_of(g, i).value, m_max)
         if m_top >= i:
             kept.append((g, m_top))
-        if m_top <= ctx.p * i:
-            # only the class sweep below, for m_top > p i, reads the bracket table again
-            g._tables.clear()
     if not passed:
         raise MaxclassError(f"no grid coefficient passes the Hhat_{i} test")
     max_class = max([1] + [LieRingSpec(ctx, i, m_top, g).nilpotency_class

@@ -1,10 +1,12 @@
 import random
 from itertools import combinations, product
 from math import comb
+from operator import mul, neg
 
 import pytest
 
 from maxclass import (
+    CycElt,
     CycFrac,
     GammaCoeffs,
     LcsProfile,
@@ -20,6 +22,7 @@ from maxclass import (
     gamma_eval,
     homs,
     images_to_coeffs,
+    in_Hhat,
     jacobi_exponent,
     jacobiator,
     lcs_profile,
@@ -140,6 +143,124 @@ def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
             lams.append(jacobi_exponent(g, i))
             assert lams[-1] == nested_jacobiator_lambda(g, i)
     assert any(not lam.exact for lam in lams) and any(lam.exact for lam in lams)
+
+
+def full_contraction(g, i):
+    """lambda of an integral gamma from every basis triple, and each triple's residue valuation.
+
+    jacobi_exponent's contraction before the floor order and the quadratic form,
+    kept as the oracle: J(r, s, t)/kappa^i mod P^{M_work-i} contracted on
+    bracket_table for all binom(p-1, 3) triples, with no early stop.
+    """
+    ctx, d = g.ctx, g.ctx.d
+    n = ctx.M_work - i
+    if n <= 0:
+        return Valuation.at_least(ctx.M_work), {}
+    table = [[(0,) * d for _ in range(d)] for _ in range(d)]
+    for (r, s), e in homs.bracket_table(g, i).items():
+        table[r][s] = e.digits
+        table[s][r] = tuple(map(neg, e.digits))
+    # cols[t][k]: digit k of C[u][t], as a tuple over u
+    cols = [tuple(zip(*(row[t] for row in table))) for t in range(d)]
+    vals = {}
+    for r, s, t in combinations(range(d), 3):
+        x = table[r][s] + table[s][t] + table[t][r]
+        jac = [sum(map(mul, x, a + b + c)) for a, b, c in zip(cols[t], cols[r], cols[s])]
+        vals[r, s, t] = CycElt(ctx, ctx._canonical(jac, n), n).valuation()
+    v = Valuation.minimum(vals.values())
+    return Valuation.exactly(i + v.value) if v.exact else Valuation.at_least(ctx.M_work), vals
+
+
+def floors_met(g, i):
+    """jacobi_exponent equals the full contraction, exact or AtLeast; returns the
+    triples whose exact residue valuation is the floor 2i + r + s + t, after
+    asserting that none lies below it."""
+    want, vals = full_contraction(g, i)
+    assert jacobi_exponent(g, i) == want, (g, i)
+    floors = {rst: 2 * i + sum(rst) for rst in vals}
+    assert all(v.value >= floors[rst] for rst, v in vals.items() if v.exact), (g, i)
+    return want, [rst for rst, v in vals.items() if v.exact and v.value == floors[rst]]
+
+
+def scan_members(p, m_work, i_max, coeff_mod):
+    """The decided Hhat_i members of the scan-conjecture1 grid, by level i <= i_max."""
+    ctx = PrimeContext(p, m_work)
+    for i in range(i_max + 1):
+        for coeffs in _coefficient_grid(ctx, coeff_mod, 100_000):
+            g = GammaCoeffs(ctx, i, coeffs, check=False)
+            try:
+                if in_Hhat(g, i):
+                    yield g, i
+            except PrecisionExhausted:
+                continue
+
+
+@pytest.mark.parametrize("p, m_work, i_max, coeff_mod, members, atleast", [
+    (5, 20, 12, 1, 40, 16), (5, 20, 12, 2, 200, 80), (5, 60, 12, 1, 52, 0), (5, 60, 12, 2, 260, 0),
+    (7, 60, 14, 1, 630, 0), (7, 60, 14, 2, 30870, 0)])
+def test_jacobi_exponent_equals_full_contraction_on_scan_grids(monkeypatch, p, m_work, i_max,
+                                                               coeff_mod, members, atleast):
+    # every decided member: the quadratic form at coeff_mod 1, numerator_table at
+    # coeff_mod 2, both walked in floor order with the early stop; the floor
+    # 2i + r + s + t of the lemma holds on every triple, and is met on some.
+    # For integral gamma bracket_table is the numerator_table with no kappa-
+    # denominator (test_bracket_table_is_divided_basis_brackets), so the route
+    # reads the table the oracle built, and each table is built once
+    monkeypatch.setattr(liering, "numerator_table",
+                        lambda g, i: [e.digits for e in homs.bracket_table(g, i).values()])
+    lams, met = [], 0
+    for g, i in scan_members(p, m_work, i_max, coeff_mod):
+        lam, at_floor = floors_met(g, i)
+        lams.append(lam)
+        met += bool(at_floor)
+    assert (len(lams), sum(not lam.exact for lam in lams)) == (members, atleast)
+    assert met > 0
+
+
+@pytest.mark.parametrize("p, m_work", [(5, 20), (5, 44), (7, 24), (7, 60), (11, 40), (11, 84)])
+def test_jacobi_exponent_equals_full_contraction_off_the_grid(p, m_work):
+    # seeded integer vectors with large entries and zeros, and integral vectors
+    # with every digit drawn, at levels from 0 to past M_work
+    ctx = PrimeContext(p, m_work)
+    rng = random.Random(17 * p + m_work)
+    lams = []
+    for _ in range(12 if p == 11 else 40):
+        i = rng.randrange(m_work + 2)
+        ints = [rng.choice([0, rng.randrange(-p ** 4, p ** 4)]) for _ in range(ctx.l)]
+        digits = [CycFrac(ctx.element([rng.randrange(p ** 3) for _ in range(ctx.d)]))
+                  for _ in range(ctx.l)]
+        for g in (GammaCoeffs.from_integers(ctx, i, ints, check=False),
+                  GammaCoeffs(ctx, i, digits, check=False)):
+            assert g.is_integral()
+            lams.append(floors_met(g, i)[0])
+    assert any(lam.exact for lam in lams) and any(not lam.exact for lam in lams)
+
+
+def test_jacobi_exponent_walks_triples_in_floor_order(monkeypatch):
+    # an integer vector builds the K forms of the triples it walks, and no
+    # bracket table.  lambda = 3i+3 is the floor of (0, 1, 2), so nothing after
+    # it; at lambda = 3i+5, (0, 1, 3) has the floor 2i+4 < 2i+5.  At p = 7, i = 3
+    # the residue of (0, 1, 2) lies above its floor and (0, 2, 3) is walked
+    # before (0, 1, 5), which lexicographic order would stop at; at p = 11 the
+    # floors interleave further.  Another integral vector contracts a
+    # numerator_table built afresh
+    tables = []
+    monkeypatch.setattr(liering, "numerator_table",
+                        lambda *a: tables.append(a) or homs.numerator_table(*a))
+    for p, i, coeffs, lam, walked in [
+            (7, 9, [1, 3], 30, [(0, 1, 2)]),
+            (7, 8, [0, 1], 29, [(0, 1, 2), (0, 1, 3)]),
+            (7, 3, [1, 2], 15, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)]),
+            (11, 0, [1, 2, 8, 4], 8, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 1, 5), (0, 2, 4),
+                                      (1, 2, 3), (0, 1, 6), (0, 2, 5), (0, 3, 4), (1, 2, 4)])]:
+        ctx = PrimeContext(p, 60)
+        g = GammaCoeffs.from_integers(ctx, i, coeffs, check=False)
+        assert jacobi_exponent(g, i) == Valuation.exactly(lam) == full_contraction(g, i)[0]
+        assert ctx._jacobi_forms[0] == i and list(ctx._jacobi_forms[1]) == walked
+    assert tables == []
+    h = GammaCoeffs(ctx, 9, [ctx.element([1, 1]), ctx.from_int(3)] + [ctx.zero()] * (ctx.l - 2))
+    assert jacobi_exponent(h, 9) == full_contraction(GammaCoeffs(ctx, 9, h.coeffs), 9)[0]
+    assert len(tables) == 1 and h._tables == {}
 
 
 def test_jacobi_lower_bound_and_shift(ctx5, g5):
