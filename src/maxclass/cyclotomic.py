@@ -117,11 +117,10 @@ class PrimeContext:
         self._moduli: dict[int, tuple[int, ...]] = {}
         self._galois_pows: dict[int, tuple[tuple[int, ...], ...]] = {}
         # caches of homs: theta_a tables by a, theta_a on the basis wedges of P^i
-        # and Vandermonde data by i; of liering: the level i and its Jacobi forms K by triple
+        # and Vandermonde data by i
         self._theta_tabs: dict[int, tuple] = {}
         self._basis_thetas: dict[int, tuple] = {}
         self._vandermonde: dict[int, object] = {}
-        self._jacobi_forms: tuple[int | None, dict] = (None, {})
         # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u),
         # the witness checks of verify_witness by the content of (c, c2, move), and
         # sigma_k(kappa^{i+u})/kappa^i by (k, i)

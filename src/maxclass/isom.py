@@ -295,30 +295,16 @@ def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:
     return tuple(key)
 
 
-def _quotient(ca2: CycFrac, k: int, ca: CycFrac) -> CycFrac | MaxclassError:
-    """sigma_k(ca2) / ca, or the MaxclassError that forming it raised."""
-    try:
-        return ca2.galois(k) / ca
-    except MaxclassError as exc:
-        return exc
-
-
-def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int,
-                             quotient=None) -> list[CycElt]:
-    """Galois-invariant quotients sigma_k(c2_a) / c_a; for such u, rho_a(u) = u.
-
-    quotient(a), if given, is the _quotient at a; an error other than
-    InsufficientValuation or PrecisionExhausted in forming it raises here.
-    """
+def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[CycElt]:
+    """Galois-invariant quotients sigma_k(c2_a) / c_a; for such u, rho_a(u) = u."""
     out = []
-    for a, (ca, ca2) in enumerate(zip(c.coeffs, c2.coeffs)):
+    for ca, ca2 in zip(c.coeffs, c2.coeffs):
         if ca.is_zero() or ca2.is_zero():
             continue
-        q = quotient(a) if quotient else _quotient(ca2, k, ca)
-        if isinstance(q, (InsufficientValuation, PrecisionExhausted)):
+        try:
+            q = ca2.galois(k) / ca
+        except (InsufficientValuation, PrecisionExhausted):
             continue
-        if isinstance(q, MaxclassError):
-            raise q
         v = q.valuation()
         if q.den_exp == 0 and v.exact and v.value == 0:
             u = q.num
@@ -419,14 +405,18 @@ def _decidable(c: GammaCoeffs, c2: GammaCoeffs, m: int, prec: int, ks) -> bool:
     return True
 
 
-def _quotient_key(q: CycFrac | MaxclassError, n: int) -> tuple | None:
-    """q = sigma_k(ca2) / ca (a _quotient) mod P^n as canonical digits, or None when q is not known mod P^n.
+def _quotient_key(ca2: CycFrac, k: int, ca: CycFrac, n: int) -> tuple | None:
+    """q = sigma_k(ca2) / ca mod P^n as canonical digits, or None when q is not known mod P^n.
 
     A unit never has the key of a non-unit q: a q in P has digit 0 divisible by
     p, and a q with a kappa-denominator gets the key (), which no digit tuple is.
     An error on the way only leaves q undecided.
     """
-    if isinstance(q, MaxclassError) or q.num.prec - q.den_exp < n:
+    try:
+        q = ca2.galois(k) / ca
+    except MaxclassError:
+        return None
+    if q.num.prec - q.den_exp < n:
         return None
     return () if q.den_exp else q.num.reduce_to(n).digits
 
@@ -482,8 +472,6 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
       matches no unit, so its k has no candidate.
     - A repeat of (u, k) in one k's derived list failed the first time; it
       is dropped.
-    - On the ring route q_k is formed once per k (_quotient), and both the
-      derived list and _quotient_key read it, each with its own error set.
     - When every c2_a is Galois-fixed (every grid vector at unit_modulus 1),
       sigma_k(c2_a) is c2_a itself, so move_congruent(u, k) is one computation
       for every k: it runs once per u, and the derived list once.
@@ -505,21 +493,16 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
         pivot = _pivot(c, m)
     n = None if pivot is None else m - pivot[0]
     keys: dict[int, tuple | None] = {}     # q_k mod P^n by k, 1 standing for every k when fixed
-    quotients: dict[tuple, object] = {}    # _quotient by (a, k) on the ring route, shared by both readers
     decided: dict[int, bool] = {}          # _decidable by unit precision
     derived: dict[int, list[CycElt]] = {}  # the derived units by k, repeats and skips dropped
     verdicts: dict[tuple, bool] = {}       # move_congruent by (u, k), or by u when fixed
-
-    def quotient(a: int, k: int) -> CycFrac | MaxclassError:
-        if (a, k) not in quotients:
-            quotients[a, k] = _quotient(c2.coeffs[a], k, c.coeffs[a])
-        return quotients[a, k]
 
     def key(k: int) -> tuple | None:
         k = 1 if fixed else k
         if k not in keys:
             a = pivot[1]
-            keys[k] = _integer_key(ctx, zc[a], zc2[a], n) if zc else _quotient_key(quotient(a, k), n)
+            keys[k] = (_integer_key(ctx, zc[a], zc2[a], n) if zc
+                       else _quotient_key(c2.coeffs[a], k, c.coeffs[a], n))
         return keys[k]
 
     def solvable(prec: int) -> bool:
@@ -545,8 +528,7 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     for k in ks:
         j = 1 if fixed else k
         if j not in derived:
-            found = (_integer_candidates(ctx, zc, zc2) if zc
-                     else _derived_unit_candidates(c, c2, j, lambda a: quotient(a, j)))
+            found = _integer_candidates(ctx, zc, zc2) if zc else _derived_unit_candidates(c, c2, j)
             derived[j] = [u for u in dict.fromkeys(found) if not skip(u, j)]
         for u in derived[j]:
             if mv := certified(u, k):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from operator import add, mod, mul, neg, sub
 
 from .cyclotomic import (
@@ -23,8 +23,8 @@ from .cyclotomic import (
     PrimeContext,
     Valuation,
 )
-from .homs import (GammaCoeffs, NotInHhat, _basis_thetas, basis_brackets, bracket_table, gamma_eval,
-                   in_Hhat, numerator_table)
+from .homs import (GammaCoeffs, NotInHhat, basis_brackets, bracket_table, gamma_eval, in_Hhat,
+                   numerator_table)
 
 
 class NotNilpotent(MaxclassError):
@@ -38,55 +38,6 @@ def jacobiator(g: GammaCoeffs, x: CycElt, y: CycElt, z: CycElt) -> CycElt:
             + gamma_eval(g, gamma_eval(g, z, x), y))
 
 
-def _pieces(rows, d: int, rst: tuple[int, int, int]) -> tuple[tuple, list]:
-    """The factors of (*) in jacobi_exponent at (r, s, t), for a table C given by pair u < v.
-
-    rows is in numerator_table's layout.  The row holds the digits of C[r][s], C[s][t]
-    and C[t][r], and column k digit k of C[u][t], C[u][r] and C[u][s] over u, so that
-    digit k of (*) is the dot product of the row with column k.
-    """
-    def entry(u, v):
-        if u == v:
-            return (0,) * d
-        x = rows[min(u, v) * (2 * d - min(u, v) - 3) // 2 + max(u, v) - 1]
-        return x if u < v else tuple(map(neg, x))
-
-    r, s, t = rst
-    return (entry(r, s) + entry(s, t) + entry(t, r),
-            list(zip(*[entry(u, v) for v in (t, r, s) for u in range(d)])))
-
-
-def _floor_order(d: int):
-    """The triples r < s < t < d in non-decreasing r + s + t, lexicographic within one sum."""
-    for f in range(3, 3 * d - 5):
-        for r in range(d):
-            for s in range(r + 1, d):
-                if s < f - r - s < d:
-                    yield r, s, f - r - s
-
-
-def _jacobi_form(ctx: PrimeContext, i: int, rst: tuple[int, int, int]) -> tuple:
-    """K_ab(r, s, t)/kappa^i mod P^{M_work-i}, a <= b, as columns: digit k over the pairs (a, b).
-
-    The context keeps the forms of the last level i asked for: grids are swept
-    one level at a time, and the forms of every level would outlast the sweep.
-    """
-    if ctx._jacobi_forms[0] != i:
-        ctx._jacobi_forms = (i, {})
-    forms = ctx._jacobi_forms[1]
-    form = forms.get(rst)
-    if form is None:
-        pieces = [_pieces([q.digits for q in row], ctx.d, rst) for row in _basis_thetas(ctx, i)[1]]
-        ks = []
-        for a, b in combinations_with_replacement(range(ctx.l), 2):
-            k = [sum(map(mul, pieces[a][0], col)) for col in pieces[b][1]]
-            if a < b:
-                k = [x + sum(map(mul, pieces[b][0], col)) for x, col in zip(k, pieces[a][1])]
-            ks.append(ctx._canonical(k, ctx.M_work - i))
-        form = forms[rst] = tuple(zip(*ks))
-    return form
-
-
 def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     """Exponent lambda with J_i(gamma) = P^lambda, from the basis triples.
 
@@ -94,46 +45,27 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     r = 0..p-2, is a module basis of P^i, so the ideal generated by all
     Jacobiators equals the one generated on the binom(p-1, 3) basis triples.
 
-    For gamma integral at working precision M (is_integral) the triples are
-    contracted in coordinates.  Let n = M - i and C the numerator_table of g,
-    so C[r][s] is gamma(e_r ^ e_s)/kappa^i mod P^n.  The digits C[r][s]_u are
-    the Z_p-coordinates of gamma(e_r ^ e_s) on the e_u, so bilinearity gives
-      (*) J(r, s, t)/kappa^i = sum_u C[r][s]_u C[u][t] + C[s][t]_u C[u][r] + C[t][r]_u C[u][s].
-    This is exact mod P^n on any digit representatives of the C[r][s].  As
-    cosets, sum_u C[r][s]_u e_u is gamma(e_r ^ e_s) up to P^M, which moves J by
-    gamma(P^M ^ P^{i+t}), inside P^M, and an inner C[u][t] errs by P^n.  Two
-    representatives of one coset differ in digit u by a multiple of its modulus
-    p^e, (p-1)e >= n - u, which moves (*) by p^e C[u][t], inside P^n as C[u][t]
-    lies in P^u + P^n.  The nested route
-    gamma(gamma(e_r ^ e_s) ^ e_t) labels the same residues: every evaluation there
-    has precision min(x.prec + v(y), y.prec + v(x), M) = M, since its inputs are
-    known mod P^M and all valuations are >= 0, so its label is Exact(v(J)) iff
-    J(r, s, t) is not 0 mod P^M, and AtLeast(M) otherwise.  Hence lambda = i +
-    the least valuation of the residues (*), or AtLeast(M) when all vanish, as
-    for every i >= M.
+    For gamma integral at working precision M the triples are contracted in
+    coordinates.  Let n = M - i and C the numerator_table of g, built afresh,
+    so C[r][s] is gamma(e_r ^ e_s)/kappa^i mod P^n.  The digits C[r][s]_u are the
+    Z_p-coordinates of gamma(e_r ^ e_s) on the e_u, so bilinearity gives
+        J(r, s, t)/kappa^i = sum_u C[r][s]_u C[u][t] + C[s][t]_u C[u][r] + C[t][r]_u C[u][s].
+    This is exact mod P^n: kappa^i C[r][s] is gamma(e_r ^ e_s) up to P^M, and
+    gamma(P^M ^ P^{i+t}) lies in P^M, so that error moves J only by P^M.
+    The nested route gamma(gamma(e_r ^ e_s) ^ e_t) labels the same residues:
+    every evaluation there has precision min(x.prec + v(y), y.prec + v(x), M)
+    = M, since its inputs are known mod P^M and all valuations are >= 0, so
+    its label is Exact(v(J)) iff J(r, s, t) is not 0 mod P^M, and AtLeast(M)
+    otherwise.  Hence lambda = i + the least valuation of the contracted
+    residues, or AtLeast(M) when all vanish, as for every i >= M.
 
     The floor: sigma_a keeps valuations, so theta_a and an integral gamma map
     P^x ^ P^y into P^{x+y}; gamma(e_r ^ e_s) lies in P^{2i+r+s}, J(r, s, t) in
     P^{3i+r+s+t}, and v(J(r, s, t)/kappa^i) >= f = 2i + r + s + t.  So the triples
-    are walked in non-decreasing f, keeping w, the least exact valuation found
-    (w = n before any, as an exact residue valuation is < n).  Once f >= w every
-    later residue has valuation >= f >= w, so w is the least, and the walk
-    stops; with w = n, that is AtLeast(M) once f reaches n.
-
-    The quadratic form: when every c_a is also Galois-fixed, an element of Z_p
-    (every --coeff-mod 1 grid vector and every --coeff build), gamma =
-    sum_a c_a theta_a is a Z_p-combination, so J = sum_{a<=b} c_a c_b K_ab with
-    K_aa = J_aa and K_ab = J_ab + J_ba for a < b, where J_ab(r, s, t) =
-    sum_cyc theta_b(theta_a(e_r ^ e_s) ^ e_t).  J_ab/kappa^i is (*) with C[r][s]
-    from theta_a and C[u][t] from theta_b, on their quotients from _basis_thetas,
-    known mod P^n, so it is exact mod P^n, and so is K_ab/kappa^i; reducing its
-    digits by their moduli keeps its residue.  As integers, (*) on the digits
-    sum_a c_a (theta_a/kappa^i) of C (numerator_table's for integers) is
-    exactly sum_{a,b} c_a c_b J_ab/kappa^i on the quotients' digits, so
-    sum_{a<=b} c_a c_b K_ab/kappa^i has the residue of (*) mod P^n.  K is built
-    per triple and kept on the context for the latest level (_jacobi_form), so
-    such a lambda builds no table; other integral vectors contract their
-    numerator_table, built afresh.
+    are walked in non-decreasing f, keeping least, the least exact valuation
+    found (n before any, as an exact residue valuation is < n).  Once f >= least
+    every later residue has valuation >= f >= least, so least is the least, and
+    the walk stops; with none found, that is AtLeast(M) once f reaches n.
 
     Any other gamma (kappa-denominators, or coefficients known below M, as
     images_to_coeffs gives) keeps the nested gamma_eval route, whose AtLeast
@@ -151,22 +83,19 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     n = ctx.M_work - i
     if n <= 0:
         return Valuation.at_least(ctx.M_work)
-    if all(c.is_galois_fixed() for c in g.coeffs):
-        w = [x * y for x, y in combinations_with_replacement([c.num.digits[0] for c in g.coeffs], 2)]
-
-        def residue(rst):
-            return [sum(map(mul, w, col)) for col in _jacobi_form(ctx, i, rst)]
-    else:
-        rows = numerator_table(g, i)
-
-        def residue(rst):
-            row, cols = _pieces(rows, d, rst)
-            return [sum(map(mul, row, col)) for col in cols]
+    table = [[(0,) * d for _ in range(d)] for _ in range(d)]
+    for (r, s), e in zip(combinations(range(d), 2), numerator_table(g, i)):
+        table[r][s] = e
+        table[s][r] = tuple(map(neg, e))
+    # cols[t][k]: digit k of C[u][t], as a tuple over u
+    cols = [tuple(zip(*(row[t] for row in table))) for t in range(d)]
     least = n
-    for rst in _floor_order(d):
-        if 2 * i + sum(rst) >= least:
+    for r, s, t in sorted(combinations(range(d), 3), key=sum):
+        if 2 * i + r + s + t >= least:
             break
-        v = CycElt(ctx, ctx._canonical(residue(rst), n), n).valuation()
+        x = table[r][s] + table[s][t] + table[t][r]
+        jac = [sum(map(mul, x, a + b + c)) for a, b, c in zip(cols[t], cols[r], cols[s])]
+        v = CycElt(ctx, ctx._canonical(jac, n), n).valuation()
         if v.exact:
             least = min(least, v.value)
     return Valuation.exactly(i + least) if least < n else Valuation.at_least(ctx.M_work)

@@ -385,8 +385,7 @@ IDENTITY_LIST = [
     # 155 of its 275 entries unresolved at M_work 20
     ("scan-conjecture1 --p 5 --i-max 12 --m-work 20 --coeff-mod 2",
      "5d4a957b9cae13d8832d3e017227625bd89d9d87df80ea25d3c907a0d56f5454"),
-    # lambda at p = 11 on a whole grid: 1,331 lines mod P, each through the
-    # quadratic form, whose K_ab then cover four coefficients
+    # lambda at p = 11 on a whole grid: 1,331 lines mod P, four coefficients each
     ("scan-conjecture1 --p 11 --i-max 0",
      "b28ecfaca5b4bf1bd05eb89c51e5fa9120df3a2b7549288780906b4606a33f0c"),
 ]

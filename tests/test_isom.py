@@ -43,7 +43,6 @@ from maxclass.isom import (
     _integer_candidates,
     _integer_congruent,
     _integer_key,
-    _quotient,
     _quotient_key,
     _witness_differences,
 )
@@ -544,8 +543,7 @@ def test_integer_search_steps_equal_the_ring_route(p, i, m_work):
         for a, (za, zb) in enumerate(zip(zc, zc2)):
             if za[3] is not None:
                 n = rng.randrange(1, m_work + 3)
-                q = _quotient(c2.coeffs[a], 1, c.coeffs[a])
-                assert _integer_key(ctx, za, zb, n) == _quotient_key(q, n)
+                assert _integer_key(ctx, za, zb, n) == _quotient_key(c2.coeffs[a], 1, c.coeffs[a], n)
         for u in rng.sample(units, 3):
             want = outcome(move_congruent_by_ring, c, c2, IsoMove(u, 1), m)
             assert outcome(_integer_congruent, p, zc, zc2, u, m) == want

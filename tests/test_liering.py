@@ -148,8 +148,8 @@ def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
 def full_contraction(g, i):
     """lambda of an integral gamma from every basis triple, and each triple's residue valuation.
 
-    jacobi_exponent's contraction before the floor order and the quadratic form,
-    kept as the oracle: J(r, s, t)/kappa^i mod P^{M_work-i} contracted on
+    jacobi_exponent's contraction before the floor order and the early stop, kept
+    as the oracle: J(r, s, t)/kappa^i mod P^{M_work-i} contracted on
     bracket_table for all binom(p-1, 3) triples, with no early stop.
     """
     ctx, d = g.ctx, g.ctx.d
@@ -200,9 +200,8 @@ def scan_members(p, m_work, i_max, coeff_mod):
     (7, 60, 14, 1, 630, 0), (7, 60, 14, 2, 30870, 0)])
 def test_jacobi_exponent_equals_full_contraction_on_scan_grids(monkeypatch, p, m_work, i_max,
                                                                coeff_mod, members, atleast):
-    # every decided member: the quadratic form at coeff_mod 1, numerator_table at
-    # coeff_mod 2, both walked in floor order with the early stop; the floor
-    # 2i + r + s + t of the lemma holds on every triple, and is met on some.
+    # every decided member, its table walked in floor order with the early stop;
+    # the floor 2i + r + s + t of the lemma holds on every triple, and is met on some.
     # For integral gamma bracket_table is the numerator_table with no kappa-
     # denominator (test_bracket_table_is_divided_basis_brackets), so the route
     # reads the table the oracle built, and each table is built once
@@ -237,30 +236,34 @@ def test_jacobi_exponent_equals_full_contraction_off_the_grid(p, m_work):
 
 
 def test_jacobi_exponent_walks_triples_in_floor_order(monkeypatch):
-    # an integer vector builds the K forms of the triples it walks, and no
-    # bracket table.  lambda = 3i+3 is the floor of (0, 1, 2), so nothing after
-    # it; at lambda = 3i+5, (0, 1, 3) has the floor 2i+4 < 2i+5.  At p = 7, i = 3
-    # the residue of (0, 1, 2) lies above its floor and (0, 2, 3) is walked
+    # the residues jacobi_exponent forms are those of the listed triples, in
+    # order.  lambda = 3i+3 is the floor of (0, 1, 2), so nothing after it is
+    # walked; at lambda = 3i+5, (0, 1, 3) has the floor 2i+4 < 2i+5.  At p = 7,
+    # i = 3 the residue of (0, 1, 2) lies above its floor and (0, 2, 3) is walked
     # before (0, 1, 5), which lexicographic order would stop at; at p = 11 the
-    # floors interleave further.  Another integral vector contracts a
-    # numerator_table built afresh
-    tables = []
+    # floors interleave further.  Each lambda contracts one numerator_table,
+    # built afresh, and leaves no table on gamma
+    residues, tables = [], []
+    monkeypatch.setattr(liering, "CycElt", lambda *a: residues.append(CycElt(*a)) or residues[-1])
     monkeypatch.setattr(liering, "numerator_table",
                         lambda *a: tables.append(a) or homs.numerator_table(*a))
-    for p, i, coeffs, lam, walked in [
-            (7, 9, [1, 3], 30, [(0, 1, 2)]),
-            (7, 8, [0, 1], 29, [(0, 1, 2), (0, 1, 3)]),
-            (7, 3, [1, 2], 15, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)]),
-            (11, 0, [1, 2, 8, 4], 8, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 1, 5), (0, 2, 4),
-                                      (1, 2, 3), (0, 1, 6), (0, 2, 5), (0, 3, 4), (1, 2, 4)])]:
+    cases = [
+        (7, 9, [1, 3], 30, [(0, 1, 2)]),
+        (7, 8, [0, 1], 29, [(0, 1, 2), (0, 1, 3)]),
+        (7, 3, [1, 2], 15, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3)]),
+        (11, 0, [1, 2, 8, 4], 8, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 1, 5), (0, 2, 4),
+                                  (1, 2, 3), (0, 1, 6), (0, 2, 5), (0, 3, 4), (1, 2, 4)])]
+    for p, i, coeffs, lam, walked in cases:
         ctx = PrimeContext(p, 60)
         g = GammaCoeffs.from_integers(ctx, i, coeffs, check=False)
-        assert jacobi_exponent(g, i) == Valuation.exactly(lam) == full_contraction(g, i)[0]
-        assert ctx._jacobi_forms[0] == i and list(ctx._jacobi_forms[1]) == walked
-    assert tables == []
+        residues.clear()
+        assert jacobi_exponent(g, i) == Valuation.exactly(lam) and g._tables == {}
+        want, vals = full_contraction(g, i)
+        assert want == Valuation.exactly(lam)
+        assert [e.valuation() for e in residues] == [vals[rst] for rst in walked]
     h = GammaCoeffs(ctx, 9, [ctx.element([1, 1]), ctx.from_int(3)] + [ctx.zero()] * (ctx.l - 2))
     assert jacobi_exponent(h, 9) == full_contraction(GammaCoeffs(ctx, 9, h.coeffs), 9)[0]
-    assert len(tables) == 1 and h._tables == {}
+    assert len(tables) == len(cases) + 1 and h._tables == {}
 
 
 def test_jacobi_lower_bound_and_shift(ctx5, g5):
