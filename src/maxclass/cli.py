@@ -8,8 +8,10 @@ violation, 2 config error, 3 budget or precision exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cyclotomic import (
     DEFAULT_BUDGET,
@@ -83,17 +85,114 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
     return GammaCoeffs.from_integers(ctx, i, [int(t) for t in parts])
 
 
-def _write(path: str | None, blob: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, opened for writing, or standard output."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+            yield fh
     else:
-        sys.stdout.write(blob)
+        yield sys.stdout
+
+
+def _write(path: str | None, blob: str) -> None:
+    with _output(path) as fh:
+        fh.write(blob)
+
+
+# json's text of a value of exactly this type, None for a container
+_TEXT = {str: encode_basestring_ascii, int: repr, float: json.JSONEncoder().encode,
+         bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
+         **dict.fromkeys((list, tuple, dict), lambda _: None)}
+_FLUSH_EVERY = 4096   # chunks that _write_json holds before it writes them
+
+
+def _subclass_text(o) -> str | None:
+    """_TEXT for an instance of a subclass; TypeError for what json refuses."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):   # bool has no subclasses
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _TEXT[float](o)
+    if isinstance(o, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    """A dict key as json writes it, quoted: bool before int, a float as its float text."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return encode_basestring_ascii(_TEXT.get(k.__class__, _subclass_text)(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write_json(obj, write) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) + "\\n" through write, byte for byte.
+
+    With indent set, json formats in pure Python and returns the whole text.
+    Here scalars go through json's C routines, and whenever a container is
+    closed with _FLUSH_EVERY chunks waiting, they are written and dropped, so
+    the text is never all held at once.  What json refuses raises TypeError,
+    as in json; a circular container is not detected.
+    """
+    chunks = []
+    append = chunks.append
+    newline = ["\n"]   # newline[d]: a line break and the indent of depth d
+    text_of = _TEXT.get
+
+    def container(o, depth: int) -> None:
+        if not o:
+            append("{}" if isinstance(o, dict) else "[]")
+            return
+        if len(newline) == depth + 1:
+            newline.append(newline[depth] + "  ")
+        inner = newline[depth + 1]
+        comma = "," + inner
+        # the dict and list loops differ only in the head of an item
+        if isinstance(o, dict):
+            sep, close = "{" + inner, newline[depth] + "}"
+            for k, v in sorted(o.items()):
+                head = sep + (encode_basestring_ascii(k) if k.__class__ is str else _key(k)) + ": "
+                sep = comma
+                text = text_of(v.__class__, _subclass_text)(v)
+                if text is None:
+                    append(head)
+                    container(v, depth + 1)
+                else:
+                    append(head + text)
+        else:
+            sep, close = "[" + inner, newline[depth] + "]"
+            for v in o:
+                head, sep = sep, comma
+                text = text_of(v.__class__, _subclass_text)(v)
+                if text is None:
+                    append(head)
+                    container(v, depth + 1)
+                else:
+                    append(head + text)
+        append(close)
+        if len(chunks) >= _FLUSH_EVERY:
+            write("".join(chunks))
+            chunks.clear()
+
+    text = text_of(obj.__class__, _subclass_text)(obj)
+    if text is None:
+        container(obj, 0)
+    else:
+        append(text)
+    append("\n")
+    write("".join(chunks))
 
 
 def _emit(payload, fmt: str, out: str | None, text_lines) -> None:
-    _write(out, json.dumps(payload, sort_keys=True, indent=2) + "\n" if fmt == "json"
-           else "\n".join(text_lines) + "\n")
+    with _output(out) as fh:
+        if fmt == "json":
+            _write_json(payload, fh.write)
+        else:
+            fh.write("\n".join(text_lines) + "\n")
 
 
 # ---- commands: each reads the parsed namespace of its subcommand ----

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import mod
 from typing import Iterator
 
 
@@ -154,8 +155,7 @@ class PrimeContext:
         return mods
 
     def _canonical(self, digits: list[int] | tuple[int, ...], prec: int) -> tuple[int, ...]:
-        mods = self.digit_moduli(prec)
-        return tuple(d % m if m > 1 else 0 for d, m in zip(digits, mods))
+        return tuple(map(mod, digits, self.digit_moduli(prec)))
 
     def _reduce_raw(self, conv: list[int]) -> list[int]:
         # fold powers kappa^t, t >= p-1, down through the reduction row

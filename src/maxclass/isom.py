@@ -288,10 +288,12 @@ def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool
 
 
 def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:
+    # the digits of num.reduce_to(prec), which cannot raise: prec <= num.prec
     key = []
     for ca in c.coeffs:
-        num = ca.num.reduce_to(min(ca.num.prec, modulus + ca.den_exp))
-        key.append((ca.den_exp, num.digits))
+        num = ca.num
+        prec = min(num.prec, modulus + ca.den_exp)
+        key.append((ca.den_exp, num.ctx._canonical(num.digits, prec)))
     return tuple(key)
 
 

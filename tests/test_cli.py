@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxclass import cli
 from maxclass.cli import main
@@ -391,12 +393,131 @@ IDENTITY_LIST = [
 ]
 
 
+def stdlib_json(obj) -> str:
+    """The oracle of cli._write_json: the stdlib's indented, key-sorted text."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def written_json(obj) -> str:
+    parts = []
+    cli._write_json(obj, parts.append)
+    return "".join(parts)
+
+
 @pytest.mark.parametrize("argv,digest", IDENTITY_LIST, ids=[a for a, _ in IDENTITY_LIST])
-def test_identity_list_output_pinned(capsys, argv, digest):
+def test_identity_list_output_pinned(capsys, monkeypatch, argv, digest):
     # sha256 of the `--format json` output; any change in it is a changed answer
+    payloads = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda obj, write: payloads.append(obj)
+                        or write_json(obj, write))
     code, out, _ = run(capsys, *argv.split(), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(payloads) == 1 and out == stdlib_json(payloads[0])
+
+
+def test_json_output_never_calls_json_dumps(capsys, monkeypatch):
+    # the stdlib's indented encoder is pure Python; --format json must not fall back to it
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+    monkeypatch.setattr(json, "dumps", refuse)
+    argv, digest = IDENTITY_LIST[0]
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_file_outputs_equal_stdout(capsys, tmp_path):
+    argv = "enumerate --p 5 --i 7 --m-max 20 --coeff-mod 1 --format json".split()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    f, g = tmp_path / "out.json", tmp_path / "tree.json"
+    code, out_f, _ = run(capsys, *argv, "--out", str(f))
+    assert code == 0 and out_f == ""
+    assert f.read_bytes() == out.encode()
+    code, out_g, _ = run(capsys, *argv, "--out-json", str(g))
+    assert code == 0 and out_g == out
+    assert g.read_bytes() == out.encode()
+
+
+def test_write_json_streams_in_chunks(capsys, monkeypatch):
+    code, out, _ = run(capsys, "scan-conjecture1", "--p", "7", "--i-max", "14", "--format", "json")
+    assert code == 0
+    monkeypatch.setattr(cli, "_FLUSH_EVERY", 100)
+    parts = []
+    cli._write_json(json.loads(out), parts.append)
+    assert "".join(parts) == out
+    assert len(parts) > 10 and max(map(len, parts)) < len(out) / 10
+
+
+# JSON data as json.dumps takes it: keys of one comparable kind per dict, since
+# sort_keys cannot order a str key against an int key
+json_scalars = (st.text() | st.integers() | st.integers(min_value=2 ** 64) | st.floats()
+                | st.booleans() | st.none())
+
+
+def json_containers(children):
+    return (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+            | st.dictionaries(st.text(), children, max_size=5)
+            | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=5)
+            | st.dictionaries(st.none(), children, max_size=1))
+
+
+json_values = st.recursive(json_scalars, json_containers, max_leaves=25)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(json_values, st.integers(min_value=1, max_value=8))
+def test_write_json_matches_json_dumps(obj, flush_every):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_FLUSH_EVERY", flush_every)
+        assert written_json(obj) == stdlib_json(obj)
+
+
+class Label(str):
+    def __repr__(self):
+        return "Label()"
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "Ratio()"
+
+
+class Row(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    # json writes a subclass of a scalar type by the base type's routine
+    [Label("a\u00e9"), Count(7), Ratio(0.5), Ratio(float("nan")), Row([Count(1)])],
+    Table({Count(2): Label("b"), 3.5: Row(), True: Table()}),
+    {Label("k"): collections.OrderedDict(b=1, a=2)},
+    "\x00\x1f\u00e9\u2028\U0001f600\"\\", float("nan"), float("inf"), -float("inf"), 10 ** 40,
+    -0.0, 1e300, [[]], [{}], {"a": [[], {}, ()]}, (1, (2, ())), {1: 0, 1.5: 1, True: 2},
+    {False: 0, 2: 1}, {None: [None]}, {float("nan"): 1, float("-inf"): 2}, [True, False, None]])
+def test_write_json_matches_json_dumps_on_edge_cases(obj):
+    assert written_json(obj) == stdlib_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), [1, {"a": {2, 3}}], {"a": 1, 2: 3}, {(1, 2): 3}, {"x": b"bytes"}, [1j]])
+def test_write_json_raises_type_error_where_json_does(obj):
+    with pytest.raises(TypeError) as want:
+        stdlib_json(obj)
+    with pytest.raises(TypeError) as got:
+        written_json(obj)
+    assert str(got.value) == str(want.value)
 
 
 def test_enumerate_json_independent_of_hash_seed():

@@ -199,6 +199,22 @@ def test_canonical_equality_is_coset_equality(ctx):
     assert z == x
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_canonical_matches_guarded_reduction(p):
+    # x % 1 == 0 for every int, so the guard of the former expression changes nothing
+    ctx = PrimeContext(p, 60)
+    rng = random.Random(p)
+    big = p ** 60
+    for prec in range(-3, 66):
+        mods = ctx.digit_moduli(prec)
+        for _ in range(20):
+            digits = [rng.choice((-1, 1)) * rng.randrange(3 * big) for _ in range(ctx.d)]
+            want = tuple(d % m if m > 1 else 0 for d, m in zip(digits, mods))
+            assert ctx._canonical(digits, prec) == want
+            assert ctx._canonical(tuple(digits), prec) == want
+    assert ctx._canonical([-1] * ctx.d, 0) == (0,) * ctx.d
+
+
 def test_congruent(ctx):
     x = ctx.element([1, 2, 3, 4])
     y = x + ctx.kappa_power(7)

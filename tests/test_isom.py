@@ -202,6 +202,21 @@ def test_orbit_canonical_idempotent_invariant(ctx, units):
         assert _coeff_key(orbit_canonical(apply_move(c, mv, 1), 1), 1) == _coeff_key(can, 1)
 
 
+def test_coeff_key_equals_reduce_to_digits():
+    # _coeff_key reads the digits that reduce_to gives, without building a CycElt
+    ctx = PrimeContext(7, 30)
+    rng = random.Random(7)
+    for _ in range(200):
+        coeffs = [CycFrac(ctx.element([rng.randrange(-10 ** 9, 10 ** 9) for _ in range(ctx.d)],
+                                      rng.randrange(1, 31)), rng.randrange(0, 4))
+                  for _ in range(ctx.l)]
+        g = GammaCoeffs(ctx, 9, coeffs, check=False)
+        for modulus in (-2, 0, 1, 2, 7, 40):
+            assert _coeff_key(g, modulus) == tuple(
+                (ca.den_exp, ca.num.reduce_to(min(ca.num.prec, modulus + ca.den_exp)).digits)
+                for ca in g.coeffs)
+
+
 def test_orbit_count_p5_exhaustive(ctx):
     # brute force: all four unit residues form a single orbit mod P
     cans = {_coeff_key(orbit_canonical(GammaCoeffs.from_integers(ctx, I, [v]), 1), 1)
