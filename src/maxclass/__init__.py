@@ -26,7 +26,6 @@ from .homs import (
     NotInHhat,
     VandermondeData,
     basis_brackets,
-    bracket_table,
     epsilon,
     gamma_eval,
     images_to_coeffs,
@@ -45,6 +44,7 @@ from .liering import (
     check_class_bounds,
     jacobi_exponent,
     jacobiator,
+    layer_step,
     lcs_profile,
     lower_central_series,
 )

@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from .cyclotomic import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    ContextMismatch,
     CycElt,
     MaxclassError,
     PrecisionExhausted,
@@ -72,7 +73,11 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
     """Coefficients either explicitly or through a probe-image list (JSON file)."""
     if images_path:
         with open(images_path, encoding="utf-8") as fh:
-            images = [CycElt.from_json(ctx, obj) for obj in json.load(fh)]
+            try:
+                images = [CycElt.from_json(ctx, obj) for obj in json.load(fh)]
+            except (KeyError, TypeError, ValueError, ContextMismatch) as exc:
+                raise ValueError(f'{images_path}: not a list of {{"p": {ctx.p}, "prec": ..., '
+                                 f'"digits": [...]}} images: {type(exc).__name__}: {exc}') from exc
         g = images_to_coeffs(ctx, i, images)
         if not in_Hhat(g, i):
             raise NotInHhat(f"probe images do not define a member of Hhat_{i}")
@@ -86,18 +91,22 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
 
 
 @contextlib.contextmanager
-def _output(path: str | None):
-    """The file at path, opened for writing, or standard output."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+def _output(*paths: str | None):
+    """A write function into each file at paths, opened for writing; None is standard output."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8")) if path else sys.stdout
+                 for path in paths]
+
+        def write(text: str) -> None:
+            for fh in files:
+                fh.write(text)
+
+        yield write
 
 
 def _write(path: str | None, blob: str) -> None:
-    with _output(path) as fh:
-        fh.write(blob)
+    with _output(path) as write:
+        write(blob)
 
 
 # json's text of a value of exactly this type, None for a container
@@ -188,11 +197,11 @@ def _write_json(obj, write) -> None:
 
 
 def _emit(payload, fmt: str, out: str | None, text_lines) -> None:
-    with _output(out) as fh:
+    with _output(out) as write:
         if fmt == "json":
-            _write_json(payload, fh.write)
+            _write_json(payload, write)
         else:
-            fh.write("\n".join(text_lines) + "\n")
+            write("\n".join(text_lines) + "\n")
 
 
 # ---- commands: each reads the parsed namespace of its subcommand ----
@@ -270,18 +279,19 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     m_work = max(m_max + 2 * (p - 1), 3 * (i + p) + 12) if args.m_work is None else args.m_work
     ctx = PrimeContext(p, m_work)
     tree = enumerate_frame(ctx, i, m_max, coeff_mod=args.coeff_mod, budget=args.budget)
-    # the JSON and the dot text are built only when they are written
-    if args.out_json or args.fmt == "json":
+    # the JSON and the dot text are built only when they are written, and the
+    # JSON is formatted once for all of its destinations
+    json_paths = ([args.out_json] if args.out_json else []) + ([args.out] if args.fmt == "json" else [])
+    if json_paths:
         payload = tree.to_json()
         payload["membership_shift_note"] = (
             f"the same coefficient grid defines frames at every i' == {i} mod p-1 = "
             f"{i % (p - 1)}; lambda shifts by 3(p-1) per step of p-1 in i")
-    if args.out_json:
-        _emit(payload, "json", args.out_json, [])
+        with _output(*json_paths) as write:
+            _write_json(payload, write)
     if args.out_dot:
         _write(args.out_dot, tree.to_dot())
     if args.fmt == "json":
-        _emit(payload, "json", args.out, [])
         return EXIT_OK
     lines = [
         f"frame grid p={p}, i={i}, m <= {m_max}, coefficients mod P^{args.coeff_mod}",

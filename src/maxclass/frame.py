@@ -6,7 +6,7 @@ sweeping a coefficient grid and keeping, per surviving gamma, only the pair
 (gamma, top level m_top): its chain of truncations m = i .. m_top.  Each
 vertex has maximal class by a lemma (s_group_lcs is the sweep that checks it),
 and the Lie class is < p by the same lemma up to level p*i; only a gamma kept
-above p*i has its Lie series swept, and only it gets a bracket table.
+above p*i has its Lie series swept.
 Vertices are merged only when an isomorphism move has been verified: vertex
 counts are therefore upper bounds on the number of isomorphism types.  Pairs
 are tried only within one class of the level below, from level i on, where
@@ -31,7 +31,7 @@ from .cyclotomic import (
 from .homs import GammaCoeffs, NotInHhat
 from .isom import _coeff_key, find_certified_move
 from .lazard import BchTable, bch_multiply, build_bch_table, group_commutator, theta_power_map
-from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, lower_central_series
+from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, layer_step, lower_central_series
 
 
 MAINLINE = "mainline"
@@ -140,15 +140,9 @@ def s_group_lcs(group: SGroup) -> LcsProfile:
     [(a, 0), (0, 1)] = ((-a) theta^{-1}(a), 0).
     """
     spec, table = group.spec, group.table
-    basis = spec.basis()
-
-    def step(w: int) -> Valuation:
-        layer = [spec.kappa_power(w + r) for r in range(spec.ctx.d)]
-        return Valuation.minimum(
-            [group_commutator(a, b, table).valuation() for a in layer for b in basis]
-            + [bch_multiply(-a, theta_power_map(a, -1), table).valuation() for a in layer])
-
-    return lower_central_series(spec.i, spec.m, step)
+    return lower_central_series(spec.i, spec.m, layer_step(
+        spec, lambda a, basis: [group_commutator(a, b, table) for b in basis]
+        + [bch_multiply(-a, theta_power_map(a, -1), table)]))
 
 
 def is_maximal_class_chain(prof: LcsProfile) -> bool:
@@ -337,11 +331,10 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     lies in P^{ki} + P^m, so the class is at most ceil(m/i) - 1, below p
     whenever m <= p i.  Only a gamma with m_top > p i has its Lie series swept
     (LieRingSpec.nilpotency_class), after the grid and its "no grid
-    coefficient passes" check; lambda builds no bracket table on gamma, so
-    only such a gamma gets one.  Skipping the sweep elsewhere drops no error
+    coefficient passes" check.  Skipping the sweep elsewhere drops no error
     it could raise, for integral gamma and M_work >= lambda >= m_top:
-    - the bracket table is known mod P^{M_work-i}, inside P^{m_top-i}, so no
-      PrecisionExhausted;
+    - the structure constants are known mod P^{M_work-i}, inside P^{m_top-i},
+      so no PrecisionExhausted;
     - a LieElt valuation is exact or AtLeast(m), so no step is undecided;
     - each step rises by at least i >= 1, so no NotNilpotent.
     """

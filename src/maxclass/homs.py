@@ -239,7 +239,6 @@ class GammaCoeffs:
         if check and not in_Hhat(self, i):
             raise NotInHhat(f"coefficient vector is not in Hhat_{i}")
         self.in_Hhat_at = i if check else None
-        self._tables: dict[int, dict[tuple[int, int], CycElt]] = {}   # bracket_table by i
 
     @classmethod
     def from_integers(cls, ctx: PrimeContext, i: int, values, check: bool = True) -> GammaCoeffs:
@@ -350,26 +349,6 @@ def numerator_table(g: GammaCoeffs, i: int) -> list[tuple[int, ...]]:
         for acc, term in zip(table, terms):
             acc[:] = map(add, acc, term)
     return [ctx._canonical(acc, n) for acc in table]
-
-
-def bracket_table(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
-    """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by basis pair r < s < p-1, built once per i.
-
-    Each entry is basis_brackets(g, i)[r, s] divided by kappa^i, in digits and
-    precision.  For gamma integral at working precision M, c_a and theta_a and
-    hence that bracket are known mod P^M, so C[r][s] = sum_a c_a (theta_a/kappa^i)
-    mod P^{M-i}: the numerator_table of g, with D = 0.
-    """
-    table = g._tables.get(i)
-    if table is None:
-        ctx, n = g.ctx, g.ctx.M_work - i
-        if g.is_integral() and n > 0:
-            table = {rs: CycElt(ctx, e, n)
-                     for rs, e in zip(combinations(range(ctx.d), 2), numerator_table(g, i))}
-        else:
-            table = {rs: e.div_kappa(i) for rs, e in basis_brackets(g, i).items()}
-        g._tables[i] = table
-    return table
 
 
 class VandermondeData:

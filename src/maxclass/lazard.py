@@ -14,10 +14,10 @@ from fractions import Fraction
 from importlib import resources
 from operator import mul
 
-from .cyclotomic import MaxclassError, PrimeContext, Valuation, _is_prime
+from .cyclotomic import MaxclassError, PrimeContext, _is_prime
 from . import freelie
 from .freelie import Tree
-from .liering import LcsProfile, LieElt, LieRingSpec, lower_central_series
+from .liering import LcsProfile, LieElt, LieRingSpec, layer_step, lower_central_series
 
 BCH_DATA_FILE = "bch_table.json"
 BCH_DATA_VERSION = 1
@@ -191,11 +191,5 @@ def group_lcs(spec: LieRingSpec, table: BchTable) -> LcsProfile:
     Must coincide with the Lie-ring profile; the comparison is the check that
     the two central series agree.
     """
-    basis = spec.basis()
-
-    def step(w: int) -> Valuation:
-        layer = [spec.kappa_power(w + r) for r in range(spec.ctx.d)]
-        return Valuation.minimum(group_commutator(a, b, table).valuation()
-                                 for a in layer for b in basis)
-
-    return lower_central_series(spec.i, spec.m, step)
+    return lower_central_series(spec.i, spec.m, layer_step(
+        spec, lambda a, basis: [group_commutator(a, b, table) for b in basis]))

@@ -23,8 +23,7 @@ from .cyclotomic import (
     PrimeContext,
     Valuation,
 )
-from .homs import (GammaCoeffs, NotInHhat, basis_brackets, bracket_table, gamma_eval, in_Hhat,
-                   numerator_table)
+from .homs import GammaCoeffs, NotInHhat, basis_brackets, gamma_eval, in_Hhat, numerator_table
 
 
 class NotNilpotent(MaxclassError):
@@ -197,14 +196,21 @@ class LieRingSpec:
 
         Hhat_i membership and lambda depend only on gamma, so neither is
         recomputed; a cached lower central series is carried over, clamped at
-        m, and the bracket table is gamma's, so no gamma is evaluated.
+        m.  The structure constants are this ring's, reduced digit by digit
+        mod the new moduli as reduce_to does, so no gamma is evaluated; if this
+        ring's raise, the quotient builds its own when a bracket asks for them.
         """
         if not self.i <= m <= self.m:
             raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
         out = copy.copy(self)
         out.m = m
         out._moduli = self.ctx.digit_moduli(m - self.i)
-        out._table = None
+        try:
+            pairs, cols = self._structure_constants()
+        except MaxclassError:
+            out._table = None
+        else:
+            out._table = (pairs, tuple(tuple(x % q for x in col) for col, q in zip(cols, out._moduli)))
         if self._profile is not None:
             out._profile = LcsProfile(
                 tuple(w for w in self._profile.exponents if w < m) + (m,), m)
@@ -213,16 +219,26 @@ class LieRingSpec:
     # ---- structure ----
 
     def _structure_constants(self) -> tuple:
-        """The pairs r < s and, per digit, the column of C[r][s] mod P^{m-i}."""
+        """The pairs r < s and, per digit, the column of C[r][s] mod P^{m-i}.
+
+        For gamma integral at working precision the rows are its
+        numerator_table, known mod P^{M_work-i}, inside P^{m-i} as M_work >= m.
+        Any other gamma divides basis_brackets by kappa^i, and each quotient
+        must be known mod P^{m-i}.
+        """
         ctx, i, m = self.ctx, self.i, self.m
         if self._table is None and m > i:
-            table = bracket_table(self.gamma, i)
-            for (r, s), e in table.items():
-                if e.prec < m - i:
-                    raise PrecisionExhausted(
-                        f"gamma(kappa^{i + r} ^ kappa^{i + s}) known mod P^{e.prec + i} < P^{m}")
-            self._table = (tuple(table), tuple(zip(*(
-                ctx._canonical(e.digits, m - i) for e in table.values()))))
+            pairs = tuple(combinations(range(ctx.d), 2))
+            if self.gamma.is_integral():
+                rows = numerator_table(self.gamma, i)
+            else:
+                quotients = [e.div_kappa(i) for e in basis_brackets(self.gamma, i).values()]
+                for (r, s), e in zip(pairs, quotients):
+                    if e.prec < m - i:
+                        raise PrecisionExhausted(
+                            f"gamma(kappa^{i + r} ^ kappa^{i + s}) known mod P^{e.prec + i} < P^{m}")
+                rows = [e.digits for e in quotients]
+            self._table = (pairs, tuple(zip(*(ctx._canonical(e, m - i) for e in rows))))
         return self._table or ((), ((),) * ctx.d)
 
     def lcs_profile(self) -> LcsProfile:
@@ -300,12 +316,23 @@ class LieElt:
         return LieElt(self.spec, self.spec._canon([sum(map(mul, wedge, col)) for col in cols]))
 
 
+def layer_step(spec: LieRingSpec, commutators):
+    """The step(w) of lower_central_series for L, G(L) or S on spec.
+
+    step(w) is the least valuation of commutators(a, basis) over the layer
+    a = kappa^{w+r}, r = 0..p-2, where basis is that of P^i; the three series
+    differ only in the commutators.
+    """
+    basis = spec.basis()
+    return lambda w: Valuation.minimum(c.valuation() for r in range(spec.ctx.d)
+                                       for c in commutators(spec.kappa_power(w + r), basis))
+
+
 def lower_central_series(i: int, m: int, step) -> LcsProfile:
     """Exponents w_1 = i < w_2 < ... of a lower central series, clamped at m.
 
     step(w) is the exponent of the ideal generated by the commutators of the
-    layer kappa^{w+r}, r = 0..p-2, with the generators; L, G(L) and S differ
-    only in the commutator that step applies.
+    layer kappa^{w+r}, r = 0..p-2, with the generators, as layer_step builds it.
     """
     ws = [i]
     while ws[-1] < m:
@@ -327,13 +354,8 @@ def lcs_profile(spec: LieRingSpec) -> LcsProfile:
     commutators.  For integral gamma, gamma_eval on those pairs is known mod P^M_work >= P^m
     and the bracket is its residue mod P^m: both agree below m, and the rest clamps to m.
     """
-    basis = spec.basis()
-
-    def step(w: int) -> Valuation:
-        layer = [spec.kappa_power(w + r) for r in range(spec.ctx.d)]
-        return Valuation.minimum(a.bracket(b).valuation() for a in layer for b in basis)
-
-    return lower_central_series(spec.i, spec.m, step)
+    return lower_central_series(spec.i, spec.m, layer_step(
+        spec, lambda a, basis: [a.bracket(b) for b in basis]))
 
 
 def check_class_bounds(spec: LieRingSpec) -> dict:

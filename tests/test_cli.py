@@ -211,6 +211,21 @@ def test_i_zero_exit_2(capsys, argv):
     assert err.count("\n") == 1 and "i >= 1" in err
 
 
+@pytest.mark.parametrize("content, error", [
+    ("[1]", "TypeError"), ('[{"p": 5}]', "KeyError"), ('{"a": 1}', "TypeError"),
+    ('[{"p": 7, "prec": 10, "digits": ["1"]}]', "ContextMismatch")],
+    ids=["int", "missing-keys", "object", "other-prime"])
+def test_bad_images_json_is_config_error(capsys, tmp_path, content, error):
+    # a file that is not a list of probe images of this p is a config error
+    # naming the file, not a traceback with the suite-violation exit code
+    path = tmp_path / "images.json"
+    path.write_text(content)
+    for command in (["jacobi"], ["build", "--m", "8"]):
+        code, out, err = run(capsys, *command, "--p", "5", "--i", "3", "--images-json", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {path}: ") and error in err
+
+
 def test_coeff_and_images_json_are_exclusive(capsys, tmp_path):
     images = tmp_path / "images.json"
     images.write_text("[]")
@@ -438,6 +453,26 @@ def test_json_file_outputs_equal_stdout(capsys, tmp_path):
     assert f.read_bytes() == out.encode()
     code, out_g, _ = run(capsys, *argv, "--out-json", str(g))
     assert code == 0 and out_g == out
+    assert g.read_bytes() == out.encode()
+
+
+def test_enumerate_formats_json_once_for_two_destinations(capsys, monkeypatch, tmp_path):
+    # --out-json and --format json take the chunks of one _write_json pass, whether
+    # the second destination is standard output or --out
+    argv = "enumerate --p 5 --i 7 --m-max 20 --coeff-mod 1 --format json".split()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    calls = []
+    write_json = cli._write_json
+    monkeypatch.setattr(cli, "_write_json", lambda obj, write: calls.append(obj)
+                        or write_json(obj, write))
+    f, g = tmp_path / "out.json", tmp_path / "tree.json"
+    code, out_f, _ = run(capsys, *argv, "--out", str(f), "--out-json", str(g))
+    assert code == 0 and out_f == "" and len(calls) == 1
+    assert f.read_bytes() == g.read_bytes() == out.encode()
+    g.unlink()
+    code, out_g, _ = run(capsys, *argv, "--out-json", str(g))
+    assert code == 0 and out_g == out and len(calls) == 2
     assert g.read_bytes() == out.encode()
 
 

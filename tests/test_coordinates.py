@@ -175,31 +175,38 @@ def test_s_series_agree_with_cycelt_route_on_pinned_rings(case):
 
 @pytest.mark.parametrize("p, i, m_work", [(5, 7, 44), (7, 9, 60), (11, 13, 84), (7, 9, 10), (7, 9, 9)])
 def test_bracket_table_is_divided_basis_brackets(p, i, m_work):
-    # digits and precision of basis_brackets divided by kappa^i, for integral gamma
-    # (from the cached theta_a quotients) and for gamma with kappa-denominators
+    # the ring's structure constants at every level m, built fresh or truncated
+    # from the top level, are the digits of basis_brackets divided by kappa^i,
+    # mod P^{m-i}: for integral gamma, whose numerator_table they read, and for
+    # gamma with kappa-denominators.  Below M_work = 2i+2 the Hhat_i test runs
+    # out of precision, so no ring is built, and at i >= M_work the division too
     ctx = PrimeContext(p, m_work)
-    gammas = [GammaCoeffs(ctx, i, [ctx.element([r, 2 * r + 1]) for r in range(1, ctx.l + 1)],
+    gammas = [GammaCoeffs(ctx, i, [ctx.element([r + 1, 2 * r + 1]) for r in range(1, ctx.l + 1)],
                           check=False)]
     if p == 7 and m_work == 60:
         gammas.append(kappa_denominator_gamma(ctx))
+    pairs = tuple(combinations(range(ctx.d), 2))
     for g in gammas:
-        want = {}
-        for rs, e in homs.basis_brackets(g, i).items():
-            try:
-                want[rs] = e.div_kappa(i)
-            except PrecisionExhausted:
-                want = PrecisionExhausted
-                break
-        if want is PrecisionExhausted:
-            assert i >= m_work
+        if i >= m_work:
             with pytest.raises(PrecisionExhausted):
-                homs.bracket_table(g, i)
+                homs.basis_brackets(g, i)[0, 1].div_kappa(i)
+        else:
+            quotients = [e.div_kappa(i) for e in homs.basis_brackets(g, i).values()]
+            if g.is_integral():
+                assert homs.numerator_table(g, i) == [e.digits for e in quotients]
+        if m_work < 2 * i + 2:
+            with pytest.raises(PrecisionExhausted):
+                LieRingSpec(ctx, i, i, g)
             continue
-        table = homs.bracket_table(g, i)
-        assert list(table) == list(combinations(range(ctx.d), 2))
-        assert {rs: (e.digits, e.prec) for rs, e in table.items()} == \
-            {rs: (e.digits, e.prec) for rs, e in want.items()}
-        assert homs.bracket_table(g, i) is table
+        lam = jacobi_exponent(g, i)
+        top = LieRingSpec(ctx, i, lam.value, g, lam=lam)
+        for m in range(i + 1, lam.value + 1):
+            assert all(e.prec >= m - i for e in quotients)
+            want = (pairs, tuple(zip(*(ctx._canonical(e.digits, m - i) for e in quotients))))
+            assert LieRingSpec(ctx, i, m, g, lam=lam)._structure_constants() == want
+            assert top.truncate(m)._structure_constants() == want
+        with pytest.raises(PrecisionExhausted):
+            LieRingSpec(ctx, i, m_work + 1, g, lam=lam)
 
 
 @pytest.mark.parametrize("m, cls", [(20, 2), (24, 3)])
@@ -293,8 +300,9 @@ def test_table_entry_below_precision_raises():
 
 
 def test_truncate_evaluates_no_gamma(monkeypatch):
-    # lambda, the ring, its truncations and their central series read one
-    # bracket table per (gamma, i), and liering evaluates no gamma on the way
+    # lambda and the top ring build one numerator_table each; the truncations
+    # reduce the top ring's structure constants, and their central series
+    # read them, so liering evaluates no gamma on the way
     spec = theta2_spec(5, 7, 44)
     fresh = {m: LieRingSpec(spec.ctx, 7, m, spec.gamma, lam=spec.lam) for m in range(7, 25)}
     want = {m: ([x.bracket(y) for x, y in combinations(s.basis(), 2)], lcs_profile(s))
@@ -304,24 +312,19 @@ def test_truncate_evaluates_no_gamma(monkeypatch):
         raise AssertionError("integral gamma must not be evaluated in liering")
 
     built = []
-
-    class Tables(dict):
-        def __setitem__(self, i, table):
-            built.append(i)
-            super().__setitem__(i, table)
-
+    monkeypatch.setattr(liering, "numerator_table",
+                        lambda *a: built.append(a) or homs.numerator_table(*a))
     ctx = PrimeContext(5, 44)
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    g._tables = Tables()
     monkeypatch.setattr(liering, "gamma_eval", boom)
     monkeypatch.setattr(liering, "basis_brackets", boom)
     monkeypatch.setattr(homs, "basis_brackets", boom)
     lam = jacobi_exponent(g, 7)
-    assert lam == spec.lam
+    assert lam == spec.lam and built == [(g, 7)]
     top = LieRingSpec(ctx, 7, lam.value, g, lam=lam)
     for m in range(24, 6, -1):
         cut = top.truncate(m)
         assert [x.bracket(y) for x, y in combinations(cut.basis(), 2)] == want[m][0]
         assert lcs_profile(cut) == want[m][1]
     assert top.lcs_profile() == want[24][1]
-    assert built == [7]
+    assert built == [(g, 7), (g, 7)]

@@ -315,13 +315,23 @@ def test_enumerate_frame_reads_no_lie_class_up_to_level_p_i(ctx, monkeypatch):
     assert reads == []
 
 
-def test_enumerate_frame_drops_bracket_tables_up_to_level_p_i(ctx):
-    # only the class sweep of a gamma with m_top > p i reads its bracket table
-    # after lambda; every other kept gamma holds no table to the end of the run
+def test_enumerate_frame_drops_bracket_tables_up_to_level_p_i(ctx, monkeypatch):
+    # only the class sweep of a gamma with m_top > p i builds its ring's
+    # structure constants; at p = 5, i = 1, m <= 6 every kept gamma is swept
+    built = []
+    real = liering.LieRingSpec._structure_constants
+
+    def counted(spec):
+        if spec._table is None and spec.m > spec.i:
+            built.append(spec.gamma)
+        return real(spec)
+
+    monkeypatch.setattr(liering.LieRingSpec, "_structure_constants", counted)
     low = enumerate_frame(ctx, 7, 10, coeff_mod=2)
-    assert low.nodes and all(n.gamma._tables == {} for n in low.nodes)
+    assert low.nodes and built == []
     high = enumerate_frame(ctx, 1, 6)
-    assert high.nodes and all(list(n.gamma._tables) == [1] for n in high.nodes)
+    kept = [key for n in high.nodes if n.m == 1 for key in n.member_keys]
+    assert len(set(map(id, built))) == len(built) == len(kept) > 0
 
 
 def test_s_series_of_truncation_is_clamped_top_series(ctx):

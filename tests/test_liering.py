@@ -145,21 +145,27 @@ def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
     assert any(not lam.exact for lam in lams) and any(lam.exact for lam in lams)
 
 
-def full_contraction(g, i):
+def divided_brackets(g, i):
+    """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by pair r < s, as digits mod P^{M_work-i}:
+    basis_brackets(g, i) divided by kappa^i, so no numerator_table is read."""
+    return [e.div_kappa(i).digits for e in basis_brackets(g, i).values()]
+
+
+def full_contraction(g, i, rows=None):
     """lambda of an integral gamma from every basis triple, and each triple's residue valuation.
 
     jacobi_exponent's contraction before the floor order and the early stop, kept
-    as the oracle: J(r, s, t)/kappa^i mod P^{M_work-i} contracted on
-    bracket_table for all binom(p-1, 3) triples, with no early stop.
+    as the oracle: J(r, s, t)/kappa^i mod P^{M_work-i} contracted on rows, by
+    default divided_brackets(g, i), for all binom(p-1, 3) triples, with no early stop.
     """
     ctx, d = g.ctx, g.ctx.d
     n = ctx.M_work - i
     if n <= 0:
         return Valuation.at_least(ctx.M_work), {}
     table = [[(0,) * d for _ in range(d)] for _ in range(d)]
-    for (r, s), e in homs.bracket_table(g, i).items():
-        table[r][s] = e.digits
-        table[s][r] = tuple(map(neg, e.digits))
+    for (r, s), e in zip(combinations(range(d), 2), divided_brackets(g, i) if rows is None else rows):
+        table[r][s] = e
+        table[s][r] = tuple(map(neg, e))
     # cols[t][k]: digit k of C[u][t], as a tuple over u
     cols = [tuple(zip(*(row[t] for row in table))) for t in range(d)]
     vals = {}
@@ -171,11 +177,11 @@ def full_contraction(g, i):
     return Valuation.exactly(i + v.value) if v.exact else Valuation.at_least(ctx.M_work), vals
 
 
-def floors_met(g, i):
-    """jacobi_exponent equals the full contraction, exact or AtLeast; returns the
-    triples whose exact residue valuation is the floor 2i + r + s + t, after
+def floors_met(g, i, rows=None):
+    """jacobi_exponent equals the full contraction on rows, exact or AtLeast; returns
+    the triples whose exact residue valuation is the floor 2i + r + s + t, after
     asserting that none lies below it."""
-    want, vals = full_contraction(g, i)
+    want, vals = full_contraction(g, i, rows)
     assert jacobi_exponent(g, i) == want, (g, i)
     floors = {rst: 2 * i + sum(rst) for rst in vals}
     assert all(v.value >= floors[rst] for rst, v in vals.items() if v.exact), (g, i)
@@ -202,14 +208,17 @@ def test_jacobi_exponent_equals_full_contraction_on_scan_grids(monkeypatch, p, m
                                                                coeff_mod, members, atleast):
     # every decided member, its table walked in floor order with the early stop;
     # the floor 2i + r + s + t of the lemma holds on every triple, and is met on some.
-    # For integral gamma bracket_table is the numerator_table with no kappa-
-    # denominator (test_bracket_table_is_divided_basis_brackets), so the route
-    # reads the table the oracle built, and each table is built once
-    monkeypatch.setattr(liering, "numerator_table",
-                        lambda g, i: [e.digits for e in homs.bracket_table(g, i).values()])
+    # This tests the walk: the route and the oracle contract one table per gamma,
+    # its numerator_table, built once.  The tests that run the route unpatched,
+    # and test_bracket_table_is_divided_basis_brackets, compare that table with
+    # the divided basis_brackets, which costs several numerator_tables
+    rows = {}
+    monkeypatch.setattr(liering, "numerator_table", lambda g, i: rows[g, i])
     lams, met = [], 0
     for g, i in scan_members(p, m_work, i_max, coeff_mod):
-        lam, at_floor = floors_met(g, i)
+        rows.clear()
+        rows[g, i] = homs.numerator_table(g, i)
+        lam, at_floor = floors_met(g, i, rows[g, i])
         lams.append(lam)
         met += bool(at_floor)
     assert (len(lams), sum(not lam.exact for lam in lams)) == (members, atleast)
@@ -242,7 +251,7 @@ def test_jacobi_exponent_walks_triples_in_floor_order(monkeypatch):
     # i = 3 the residue of (0, 1, 2) lies above its floor and (0, 2, 3) is walked
     # before (0, 1, 5), which lexicographic order would stop at; at p = 11 the
     # floors interleave further.  Each lambda contracts one numerator_table,
-    # built afresh, and leaves no table on gamma
+    # built afresh
     residues, tables = [], []
     monkeypatch.setattr(liering, "CycElt", lambda *a: residues.append(CycElt(*a)) or residues[-1])
     monkeypatch.setattr(liering, "numerator_table",
@@ -257,13 +266,13 @@ def test_jacobi_exponent_walks_triples_in_floor_order(monkeypatch):
         ctx = PrimeContext(p, 60)
         g = GammaCoeffs.from_integers(ctx, i, coeffs, check=False)
         residues.clear()
-        assert jacobi_exponent(g, i) == Valuation.exactly(lam) and g._tables == {}
+        assert jacobi_exponent(g, i) == Valuation.exactly(lam)
         want, vals = full_contraction(g, i)
         assert want == Valuation.exactly(lam)
         assert [e.valuation() for e in residues] == [vals[rst] for rst in walked]
     h = GammaCoeffs(ctx, 9, [ctx.element([1, 1]), ctx.from_int(3)] + [ctx.zero()] * (ctx.l - 2))
     assert jacobi_exponent(h, 9) == full_contraction(GammaCoeffs(ctx, 9, h.coeffs), 9)[0]
-    assert len(tables) == len(cases) + 1 and h._tables == {}
+    assert len(tables) == len(cases) + 1
 
 
 def test_jacobi_lower_bound_and_shift(ctx5, g5):
