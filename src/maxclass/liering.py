@@ -198,7 +198,8 @@ class LieRingSpec:
         recomputed; a cached lower central series is carried over, clamped at
         m.  The structure constants are this ring's, reduced digit by digit
         mod the new moduli as reduce_to does, so no gamma is evaluated; if this
-        ring's raise, the quotient builds its own when a bracket asks for them.
+        ring's are not known mod P^{self.m-i}, the quotient builds its own when
+        a bracket asks for them.
         """
         if not self.i <= m <= self.m:
             raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
@@ -207,7 +208,7 @@ class LieRingSpec:
         out._moduli = self.ctx.digit_moduli(m - self.i)
         try:
             pairs, cols = self._structure_constants()
-        except MaxclassError:
+        except PrecisionExhausted:
             out._table = None
         else:
             out._table = (pairs, tuple(tuple(x % q for x in col) for col, q in zip(cols, out._moduli)))
