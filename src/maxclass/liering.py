@@ -196,10 +196,9 @@ class LieRingSpec:
 
         Hhat_i membership and lambda depend only on gamma, so neither is
         recomputed; a cached lower central series is carried over, clamped at
-        m.  The structure constants are this ring's, reduced digit by digit
-        mod the new moduli as reduce_to does, so no gamma is evaluated; if this
-        ring's are not known mod P^{self.m-i}, the quotient builds its own when
-        a bracket asks for them.
+        m.  The structure constants are this ring's reduced digit by digit, as
+        reduce_to does; only where those raise PrecisionExhausted does the
+        quotient build its own, when a bracket asks for them.
         """
         if not self.i <= m <= self.m:
             raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
@@ -222,10 +221,9 @@ class LieRingSpec:
     def _structure_constants(self) -> tuple:
         """The pairs r < s and, per digit, the column of C[r][s] mod P^{m-i}.
 
-        For gamma integral at working precision the rows are its
-        numerator_table, known mod P^{M_work-i}, inside P^{m-i} as M_work >= m.
-        Any other gamma divides basis_brackets by kappa^i, and each quotient
-        must be known mod P^{m-i}.
+        C is the numerator_table of a gamma integral at working precision, known
+        mod P^{M_work-i}, inside P^{m-i} as M_work >= m; any other gamma divides
+        basis_brackets by kappa^i, and each quotient must be known mod P^{m-i}.
         """
         ctx, i, m = self.ctx, self.i, self.m
         if self._table is None and m > i:
