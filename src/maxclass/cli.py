@@ -84,10 +84,13 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
         return g
     if coeff is None:
         raise ValueError("need --coeff or --images-json")
-    parts = coeff.split(",")
-    if len(parts) != ctx.l:
-        raise ValueError(f"expected {ctx.l} comma-separated coefficients, got {len(parts)}")
-    return GammaCoeffs.from_integers(ctx, i, [int(t) for t in parts])
+    try:
+        values = [int(t) for t in coeff.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != ctx.l:
+        raise ValueError(f"--coeff {coeff!r}: expected {ctx.l} comma-separated integer(s) c_2..c_{{(p-1)/2}}")
+    return GammaCoeffs.from_integers(ctx, i, values)
 
 
 @contextlib.contextmanager

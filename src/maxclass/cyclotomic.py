@@ -124,8 +124,7 @@ class PrimeContext:
         self._vandermonde: dict[int, object] = {}
         # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u),
         # the witness checks of verify_witness by the content of (c, c2, move), and
-        # by (k, i) sigma_k(kappa^{i+u})/kappa^i with the valuation bounds of the
-        # theta_a on the basis wedges of P^i
+        # sigma_k(kappa^{i+u})/kappa^i by (k, i)
         self._theta_mats: dict[tuple[int, int], tuple] = {}
         self._rho: dict[tuple, CycElt] = {}
         self._witness: dict[tuple, tuple] = {}

@@ -281,44 +281,65 @@ class GammaCoeffs:
         return cls(ctx, int(obj["i"]), [CycFrac.from_json(ctx, c) for c in obj["coeffs"]], check=check)
 
 
-def _combine(g: GammaCoeffs, theta, prec: int) -> CycElt:
-    """sum_a c_a * theta(a), with denominators absorbed at the end.
-
-    theta(a) is theta_a on the wedge and is asked only for nonzero c_a; prec is
-    the smaller precision of the two wedge factors.  Scale each term by
-    kappa^(D - e_a), with D the largest den_exp, sum, then divide by kappa^D.
-    """
+def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
+    """sum over nonzero c_a of c_a kappa^(D - e_a) theta_a(x ^ y), divided by kappa^D, D the largest den_exp."""
     ctx = g.ctx
-    d_max = max((c.den_exp for c in g.coeffs), default=0)
-    acc = ctx.zero(prec)
-    for a_idx, c in enumerate(g.coeffs):
+    d_max = max(c.den_exp for c in g.coeffs)
+    acc = ctx.zero(min(x.prec, y.prec))
+    for a, c in enumerate(g.coeffs, 2):
         if c.is_zero():
             continue
-        t = c.num * theta(a_idx + 2)
+        t = c.num * theta_a_eval(a, x, y)
         if d_max > c.den_exp:
             t = t * ctx.kappa_power(d_max - c.den_exp, t.prec)
         acc = acc + t
-    if d_max == 0:
-        return acc
-    return acc.div_kappa(d_max)
-
-
-def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
-    """sum_a c_a * theta_a(x ^ y), with denominators absorbed at the end."""
-    return _combine(g, lambda a: theta_a_eval(a, x, y), min(x.prec, y.prec))
+    return acc.div_kappa(d_max) if d_max else acc
 
 
 def basis_brackets(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
-    """gamma(kappa^{i+r} ^ kappa^{i+s}) by basis pair r < s < p-1.
+    """gamma(kappa^{i+r} ^ kappa^{i+s}) by basis pair r < s < p-1, from the numerator_table.
 
-    The theta_a values come from the per-(context, i) cache and gamma_eval's
-    own combining step joins them, so each entry has the digits and the
-    precision of gamma_eval on that pair, with or without kappa-denominators.
+    kappa^i times a row N of the table, sum_t N_t kappa^{i+t} mod P^n, n from
+    _bracket_precisions, is what gamma_eval's ring operations form before their
+    last step, div_kappa(D); so each entry has gamma_eval's digits and
+    precision, or raises its error.
     """
     ctx = g.ctx
-    thetas = _basis_thetas(ctx, i)[0]
-    return {rs: _combine(g, lambda a: thetas[a - 2][k], ctx.M_work)
-            for k, rs in enumerate(combinations(range(ctx.d), 2))}
+    for c in g.coeffs:   # the ring product c_a theta_a checks the context first
+        if not c.is_zero() and c.num.ctx != ctx:
+            raise ContextMismatch(f"{c.num.ctx!r} vs {ctx!r}")
+    d_max = max(c.den_exp for c in g.coeffs)
+    cols = list(zip(*(ctx.kappa_power(i + t).digits for t in range(ctx.d))))
+    sums = (CycElt(ctx, ctx._canonical([sum(map(mul, row, col)) for col in cols], n), n)
+            for row, n in zip(numerator_table(g, i), _bracket_precisions(g, i)))
+    return {rs: e.div_kappa(d_max) if d_max else e for rs, e in zip(combinations(range(ctx.d), 2), sums)}
+
+
+def _bracket_precisions(g: GammaCoeffs, i: int) -> list[int]:
+    """The precision n_rs at which ring operations know kappa^D gamma(e_r ^ e_s), e_r = kappa^{i+r}, by r < s.
+
+    With M = M_work, D the largest den_exp, pi_a, nu_a, e_a the precision,
+    valuation bound and den_exp of c_a, and omega_a that of theta_a(e_r ^ e_s) mod P^M,
+        n_rs = min(M, min over nonzero c_a of pi_a + omega_a + min(D - e_a, nu_a + omega_a)).
+    A ring operation reduces the digit representatives mod P^n, n no more than
+    the product rule prec(xy) = min(prec x + v(y), prec y + v(x), M) allows, v
+    the valuation bound; so a value stored at precision n is, mod P^n, the same
+    formula evaluated exactly on the representatives, and may be read from
+    another route such as the numerator_table.  Here c_a theta_a(e_r ^ e_s) has
+    the precision tau_a = min(pi_a + omega_a, M) and the bound min(nu_a + omega_a,
+    tau_a), nu_a < pi_a being exact; times kappa^{D-e_a}, of bound min(D - e_a, tau_a),
+    the precision min(tau_a + min(D - e_a, nu_a + omega_a), M), as nu_a < pi_a.  The
+    sum, from 0 mod P^M, has the least.  A c_a known mod P^M reads no omega_a.
+    """
+    ctx, top = g.ctx, g.ctx.M_work
+    out, d_max = [top] * (ctx.d * (ctx.d - 1) // 2), max(c.den_exp for c in g.coeffs)
+    for a, c in enumerate(g.coeffs):
+        if c.num.prec < top and not c.is_zero():
+            pi, nu, e = c.num.prec, c.num.valuation().bound, d_max - c.den_exp
+            for j, t in enumerate(_basis_thetas(ctx, i)[0][a]):
+                om = t.valuation().bound
+                out[j] = min(out[j], pi + om + min(e, nu + om))
+    return out
 
 
 def numerator_table(g: GammaCoeffs, i: int) -> list[tuple[int, ...]]:

@@ -38,7 +38,7 @@ from .cyclotomic import (
     PrimeContext,
     enumerate_units,
 )
-from .homs import CycFrac, GammaCoeffs, _basis_thetas, basis_brackets, numerator_table
+from .homs import CycFrac, GammaCoeffs, _bracket_precisions, basis_brackets, numerator_table
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,18 @@ def witness_map(mv: IsoMove):
     return phi
 
 
-def _coordinates(ctx: PrimeContext, k: int, i: int) -> tuple:
-    """What a witness needs of (k, i) alone, cached on the context.
+def _coordinates(ctx: PrimeContext, k: int, i: int) -> tuple[CycElt, ...]:
+    """sigma_k(kappa^{i+t})/kappa^i by t < p-1, known mod P^{M_work-i}, cached on the context.
 
-    sigma_k(kappa^{i+t})/kappa^i by t < p-1, known mod P^{M_work-i}, and the
-    valuation bounds of theta_a(kappa^{i+r} ^ kappa^{i+s}) mod P^M_work by a
-    and pair r < s.  For i >= M_work every kappa^{i+t} is 0 mod P^M_work, and
-    each quotient is 0 at precision M_work - i.
+    For i >= M_work every kappa^{i+t} is 0 mod P^M_work, and each quotient is 0
+    at precision M_work - i.
     """
     data = ctx._coordinates.get((k, i))
     if data is None:
         n = ctx.M_work - i
-        data = ctx._coordinates[k, i] = (
-            tuple(ctx.kappa_power(i + t).galois(k).div_kappa(i) if n > 0
-                  else CycElt(ctx, (0,) * ctx.d, n) for t in range(ctx.d)),
-            tuple(tuple(t.valuation().bound for t in row) for row in _basis_thetas(ctx, i)[0]))
+        data = ctx._coordinates[k, i] = tuple(
+            ctx.kappa_power(i + t).galois(k).div_kappa(i) if n > 0 else CycElt(ctx, (0,) * ctx.d, n)
+            for t in range(ctx.d))
     return data
 
 
@@ -159,17 +156,10 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
     phi(gamma_{c2}(e_r ^ e_s)) - gamma_c(phi e_r ^ phi e_s) for s > r, where
     e_r = kappa^{i+r} and phi(x) = u sigma_k(x).  Each entry is the one that
     evaluating them with CycElt ring operations stores (that route is the
-    oracle in tests/), yet no gamma is evaluated.  Why: a ring operation acts on
-    digit representatives and reduces mod P^n, n its result's precision, and n
-    never exceeds what the operands' precisions and valuation bounds guarantee.
-    So a value stored at precision n is, mod P^n, the same formula evaluated
-    exactly on the representatives of u, c_a and c2_a, and its bound is
-    min(v, n), v that value's valuation.  It suffices to find the value mod P^n
-    by another route, and n in closed form from the product rule
-    prec(xy) = min(prec x + v(y), prec y + v(x), M), M = M_work.  Below, pi_a,
-    nu_a and e_a are the precision, valuation and den_exp of a nonzero c_a, pi'_a
-    that of c2_a, D the largest e_a, and omega_a >= 2i + r + s the valuation
-    bound of theta_a(e_r ^ e_s) mod P^M.
+    oracle in tests/), yet no gamma is evaluated: homs._bracket_precisions
+    proves that such a value may be found by another route, and gives n_rs(c),
+    the precision of kappa^D gamma_c(e_r ^ e_s), D the largest den_exp of c.
+    Below, M = M_work.
     - X_r = phi(e_r)/kappa^i is u times sigma_k(e_r)/kappa^i, known mod P^{M-i}.
       It has valuation r and precision P_r - i, where P_r = min(u.prec + i + r, M)
       is the precision of the ring product u sigma_k(e_r).
@@ -177,13 +167,11 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
       exactly, and both sides have precision P_r, theta being a unit known mod
       P^M; so the entry is (P_r, P_r).
     - gamma_c(phi e_r ^ phi e_s).  In the ring route theta_a(phi e_r ^ phi e_s),
-      a unit times sigma_k theta_a(e_r ^ e_s), has a precision T >= min(P_r, P_s)
-      and the bound min(omega_a, T); its product with c_a has the precision
-      tau_a = min(pi_a + min(omega_a, T), T + nu_a, M), which the factor
-      kappa^{D-e_a} raises to min(tau_a + min(D - e_a, nu_a + omega_a, tau_a), M);
-      and the sum, which starts at precision min(P_r, P_s) = P_r, has the least
-      of these.  A term at least P_r never decides it, and nu_a < pi_a, so it is
-      n_G = min(P_r, pi_a + omega_a + min(D - e_a, nu_a + omega_a) over a).
+      a unit times sigma_k theta_a(e_r ^ e_s), has a precision T >= P_r and the
+      bound min(omega_a, T), so (in the terms of _bracket_precisions) its product
+      with c_a has the precision min(pi_a + min(omega_a, T), T + nu_a, M): tau_a
+      if omega_a < T and pi_a + omega_a <= T + nu_a, else at least P_r, as is
+      tau_a.  The sum starts at precision P_r, so n_G = min(P_r, n_rs(c)).
       The value: gamma is Z_p-bilinear and phi(e_r) = sum_t X_{r,t} e_t, so
       kappa^D gamma_c(phi e_r ^ phi e_s) = kappa^i G, where
       G = sum_{t<w} (X_{r,t} X_{s,w} - X_{r,w} X_{s,t}) N[t][w] and N is the
@@ -193,34 +181,29 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
       digits here, so it raises where the ring route does.
     - phi(gamma_{c2}(e_r ^ e_s)) when c2 has no kappa-denominator.  The bracket
       b = kappa^i C2[r][s], C2 the numerator_table of c2, has the precision
-      n_b = min(M, pi'_a + omega_a over nonzero c2_a) and a valuation
-      v >= 2i + r + s, so phi(b) has the precision Pi = min(u.prec + v, n_b),
-      at least min(P_r, n_b); as n_G <= P_r, the difference has the precision
-      n = min(n_b, n_G).  And phi(b) = sum_t C2[r][s]_t phi(e_t) = kappa^i Y,
-      Y = sum_t C2[r][s]_t X_t: term t errs by C2_t P^{P_t}, inside P^Pi since
-      t + (p-1) v_p(C2_t) >= v - i.  A c2 with kappa-denominators, or of another
-      context, keeps basis_brackets and the ring product u sigma_k(b), raising
-      where it did.
+      n_b = n_rs(c2) and a valuation v >= 2i + r + s, so phi(b) has the
+      precision Pi = min(u.prec + v, n_b), at least min(P_r, n_b); as
+      n_G <= P_r, the difference has the precision n = min(n_b, n_G).  And
+      phi(b) = sum_t C2[r][s]_t phi(e_t) = kappa^i Y, Y = sum_t C2[r][s]_t X_t:
+      term t errs by C2_t P^{P_t}, inside P^Pi since t + (p-1) v_p(C2_t) >= v - i.
+      A c2 with kappa-denominators, or of another context, keeps basis_brackets
+      and the ring product u sigma_k(b), raising where it did.
     - With D = 0 the difference is kappa^i (Y - G), so its bound is i plus the
       bound of Y - G at precision n - i.  Otherwise kappa^i Y and kappa^i G are
       put to precision n_b and n_G and subtracted as ring elements.
     """
-    ctx, i, top = c.ctx, c.i, c.ctx.M_work
+    ctx, i = c.ctx, c.i
     out = []
     try:
-        coordinates, omegas = _coordinates(ctx, mv.k, i)
-        xs = [mv.u * z for z in coordinates]
+        xs = [mv.u * z for z in _coordinates(ctx, mv.k, i)]
         prec = [x.prec + i for x in xs]
         tabled = c2.ctx == ctx and all(x.den_exp == 0 for x in c2.coeffs)
         if tabled:
-            table2 = numerator_table(c2, i)
+            table2, n_bs = numerator_table(c2, i), _bracket_precisions(c2, i)
         else:
             brackets2 = basis_brackets(c2, i)
         d_max = max(x.den_exp for x in c.coeffs)
-        terms = [(x.num.prec, x.num.valuation().bound, d_max - x.den_exp, om)
-                 for x, om in zip(c.coeffs, omegas) if not x.is_zero()]
-        terms2 = [(x.num.prec, om) for x, om in zip(c2.coeffs, omegas) if not x.is_zero()]
-        table = numerator_table(c, i)
+        table, n_gs = numerator_table(c, i), _bracket_precisions(c, i)
         cols, xcols = list(zip(*table)), list(zip(*(x.digits for x in xs)))
         pairs, kappa_i = list(combinations(range(ctx.d), 2)), ctx.kappa_power(i).digits
         j = 0   # the pair (r, s) in combinations order
@@ -228,14 +211,12 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
             out.append((prec[r], prec[r]))
             x_r = xs[r].digits
             for s in range(r + 1, ctx.d):
-                n_g = min([prec[r]] + [pi + om[j] + min(e, nu + om[j]) for pi, nu, e, om in terms])
-                if tabled:
-                    n_b, c2rs = min([top] + [pi + om[j] for pi, om in terms2]), table2[j]
+                n_g = min(prec[r], n_gs[j])
                 x_s = xs[s].digits
                 wedge = [x_r[t] * x_s[w] - x_r[w] * x_s[t] for t, w in pairs]
                 g = [sum(map(mul, wedge, col)) for col in cols]
                 if tabled:
-                    y = [sum(map(mul, c2rs, col)) for col in xcols]
+                    n_b, y = n_bs[j], [sum(map(mul, table2[j], col)) for col in xcols]
                 if tabled and not d_max:
                     n = min(n_b, n_g) - i
                     diff = CycElt(ctx, ctx._canonical(list(map(sub, y, g)), n), n)

@@ -221,23 +221,18 @@ class LieRingSpec:
     def _structure_constants(self) -> tuple:
         """The pairs r < s and, per digit, the column of C[r][s] mod P^{m-i}.
 
-        C is the numerator_table of a gamma integral at working precision, known
-        mod P^{M_work-i}, inside P^{m-i} as M_work >= m; any other gamma divides
-        basis_brackets by kappa^i, and each quotient must be known mod P^{m-i}.
+        C is basis_brackets divided by kappa^i, for every gamma; each quotient must be
+        known mod P^{m-i}, as one of a gamma integral at working precision is (M_work >= m).
         """
         ctx, i, m = self.ctx, self.i, self.m
         if self._table is None and m > i:
             pairs = tuple(combinations(range(ctx.d), 2))
-            if self.gamma.is_integral():
-                rows = numerator_table(self.gamma, i)
-            else:
-                quotients = [e.div_kappa(i) for e in basis_brackets(self.gamma, i).values()]
-                for (r, s), e in zip(pairs, quotients):
-                    if e.prec < m - i:
-                        raise PrecisionExhausted(
-                            f"gamma(kappa^{i + r} ^ kappa^{i + s}) known mod P^{e.prec + i} < P^{m}")
-                rows = [e.digits for e in quotients]
-            self._table = (pairs, tuple(zip(*(ctx._canonical(e, m - i) for e in rows))))
+            quotients = [e.div_kappa(i) for e in basis_brackets(self.gamma, i).values()]
+            for (r, s), e in zip(pairs, quotients):
+                if e.prec < m - i:
+                    raise PrecisionExhausted(
+                        f"gamma(kappa^{i + r} ^ kappa^{i + s}) known mod P^{e.prec + i} < P^{m}")
+            self._table = (pairs, tuple(zip(*(ctx._canonical(e.digits, m - i) for e in quotients))))
         return self._table or ((), ((),) * ctx.d)
 
     def lcs_profile(self) -> LcsProfile:

@@ -7,9 +7,46 @@ coset as the digit tuple of x/kappa^i mod P^{m-i} instead; on the same
 inputs both must give the same coset, which the tests compare through the
 digits of LieElt.value.  The Lie lower central series evaluates gamma on the
 d^2 ordered pairs of each layer with the basis of P^i.
+
+basis_brackets here joins the cached theta_a values of the basis wedges with
+CycElt ring operations, as gamma_eval does; the package reads the same values
+from numerator_table at a precision found in closed form.
 """
 
+from itertools import combinations
+
 from maxclass import CycElt, PrecisionExhausted, Valuation, gamma_eval, lower_central_series
+from maxclass.homs import _basis_thetas
+
+
+def combine(g, theta, prec: int) -> CycElt:
+    """sum_a c_a * theta(a), with denominators absorbed at the end.
+
+    theta(a) is theta_a on the wedge and is asked only for nonzero c_a; prec is
+    the smaller precision of the two wedge factors.  Scale each term by
+    kappa^(D - e_a), with D the largest den_exp, sum, then divide by kappa^D.
+    """
+    ctx = g.ctx
+    d_max = max((c.den_exp for c in g.coeffs), default=0)
+    acc = ctx.zero(prec)
+    for a_idx, c in enumerate(g.coeffs):
+        if c.is_zero():
+            continue
+        t = c.num * theta(a_idx + 2)
+        if d_max > c.den_exp:
+            t = t * ctx.kappa_power(d_max - c.den_exp, t.prec)
+        acc = acc + t
+    if d_max == 0:
+        return acc
+    return acc.div_kappa(d_max)
+
+
+def basis_brackets(g, i: int) -> dict:
+    """gamma(kappa^{i+r} ^ kappa^{i+s}) by pair r < s, from the theta_a values cached per (context, i)."""
+    ctx = g.ctx
+    thetas = _basis_thetas(ctx, i)[0]
+    return {rs: combine(g, lambda a: thetas[a - 2][k], ctx.M_work)
+            for k, rs in enumerate(combinations(range(ctx.d), 2))}
 
 
 def reduce(spec, value: CycElt) -> CycElt:

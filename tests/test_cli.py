@@ -50,6 +50,15 @@ def test_jacobi_rejects_zero_coefficients(capsys):
     assert "Hhat" in err
 
 
+@pytest.mark.parametrize("command", [["jacobi"], ["build", "--m", "5"]])
+@pytest.mark.parametrize("value", ["x", "1.5", "", "1,2"])
+def test_bad_coeff_names_the_flag(capsys, command, value):
+    # a value that is not one integer per coefficient is a config error that names --coeff
+    code, out, err = run(capsys, *command, "--p", "5", "--i", "3", "--coeff", value)
+    want = f"--coeff {value!r}: expected 1 comma-separated integer(s) c_2..c_{{(p-1)/2}}"
+    assert (code, out, err) == (2, "", f"config error: {want}\n")
+
+
 def test_bad_prime_is_config_error(capsys):
     code, _, err = run(capsys, "jacobi", "--p", "6", "--i", "7", "--coeff", "1")
     assert code == 2

@@ -176,10 +176,11 @@ def test_s_series_agree_with_cycelt_route_on_pinned_rings(case):
 @pytest.mark.parametrize("p, i, m_work", [(5, 7, 44), (7, 9, 60), (11, 13, 84), (7, 9, 10), (7, 9, 9)])
 def test_bracket_table_is_divided_basis_brackets(p, i, m_work):
     # the ring's structure constants at every level m, built fresh or truncated
-    # from the top level, are the digits of basis_brackets divided by kappa^i,
-    # mod P^{m-i}: for integral gamma, whose numerator_table they read, and for
-    # gamma with kappa-denominators.  Below M_work = 2i+2 the Hhat_i test runs
-    # out of precision, so no ring is built, and at i >= M_work the division too
+    # from the top level, are the digits of the ring route's basis brackets
+    # divided by kappa^i, mod P^{m-i}: for integral gamma, whose numerator_table
+    # they equal, and for gamma with kappa-denominators.  Below M_work = 2i+2 the
+    # Hhat_i test runs out of precision, so no ring is built, and at i >= M_work
+    # the division too
     ctx = PrimeContext(p, m_work)
     gammas = [GammaCoeffs(ctx, i, [ctx.element([r + 1, 2 * r + 1]) for r in range(1, ctx.l + 1)],
                           check=False)]
@@ -189,9 +190,9 @@ def test_bracket_table_is_divided_basis_brackets(p, i, m_work):
     for g in gammas:
         if i >= m_work:
             with pytest.raises(PrecisionExhausted):
-                homs.basis_brackets(g, i)[0, 1].div_kappa(i)
+                route.basis_brackets(g, i)[0, 1].div_kappa(i)
         else:
-            quotients = [e.div_kappa(i) for e in homs.basis_brackets(g, i).values()]
+            quotients = [e.div_kappa(i) for e in route.basis_brackets(g, i).values()]
             if g.is_integral():
                 assert homs.numerator_table(g, i) == [e.digits for e in quotients]
         if m_work < 2 * i + 2:
@@ -302,23 +303,30 @@ def test_table_entry_below_precision_raises():
 def test_truncate_evaluates_no_gamma(monkeypatch):
     # lambda and the top ring build one numerator_table each; the truncations
     # reduce the top ring's structure constants, and their central series
-    # read them, so liering evaluates no gamma on the way
+    # read them, so no theta_a and no gamma is evaluated on the way, once the
+    # theta_a on the basis wedges of P^7 are cached on the context
     spec = theta2_spec(5, 7, 44)
     fresh = {m: LieRingSpec(spec.ctx, 7, m, spec.gamma, lam=spec.lam) for m in range(7, 25)}
     want = {m: ([x.bracket(y) for x, y in combinations(s.basis(), 2)], lcs_profile(s))
             for m, s in fresh.items()}
 
     def boom(*args):
-        raise AssertionError("integral gamma must not be evaluated in liering")
+        raise AssertionError("integral gamma must not be evaluated")
 
-    built = []
-    monkeypatch.setattr(liering, "numerator_table",
-                        lambda *a: built.append(a) or homs.numerator_table(*a))
+    built, real = [], homs.numerator_table
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
     ctx = PrimeContext(5, 44)
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    monkeypatch.setattr(liering, "gamma_eval", boom)
-    monkeypatch.setattr(liering, "basis_brackets", boom)
-    monkeypatch.setattr(homs, "basis_brackets", boom)
+    homs._basis_thetas(ctx, 7)
+    monkeypatch.setattr(liering, "numerator_table", counted)
+    monkeypatch.setattr(homs, "numerator_table", counted)
+    for module in (liering, homs):
+        monkeypatch.setattr(module, "gamma_eval", boom)
+    monkeypatch.setattr(homs, "theta_a_eval", boom)
     lam = jacobi_exponent(g, 7)
     assert lam == spec.lam and built == [(g, 7)]
     top = LieRingSpec(ctx, 7, lam.value, g, lam=lam)

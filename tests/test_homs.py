@@ -5,9 +5,11 @@ from itertools import islice
 import pytest
 
 from maxclass import (
+    ContextMismatch,
     CycFrac,
     DenominatorCap,
     GammaCoeffs,
+    MaxclassError,
     NotInHhat,
     PrecisionExhausted,
     PrimeContext,
@@ -26,6 +28,7 @@ from maxclass import (
 )
 from maxclass.cyclotomic import DEFAULT_BUDGET
 from oracles import o_a as o_a_oracle
+import cycelt_route as route
 
 
 @pytest.fixture(scope="module")
@@ -460,3 +463,45 @@ def test_gamma_serialization(ctx7):
     g2 = GammaCoeffs.from_json(ctx7, obj)
     assert all((a.num - b.num).is_zero() and a.den_exp == b.den_exp
                for a, b in zip(g.coeffs, g2.coeffs))
+
+
+def bracket_outcome(f, g, i):
+    """The (digits, precision) of each basis bracket f gives, or the class and message of its error."""
+    try:
+        return {rs: (e.digits, e.prec) for rs, e in f(g, i).items()}
+    except MaxclassError as exc:
+        return type(exc), str(exc)
+
+
+def test_basis_brackets_equal_ring_route():
+    # seeded gamma at p = 5, 7, 11, M_work 2..39 and i = 0..M_work+3, with zero
+    # coefficients, coefficients known below M_work or of positive valuation, and
+    # kappa-denominators up to 4: the table route gives the ring route's digits
+    # and precision, or raises the same error with the same message.  p = 11
+    # takes most of the time, so it is drawn least
+    rng = random.Random(20)
+    contexts, outcomes = {}, []
+    for _ in range(700):
+        p, m_work = rng.choice((5, 5, 5, 5, 7, 7, 7, 11)), rng.randrange(2, 40)
+        ctx = contexts.setdefault((p, m_work), PrimeContext(p, m_work))
+        i = rng.randrange(m_work + 4)
+        coeffs = []
+        for _ in range(ctx.l):
+            if rng.random() < 0.15:
+                coeffs.append(CycFrac(ctx.zero()))
+                continue
+            digits = [rng.randrange(p ** 3) for _ in range(ctx.d)]
+            zeros = rng.choice((0, 0, 1, 3))
+            digits[:zeros] = [0] * zeros
+            prec = m_work if rng.random() < 0.4 else rng.randrange(1, m_work + 1)
+            coeffs.append(CycFrac(ctx.element(digits, prec), rng.randrange(5)))
+        g = GammaCoeffs(ctx, i, coeffs, check=False, den_cap=4)
+        got = bracket_outcome(homs.basis_brackets, g, i)
+        assert got == bracket_outcome(route.basis_brackets, g, i), g
+        outcomes.append((isinstance(got, tuple), i >= m_work))
+    assert any(raised for raised, _ in outcomes) and any(beyond for _, beyond in outcomes)
+    # a coefficient of another context raises where the ring product does
+    ctx = contexts[5, 20]
+    g = GammaCoeffs(ctx, 3, [CycFrac(PrimeContext(5, 21).one())], check=False)
+    assert bracket_outcome(homs.basis_brackets, g, 3) == bracket_outcome(route.basis_brackets, g, 3)
+    assert bracket_outcome(homs.basis_brackets, g, 3)[0] is ContextMismatch

@@ -35,7 +35,6 @@ from maxclass import (
 from maxclass.cyclotomic import DEFAULT_BUDGET
 from maxclass.frame import _coefficient_grid
 from maxclass import homs, liering
-from maxclass.homs import basis_brackets
 from maxclass.isom import (
     _coeff_key,
     _decidable,
@@ -46,6 +45,7 @@ from maxclass.isom import (
     _quotient_key,
     _witness_differences,
 )
+import cycelt_route as route
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +360,7 @@ def witness_differences_by_gamma_eval(c, c2, mv):
         phi = witness_map(mv)
         basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
         phis = [phi(x) for x in basis]
-        brackets2 = basis_brackets(c2, i)
+        brackets2 = route.basis_brackets(c2, i)
         theta, theta_k = ctx.theta(), ctx.theta(mv.k)
         for r in range(ctx.d):
             d = phi(theta * basis[r]) - theta_k * phis[r]

@@ -30,6 +30,7 @@ from maxclass import (
     lower_central_series,
 )
 from maxclass.frame import _coefficient_grid
+import cycelt_route as route
 import oracles
 
 
@@ -147,8 +148,8 @@ def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
 
 def divided_brackets(g, i):
     """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by pair r < s, as digits mod P^{M_work-i}:
-    basis_brackets(g, i) divided by kappa^i, so no numerator_table is read."""
-    return [e.div_kappa(i).digits for e in basis_brackets(g, i).values()]
+    the ring route's basis_brackets(g, i) divided by kappa^i, so no numerator_table is read."""
+    return [e.div_kappa(i).digits for e in route.basis_brackets(g, i).values()]
 
 
 def full_contraction(g, i, rows=None):
@@ -211,7 +212,7 @@ def test_jacobi_exponent_equals_full_contraction_on_scan_grids(monkeypatch, p, m
     # This tests the walk: the route and the oracle contract one table per gamma,
     # its numerator_table, built once.  The tests that run the route unpatched,
     # and test_bracket_table_is_divided_basis_brackets, compare that table with
-    # the divided basis_brackets, which costs several numerator_tables
+    # the divided brackets of the ring route, which cost several numerator_tables
     rows = {}
     monkeypatch.setattr(liering, "numerator_table", lambda g, i: rows[g, i])
     lams, met = [], 0
