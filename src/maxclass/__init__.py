@@ -25,7 +25,6 @@ from .homs import (
     GammaCoeffs,
     NotInHhat,
     VandermondeData,
-    basis_brackets,
     epsilon,
     gamma_eval,
     images_to_coeffs,

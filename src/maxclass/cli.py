@@ -18,6 +18,7 @@ from .cyclotomic import (
     BudgetExceeded,
     ContextMismatch,
     CycElt,
+    InsufficientValuation,
     MaxclassError,
     PrecisionExhausted,
     PrimeContext,
@@ -78,7 +79,13 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
             except (KeyError, TypeError, ValueError, ContextMismatch) as exc:
                 raise ValueError(f'{images_path}: not a list of {{"p": {ctx.p}, "prec": ..., '
                                  f'"digits": [...]}} images: {type(exc).__name__}: {exc}') from exc
-        g = images_to_coeffs(ctx, i, images)
+        try:
+            g = images_to_coeffs(ctx, i, images)
+        except ValueError as exc:   # the wrong number of images
+            raise ValueError(f"{images_path}: {exc}") from exc
+        except InsufficientValuation as exc:
+            raise ValueError(f"{images_path}: an image lies outside P^{2 * i + 1}, so the images "
+                             f"define no member of Hhat_{i}") from exc
         if not in_Hhat(g, i):
             raise NotInHhat(f"probe images do not define a member of Hhat_{i}")
         return g

@@ -225,6 +225,8 @@ class PrimeContext:
         return self.element([q.numerator * pow(q.denominator, -1, e0)], prec)
 
     def kappa_power(self, e: int, prec: int | None = None) -> CycElt:
+        if e < 0:
+            raise ValueError(f"kappa power needs e >= 0, got {e}")
         prec = self.M_work if prec is None else prec
         if prec > self.M_work:
             raise PrecisionExhausted(f"precision {prec} exceeds M_work={self.M_work}")
@@ -323,6 +325,8 @@ class CycElt:
         return CycElt(self.ctx, self.ctx._canonical([s * a for a in self.digits], self.prec), self.prec)
 
     def pow(self, n: int) -> CycElt:
+        if n < 0:
+            raise ValueError(f"pow needs n >= 0, got {n}")
         r = self.ctx.one(self.prec)
         for _ in range(n):
             r = r * self
@@ -427,6 +431,8 @@ class CycElt:
     def from_json(cls, ctx: PrimeContext, obj: dict) -> CycElt:
         if obj["p"] != ctx.p:
             raise ContextMismatch(f"serialized p={obj['p']} vs context p={ctx.p}")
+        if len(obj["digits"]) > ctx.d:
+            raise ValueError(f"{len(obj['digits'])} digits, more than p-1 = {ctx.d}")
         return ctx.element([int(s) for s in obj["digits"]], int(obj["prec"]))
 
 

@@ -296,23 +296,36 @@ def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
     return acc.div_kappa(d_max) if d_max else acc
 
 
-def basis_brackets(g: GammaCoeffs, i: int) -> dict[tuple[int, int], CycElt]:
-    """gamma(kappa^{i+r} ^ kappa^{i+s}) by basis pair r < s < p-1, from the numerator_table.
+def bracket_quotients(g: GammaCoeffs, i: int) -> list[CycElt]:
+    """gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by basis pair r < s < p-1, from the numerator_table.
 
-    kappa^i times a row N of the table, sum_t N_t kappa^{i+t} mod P^n, n from
-    _bracket_precisions, is what gamma_eval's ring operations form before their
-    last step, div_kappa(D); so each entry has gamma_eval's digits and
-    precision, or raises its error.
+    Entry rs is row rs of the table, N = kappa^D gamma(e_r ^ e_s)/kappa^i mod
+    P^{M-i} with e_r = kappa^{i+r} and D the largest den_exp, put to the
+    precision n - i, n = n_rs of _bracket_precisions, then div_kappa(D), even
+    for D = 0.  It has the digits and precision of the ring route, gamma_eval on
+    the basis pair and then div_kappa(i), and raises where that route raises.
+    That route stores X = kappa^D gamma(e_r ^ e_s) at precision n, equal to
+    kappa^i N mod P^n (_bracket_precisions), and divides it by kappa^D, then by
+    kappa^i.  Division by kappa^e of a value known mod P^k divides a
+    representative exactly, is unique mod P^{k-e}, and raises
+    PrecisionExhausted when k <= e, InsufficientValuation when the value is
+    not in P^e.  So both routes succeed iff n - i > D and X lies in P^{D+i}.
+    Then X is in P^i and X/kappa^i = N mod P^{n-i}; this lies in P^D iff X
+    lies in P^{D+i}, and both quotients are X/kappa^{D+i}, with the canonical
+    digits mod P^{n-i-D}.  If n - i <= D this raises PrecisionExhausted at
+    once, where the ring route raises it at its first or second division, or
+    InsufficientValuation at its first when X is not in P^D.  A member of
+    Hhat_i maps P^i ^ P^i into P^{2i+1}, so neither route meets an
+    InsufficientValuation on it, and the error classes agree.
     """
     ctx = g.ctx
     for c in g.coeffs:   # the ring product c_a theta_a checks the context first
         if not c.is_zero() and c.num.ctx != ctx:
             raise ContextMismatch(f"{c.num.ctx!r} vs {ctx!r}")
     d_max = max(c.den_exp for c in g.coeffs)
-    cols = list(zip(*(ctx.kappa_power(i + t).digits for t in range(ctx.d))))
-    sums = (CycElt(ctx, ctx._canonical([sum(map(mul, row, col)) for col in cols], n), n)
-            for row, n in zip(numerator_table(g, i), _bracket_precisions(g, i)))
-    return {rs: e.div_kappa(d_max) if d_max else e for rs, e in zip(combinations(range(ctx.d), 2), sums)}
+    # the table's digits represent the coset mod P^{n-i}; div_kappa canonicalises
+    return [CycElt(ctx, row, n - i).div_kappa(d_max)
+            for row, n in zip(numerator_table(g, i), _bracket_precisions(g, i))]
 
 
 def _bracket_precisions(g: GammaCoeffs, i: int) -> list[int]:

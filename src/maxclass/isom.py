@@ -11,8 +11,8 @@ verify_witness checks the witness by linear algebra on coordinates, the
 approach of Eick, Leedham-Green and O'Brien, "Constructing automorphism groups
 of p-groups", Comm. Algebra 30 (2002): the images of the basis of P^i are
 coordinate vectors, and each bracket of two images contracts them with the
-numerator_table of c.  No gamma is evaluated, and every stored precision is,
-in closed form, the one that evaluating gamma with ring operations gives.
+numerator_table of c.  gamma_c is not evaluated, and every stored precision
+is, in closed form, the one that evaluating gamma with ring operations gives.
 
 find_certified_move solves the congruence at one coefficient for the unit
 rather than scanning the unit grid: it skips a candidate only when that
@@ -38,7 +38,7 @@ from .cyclotomic import (
     PrimeContext,
     enumerate_units,
 )
-from .homs import CycFrac, GammaCoeffs, _bracket_precisions, basis_brackets, numerator_table
+from .homs import CycFrac, GammaCoeffs, _bracket_precisions, gamma_eval, numerator_table
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
     phi(gamma_{c2}(e_r ^ e_s)) - gamma_c(phi e_r ^ phi e_s) for s > r, where
     e_r = kappa^{i+r} and phi(x) = u sigma_k(x).  Each entry is the one that
     evaluating them with CycElt ring operations stores (that route is the
-    oracle in tests/), yet no gamma is evaluated: homs._bracket_precisions
+    oracle in tests/), yet gamma_c is not evaluated: homs._bracket_precisions
     proves that such a value may be found by another route, and gives n_rs(c),
     the precision of kappa^D gamma_c(e_r ^ e_s), D the largest den_exp of c.
     Below, M = M_work.
@@ -186,8 +186,9 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
       n_G <= P_r, the difference has the precision n = min(n_b, n_G).  And
       phi(b) = sum_t C2[r][s]_t phi(e_t) = kappa^i Y, Y = sum_t C2[r][s]_t X_t:
       term t errs by C2_t P^{P_t}, inside P^Pi since t + (p-1) v_p(C2_t) >= v - i.
-      A c2 with kappa-denominators, or of another context, keeps basis_brackets
-      and the ring product u sigma_k(b), raising where it did.
+      A c2 with kappa-denominators, or of another context, takes b from
+      gamma_eval on every basis pair of its own context first, in combinations
+      order, then forms the ring product u sigma_k(b), raising where it did.
     - With D = 0 the difference is kappa^i (Y - G), so its bound is i plus the
       bound of Y - G at precision n - i.  Otherwise kappa^i Y and kappa^i G are
       put to precision n_b and n_G and subtracted as ring elements.
@@ -201,7 +202,8 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
         if tabled:
             table2, n_bs = numerator_table(c2, i), _bracket_precisions(c2, i)
         else:
-            brackets2 = basis_brackets(c2, i)
+            basis2 = [c2.ctx.kappa_power(i + r) for r in range(c2.ctx.d)]
+            brackets2 = [gamma_eval(c2, x, y) for x, y in combinations(basis2, 2)]
         d_max = max(x.den_exp for x in c.coeffs)
         table, n_gs = numerator_table(c, i), _bracket_precisions(c, i)
         cols, xcols = list(zip(*table)), list(zip(*(x.digits for x in xs)))
@@ -222,10 +224,8 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
                     diff = CycElt(ctx, ctx._canonical(list(map(sub, y, g)), n), n)
                     out.append((n + i, diff.valuation().bound + i))
                 else:
-                    if tabled:
-                        b = CycElt(ctx, ctx._canonical(ctx._mul_raw(kappa_i, y), n_b), n_b)
-                    else:
-                        b = mv.u * brackets2[r, s].galois(mv.k)
+                    b = (CycElt(ctx, ctx._canonical(ctx._mul_raw(kappa_i, y), n_b), n_b) if tabled
+                         else mv.u * brackets2[j].galois(mv.k))
                     acc = CycElt(ctx, ctx._canonical(ctx._mul_raw(kappa_i, g), n_g), n_g)
                     diff = b - (acc.div_kappa(d_max) if d_max else acc)
                     out.append((diff.prec, diff.valuation().bound))

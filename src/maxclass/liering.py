@@ -23,7 +23,7 @@ from .cyclotomic import (
     PrimeContext,
     Valuation,
 )
-from .homs import GammaCoeffs, NotInHhat, basis_brackets, gamma_eval, in_Hhat, numerator_table
+from .homs import GammaCoeffs, NotInHhat, bracket_quotients, gamma_eval, in_Hhat, numerator_table
 
 
 class NotNilpotent(MaxclassError):
@@ -68,13 +68,15 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
 
     Any other gamma (kappa-denominators, or coefficients known below M, as
     images_to_coeffs gives) keeps the nested gamma_eval route, whose AtLeast
-    labels follow gamma_eval's precision step by step.
+    labels follow gamma_eval's precision step by step: gamma_eval on the
+    binom(p-1, 2) basis pairs first, in combinations order, then on the three
+    outer wedges of each triple.
     """
     i = g.i if i is None else i
     ctx, d = g.ctx, g.ctx.d
     if not g.is_integral():
-        br = basis_brackets(g, i)
         basis = [ctx.kappa_power(i + r) for r in range(d)]
+        br = {(r, s): gamma_eval(g, basis[r], basis[s]) for r, s in combinations(range(d), 2)}
         return Valuation.minimum(
             (gamma_eval(g, br[r, s], basis[t]) + gamma_eval(g, br[s, t], basis[r])
              + gamma_eval(g, -br[r, t], basis[s])).valuation()
@@ -119,7 +121,8 @@ class LieRingSpec:
     """The Lie ring L_{i,m}(gamma), with lambda recomputed at construction.
 
     Its bracket is Z_p-bilinear, so it contracts digit wedges with the table
-    C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{m-i}.
+    C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{m-i}, read from
+    homs.bracket_quotients.
     """
 
     def __init__(self, ctx: PrimeContext, i: int, m: int, gamma: GammaCoeffs,
@@ -221,13 +224,12 @@ class LieRingSpec:
     def _structure_constants(self) -> tuple:
         """The pairs r < s and, per digit, the column of C[r][s] mod P^{m-i}.
 
-        C is basis_brackets divided by kappa^i, for every gamma; each quotient must be
-        known mod P^{m-i}, as one of a gamma integral at working precision is (M_work >= m).
+        C is homs.bracket_quotients, for every gamma; each quotient must be known
+        mod P^{m-i}, as one of a gamma integral at working precision is (M_work >= m).
         """
         ctx, i, m = self.ctx, self.i, self.m
         if self._table is None and m > i:
-            pairs = tuple(combinations(range(ctx.d), 2))
-            quotients = [e.div_kappa(i) for e in basis_brackets(self.gamma, i).values()]
+            pairs, quotients = tuple(combinations(range(ctx.d), 2)), bracket_quotients(self.gamma, i)
             for (r, s), e in zip(pairs, quotients):
                 if e.prec < m - i:
                     raise PrecisionExhausted(

@@ -9,8 +9,9 @@ digits of LieElt.value.  The Lie lower central series evaluates gamma on the
 d^2 ordered pairs of each layer with the basis of P^i.
 
 basis_brackets here joins the cached theta_a values of the basis wedges with
-CycElt ring operations, as gamma_eval does; the package reads the same values
-from numerator_table at a precision found in closed form.
+CycElt ring operations, as gamma_eval does.  Divided by kappa^i, it is the
+oracle of homs.bracket_quotients, which reads the same quotients from
+numerator_table at a precision found in closed form.
 """
 
 from itertools import combinations

@@ -222,17 +222,24 @@ def test_i_zero_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("content, error", [
     ("[1]", "TypeError"), ('[{"p": 5}]', "KeyError"), ('{"a": 1}', "TypeError"),
-    ('[{"p": 7, "prec": 10, "digits": ["1"]}]', "ContextMismatch")],
-    ids=["int", "missing-keys", "object", "other-prime"])
+    ('[{"p": 7, "prec": 10, "digits": ["1"]}]', "ContextMismatch"),
+    ('[{"p": 5, "prec": 30, "digits": ["0", "0", "0", "0", "1"]}]', "5 digits, more than p-1 = 4"),
+    ("[]", "expected 1 images, got 0"),
+    ('[{"p": 5, "prec": 30, "digits": ["1", "0", "0", "0"]}]',
+     "an image lies outside P^7, so the images define no member of Hhat_3")],
+    ids=["int", "missing-keys", "object", "other-prime", "five-digits", "no-images",
+         "image-below-target"])
 def test_bad_images_json_is_config_error(capsys, tmp_path, content, error):
-    # a file that is not a list of probe images of this p is a config error
-    # naming the file, not a traceback with the suite-violation exit code
+    # a file that is not a list of probe images of this p, or whose images
+    # define no member of Hhat_i, is a config error naming the file, not a
+    # traceback with the suite-violation exit code
     path = tmp_path / "images.json"
     path.write_text(content)
     for command in (["jacobi"], ["build", "--m", "8"]):
         code, out, err = run(capsys, *command, "--p", "5", "--i", "3", "--images-json", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {path}: ") and error in err
+        assert err.count("\n") == 1
 
 
 def test_coeff_and_images_json_are_exclusive(capsys, tmp_path):

@@ -229,6 +229,22 @@ def test_serialization_round_trip(ctx):
     obj = x.to_json()
     assert obj["p"] == 5 and obj["prec"] == 9
     assert CycElt.from_json(ctx, obj) == x
+    # a fifth digit at p = 5 is an error, not dropped
+    with pytest.raises(ValueError, match="more than p-1"):
+        CycElt.from_json(ctx, dict(obj, digits=obj["digits"] + ["1"]))
+
+
+def test_negative_exponents_raise():
+    # on a fresh context, and once kappa^7 is cached, a negative exponent
+    # raises instead of reading the cached kappa powers from their end
+    ctx = PrimeContext(5, 20)
+    for _ in range(2):
+        for bad in (lambda: ctx.kappa_power(-1), lambda: ctx.kappa_power(-2, 10),
+                    lambda: ctx.kappa_power(1).pow(-1)):
+            with pytest.raises(ValueError):
+                bad()
+        assert ctx.kappa_power(1).pow(7) == ctx.kappa_power(7)
+        assert ctx.kappa_power(7).pow(0) == ctx.one()
 
 
 def test_theta_has_order_p(ctx):

@@ -9,6 +9,7 @@ from maxclass import (
     CycFrac,
     DenominatorCap,
     GammaCoeffs,
+    InsufficientValuation,
     MaxclassError,
     NotInHhat,
     PrecisionExhausted,
@@ -393,7 +394,6 @@ def test_images_to_coeffs_denominator_cap(ctx7):
 
 
 def test_images_must_lie_in_target_ideal(ctx5):
-    from maxclass import InsufficientValuation
     with pytest.raises(InsufficientValuation):
         images_to_coeffs(ctx5, 7, [ctx5.kappa_power(3)])
 
@@ -465,20 +465,27 @@ def test_gamma_serialization(ctx7):
                for a, b in zip(g.coeffs, g2.coeffs))
 
 
-def bracket_outcome(f, g, i):
-    """The (digits, precision) of each basis bracket f gives, or the class and message of its error."""
+def quotient_outcome(f, g):
+    """The (digits, precision) of each basis bracket f(g) gives, in pair order, or the class and message of its error."""
     try:
-        return {rs: (e.digits, e.prec) for rs, e in f(g, i).items()}
+        return [(e.digits, e.prec) for e in f(g)]
     except MaxclassError as exc:
         return type(exc), str(exc)
 
 
-def test_basis_brackets_equal_ring_route():
+def ring_route_quotients(g, i):
+    # the ring route: every basis bracket by CycElt ring operations, then each divided by kappa^i
+    return [e.div_kappa(i) for e in route.basis_brackets(g, i).values()]
+
+
+def test_bracket_quotients_equal_ring_route():
     # seeded gamma at p = 5, 7, 11, M_work 2..39 and i = 0..M_work+3, with zero
     # coefficients, coefficients known below M_work or of positive valuation, and
-    # kappa-denominators up to 4: the table route gives the ring route's digits
-    # and precision, or raises the same error with the same message.  p = 11
-    # takes most of the time, so it is drawn least
+    # kappa-denominators up to 4: wherever both routes succeed, the table route
+    # gives the ring route's digits and precision.  Where they raise, the error
+    # class agrees on every member of Hhat_i; off Hhat_i the table route may
+    # raise PrecisionExhausted where the ring route's first division raised
+    # InsufficientValuation.  p = 11 takes most of the time, so it is drawn least
     rng = random.Random(20)
     contexts, outcomes = {}, []
     for _ in range(700):
@@ -496,12 +503,24 @@ def test_basis_brackets_equal_ring_route():
             prec = m_work if rng.random() < 0.4 else rng.randrange(1, m_work + 1)
             coeffs.append(CycFrac(ctx.element(digits, prec), rng.randrange(5)))
         g = GammaCoeffs(ctx, i, coeffs, check=False, den_cap=4)
-        got = bracket_outcome(homs.basis_brackets, g, i)
-        assert got == bracket_outcome(route.basis_brackets, g, i), g
-        outcomes.append((isinstance(got, tuple), i >= m_work))
-    assert any(raised for raised, _ in outcomes) and any(beyond for _, beyond in outcomes)
+        got = quotient_outcome(lambda g: homs.bracket_quotients(g, i), g)
+        want = quotient_outcome(lambda g: ring_route_quotients(g, i), g)
+        try:
+            member = in_Hhat(g, i)
+        except MaxclassError:
+            member = False
+        raised = isinstance(got, tuple)
+        assert raised == isinstance(want, tuple), g
+        if not raised:
+            assert got == want, g
+        elif got[0] is not want[0]:
+            assert not member and (got[0], want[0]) == (PrecisionExhausted, InsufficientValuation), g
+        outcomes.append((member, raised, i >= m_work))
+    assert any(member for member, _, _ in outcomes)
+    assert any(raised for _, raised, _ in outcomes) and any(beyond for _, _, beyond in outcomes)
     # a coefficient of another context raises where the ring product does
     ctx = contexts[5, 20]
     g = GammaCoeffs(ctx, 3, [CycFrac(PrimeContext(5, 21).one())], check=False)
-    assert bracket_outcome(homs.basis_brackets, g, 3) == bracket_outcome(route.basis_brackets, g, 3)
-    assert bracket_outcome(homs.basis_brackets, g, 3)[0] is ContextMismatch
+    got = quotient_outcome(lambda g: homs.bracket_quotients(g, 3), g)
+    assert got == quotient_outcome(lambda g: ring_route_quotients(g, 3), g)
+    assert got[0] is ContextMismatch

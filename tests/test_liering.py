@@ -17,7 +17,6 @@ from maxclass import (
     PrecisionExhausted,
     PrimeContext,
     Valuation,
-    basis_brackets,
     check_class_bounds,
     gamma_eval,
     homs,
@@ -72,15 +71,14 @@ def test_jacobi_exponent_oracle_p7():
 def test_jacobi_exponent_brackets_each_basis_pair_once(p, i, evaluations, monkeypatch):
     # integral gamma: the basis triples are contracted from theta_a values cached
     # per (context, i), with no gamma_eval; the nested route, kept for other
-    # gamma, forms binom(d, 2) basis brackets and three outer ones per triple
+    # gamma, evaluates gamma on the binom(d, 2) basis pairs first, in
+    # combinations order, then on three outer wedges per triple
     ctx = PrimeContext(p, 60)
     d = ctx.d
-    calls, thetas, brackets = [], [], []
+    calls, thetas = [], []
     real_theta = homs.theta_a_eval
     monkeypatch.setattr(liering, "gamma_eval", lambda *a: calls.append(a) or gamma_eval(*a))
     monkeypatch.setattr(homs, "theta_a_eval", lambda *a: thetas.append(a) or real_theta(*a))
-    monkeypatch.setattr(liering, "basis_brackets",
-                        lambda *a: brackets.append(basis_brackets(*a)) or brackets[-1])
     jacobi_exponent(GammaCoeffs.from_integers(ctx, i, [1] + [3] * (ctx.l - 1)), i)
     assert calls == [] and len(thetas) == ctx.l * comb(d, 2)
     thetas.clear()
@@ -93,9 +91,10 @@ def test_jacobi_exponent_brackets_each_basis_pair_once(p, i, evaluations, monkey
     assert any(c.den_exp > 0 for c in g.coeffs) == (p == 7)
     assert all(c.num.prec < ctx.M_work for c in g.coeffs)
     jacobi_exponent(g, i)
-    assert len(calls) == 3 * comb(d, 3)
-    assert [len(b) for b in brackets] == [comb(d, 2)]
-    assert len(calls) + len(brackets[0]) == evaluations
+    basis = [ctx.kappa_power(i + r) for r in range(d)]
+    assert [(x, y) for _, x, y in calls[:comb(d, 2)]] == [(basis[r], basis[s])
+                                                         for r, s in combinations(range(d), 2)]
+    assert len(calls) == comb(d, 2) + 3 * comb(d, 3) == evaluations
 
 
 def nested_jacobiator_lambda(g, i):
