@@ -87,7 +87,7 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
             raise ValueError(f"{images_path}: an image lies outside P^{2 * i + 1}, so the images "
                              f"define no member of Hhat_{i}") from exc
         if not in_Hhat(g, i):
-            raise NotInHhat(f"probe images do not define a member of Hhat_{i}")
+            raise NotInHhat(f"{images_path}: probe images do not define a member of Hhat_{i}")
         return g
     if coeff is None:
         raise ValueError("need --coeff or --images-json")

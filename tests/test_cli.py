@@ -226,9 +226,11 @@ def test_i_zero_exit_2(capsys, argv):
     ('[{"p": 5, "prec": 30, "digits": ["0", "0", "0", "0", "1"]}]', "5 digits, more than p-1 = 4"),
     ("[]", "expected 1 images, got 0"),
     ('[{"p": 5, "prec": 30, "digits": ["1", "0", "0", "0"]}]',
-     "an image lies outside P^7, so the images define no member of Hhat_3")],
+     "an image lies outside P^7, so the images define no member of Hhat_3"),
+    ('[{"p": 5, "prec": 60, "digits": ["0", "0", "0", "125"]}]',
+     "probe images do not define a member of Hhat_3")],
     ids=["int", "missing-keys", "object", "other-prime", "five-digits", "no-images",
-         "image-below-target"])
+         "image-below-target", "not-a-member"])
 def test_bad_images_json_is_config_error(capsys, tmp_path, content, error):
     # a file that is not a list of probe images of this p, or whose images
     # define no member of Hhat_i, is a config error naming the file, not a
