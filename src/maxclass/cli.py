@@ -79,6 +79,11 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
             except (KeyError, TypeError, ValueError, ContextMismatch) as exc:
                 raise ValueError(f'{images_path}: not a list of {{"p": {ctx.p}, "prec": ..., '
                                  f'"digits": [...]}} images: {type(exc).__name__}: {exc}') from exc
+        for j, img in enumerate(images, 1):
+            # images_to_coeffs divides each image by kappa^{2i+1}; --m-work cannot lift a file's precision
+            if img.prec <= 2 * i + 1:
+                raise ValueError(f"{images_path}: image {j} is known only mod P^{img.prec}; at i = {i} "
+                                 f"every image needs a precision above {2 * i + 1}")
         try:
             g = images_to_coeffs(ctx, i, images)
         except ValueError as exc:   # the wrong number of images

@@ -117,10 +117,13 @@ class PrimeContext:
         self.kappa_reduction = tuple(-comb(p, j + 1) for j in range(p - 1))
         self._moduli: dict[int, tuple[int, ...]] = {}
         self._galois_pows: dict[int, tuple[tuple[int, ...], ...]] = {}
-        # caches of homs: theta_a tables by a, theta_a on the basis wedges of P^i
-        # and Vandermonde data by i
+        # caches of homs: theta_a tables by a; by a, u_a = sigma_a(kappa) sigma_{1-a}(kappa)
+        # with its powers and those of u_a/kappa, which each level extends by one
+        # product; by i, the quotients theta_a(kappa^{i+r} ^ kappa^{i+s})/kappa^i read
+        # from the theta_a table, and the Vandermonde data
         self._theta_tabs: dict[int, tuple] = {}
-        self._basis_thetas: dict[int, tuple] = {}
+        self._level_units: list = []
+        self._basis_quotients: dict[int, tuple] = {}
         self._vandermonde: dict[int, object] = {}
         # caches of lazard and isom: theta^t mod P^n by (t, n), rho_a(u) by (a, u),
         # the witness checks of verify_witness by the content of (c, c2, move), and

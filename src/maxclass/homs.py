@@ -84,21 +84,74 @@ def theta_a_eval(a: int, x: CycElt, y: CycElt) -> CycElt:
     return CycElt(ctx, ctx._canonical([sum(map(mul, wedge, col)) for col in cols], prec), prec)
 
 
-def _basis_thetas(ctx: PrimeContext, i: int) -> tuple:
-    """theta_a(kappa^{i+r} ^ kappa^{i+s}) from theta_a_eval, by a and pair r < s, and the same divided by kappa^i.
+class _LevelUnit:
+    """For one a: u = sigma_a(kappa) sigma_{1-a}(kappa), diff = theta^a - theta^{1-a}, the row u^0..u^{l-1} of B, and the powers of u and z = u/kappa.
 
-    The quotients are known mod P^{M_work - i}, or None when i >= M_work; both
-    are built once per context and i.
+    u and diff are known mod P^M, M = M_work.  The powers of u start at 1 and
+    grow by the CycElt product with u, so u_pow(i) is the value u.pow(i) forms,
+    at precision M.  z lies in O, as v(sigma_k(kappa)) = 1 for k prime to p, so
+    dividing u by kappa is exact and z is known mod P^{M-1}; z_pow(i) keeps the
+    digits of z^i mod P^{M-1}, since a raw product of representatives mod
+    P^{M-1} of elements of O represents their product mod P^{M-1}.  Either list
+    grows by one product per new level; z's starts at the first level i >= 1,
+    so M >= 2 there.  Built once per context and a.
     """
-    tab = ctx._basis_thetas.get(i)
+
+    def __init__(self, ctx: PrimeContext, a: int):
+        kappa, b = ctx.kappa_power(1), (1 - a) % ctx.p
+        self.ctx = ctx
+        self.u = kappa.galois(a) * kappa.galois(b)
+        self.diff = ctx.theta(a) - ctx.theta(b)
+        self._u_pows = [ctx.one()]
+        self.b_row = tuple(self.u_pow(j) for j in range(ctx.l))
+        self._z_pows: list[tuple[int, ...]] = []
+
+    def u_pow(self, i: int) -> CycElt:
+        pows = self._u_pows
+        while len(pows) <= i:
+            pows.append(pows[-1] * self.u)
+        return pows[i]
+
+    def z_pow(self, i: int) -> tuple[int, ...]:
+        ctx, pows = self.ctx, self._z_pows
+        if not pows:
+            pows += [ctx.one().digits, self.u.div_kappa(1).digits]
+        while len(pows) <= i:
+            pows.append(ctx._canonical(ctx._mul_raw(pows[-1], pows[1]), ctx.M_work - 1))
+        return pows[i]
+
+
+def _level_units(ctx: PrimeContext) -> list[_LevelUnit]:
+    if not ctx._level_units:
+        ctx._level_units.extend(_LevelUnit(ctx, a) for a in range(2, ctx.l + 2))
+    return ctx._level_units
+
+
+def _basis_quotients(ctx: PrimeContext, i: int) -> tuple | None:
+    """theta_a(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{M-i}, M = M_work, by a and pair r < s; None when i >= M.
+
+    sigma_a is a ring map, so with u_a = sigma_a(kappa) sigma_{1-a}(kappa),
+        theta_a(kappa^{i+r} ^ kappa^{i+s}) = u_a^i theta_a(kappa^r ^ kappa^s),
+    and the quotient is z_a^i T_rs, z_a = u_a/kappa and T_rs row rs of
+    _theta_table(ctx, a), known mod P^M.  For i = 0 that row is the entry.  For
+    i >= 1, z_a^i and T_rs are known mod P^{M-1} (_LevelUnit), so the raw
+    product of their digits represents the quotient mod P^{M-1}, which
+    contains P^{M-i}.  Canonical digits mod P^{M-i} are unique, so they are the
+    digits of theta_a_eval on the basis wedge followed by div_kappa(i), and the
+    precision M - i is the same.  Built once per context and i.
+    """
+    if i >= ctx.M_work:
+        return None
+    tab = ctx._basis_quotients.get(i)
     if tab is None:
-        basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
-        pairs = tuple(combinations(range(ctx.d), 2))
-        thetas = tuple(tuple(theta_a_eval(a, basis[r], basis[s]) for r, s in pairs)
-                       for a in range(2, ctx.l + 2))
-        quotients = None if i >= ctx.M_work else tuple(
-            tuple(t.div_kappa(i) for t in row) for row in thetas)
-        tab = ctx._basis_thetas[i] = (thetas, quotients)
+        n, rows = ctx.M_work - i, []
+        for a, unit in enumerate(_level_units(ctx), 2):
+            table = zip(*_theta_table(ctx, a)[1])
+            if i:
+                z = unit.z_pow(i)
+                table = (ctx._canonical(ctx._mul_raw(z, t), n) for t in table)
+            rows.append(tuple(CycElt(ctx, t, n) for t in table))
+        tab = ctx._basis_quotients[i] = tuple(rows)
     return tab
 
 
@@ -343,14 +396,20 @@ def _bracket_precisions(g: GammaCoeffs, i: int) -> list[int]:
     tau_a), nu_a < pi_a being exact; times kappa^{D-e_a}, of bound min(D - e_a, tau_a),
     the precision min(tau_a + min(D - e_a, nu_a + omega_a), M), as nu_a < pi_a.  The
     sum, from 0 mod P^M, has the least.  A c_a known mod P^M reads no omega_a.
+    omega_a is read as i plus the valuation bound of the quotient
+    theta_a(e_r ^ e_s)/kappa^i mod P^{M-i} (_basis_quotients), or as M when
+    i >= M: the theta value mod P^M has bound v if it is not 0 mod P^M, and
+    the quotient then has v - i; if it is 0 mod P^M, its bound is M and the
+    quotient's M - i; and for i >= M every basis wedge lies in P^M.
     """
     ctx, top = g.ctx, g.ctx.M_work
     out, d_max = [top] * (ctx.d * (ctx.d - 1) // 2), max(c.den_exp for c in g.coeffs)
     for a, c in enumerate(g.coeffs):
         if c.num.prec < top and not c.is_zero():
             pi, nu, e = c.num.prec, c.num.valuation().bound, d_max - c.den_exp
-            for j, t in enumerate(_basis_thetas(ctx, i)[0][a]):
-                om = t.valuation().bound
+            rows = _basis_quotients(ctx, i)
+            omegas = [top] * len(out) if rows is None else [i + q.valuation().bound for q in rows[a]]
+            for j, om in enumerate(omegas):
                 out[j] = min(out[j], pi + om + min(e, nu + om))
     return out
 
@@ -369,7 +428,7 @@ def numerator_table(g: GammaCoeffs, i: int) -> list[tuple[int, ...]]:
         return [(0,) * ctx.d] * pairs
     d_max = max(c.den_exp for c in g.coeffs)
     table = [[0] * ctx.d for _ in range(pairs)]
-    for c, row in zip(g.coeffs, _basis_thetas(ctx, i)[1]):
+    for c, row in zip(g.coeffs, _basis_quotients(ctx, i)):
         if c.is_zero():
             continue
         num = c.num.digits
@@ -405,22 +464,19 @@ class VandermondeData:
 
 
 def vandermonde(ctx: PrimeContext, i: int) -> VandermondeData:
-    """V_i, B and the u_a, built once per context and i."""
+    """V_i, B and the u_a, built once per context and i.
+
+    The diagonal entry is (theta^a - theta^{1-a}) u_a^i / kappa^{2i+1}, with
+    u_a^i read from _LevelUnit.u_pow, extended by one product per level, not
+    formed by pow(i): the same CycElt.  It still divides by kappa^{2i+1}, so
+    M_work <= 2i+1 raises the same PrecisionExhausted on every call.
+    """
     vd = ctx._vandermonde.get(i)
-    if vd is not None:
-        return vd
-    kappa = ctx.kappa_power(1)
-    u = []
-    for a in range(2, ctx.l + 2):
-        b = (1 - a) % ctx.p
-        u.append(kappa.galois(a) * kappa.galois(b))
-    v_diag = []
-    for idx, a in enumerate(range(2, ctx.l + 2)):
-        b = (1 - a) % ctx.p
-        t = (ctx.theta(a) - ctx.theta(b)) * u[idx].pow(i)
-        v_diag.append(t.div_kappa(2 * i + 1))
-    b_mat = [[u[idx].pow(j) for j in range(ctx.l)] for idx in range(ctx.l)]
-    vd = ctx._vandermonde[i] = VandermondeData(ctx, i, v_diag, b_mat, u)
+    if vd is None:
+        units = _level_units(ctx)
+        v_diag = [(unit.diff * unit.u_pow(i)).div_kappa(2 * i + 1) for unit in units]
+        vd = ctx._vandermonde[i] = VandermondeData(ctx, i, v_diag, [unit.b_row for unit in units],
+                                                   [unit.u for unit in units])
     return vd
 
 

@@ -14,13 +14,25 @@ from fractions import Fraction
 from importlib import resources
 from operator import mul
 
-from .cyclotomic import MaxclassError, PrimeContext, _is_prime
+from .cyclotomic import MaxclassError, PrimeContext
 from . import freelie
 from .freelie import Tree
 from .liering import LcsProfile, LieElt, LieRingSpec, layer_step, lower_central_series
 
 BCH_DATA_FILE = "bch_table.json"
 BCH_DATA_VERSION = 1
+
+
+def _large_prime_divides(den: int, d: int) -> bool:
+    """True iff a prime q > max(d, 2) divides den >= 1.
+
+    Dividing out every factor 2..max(d, 2) removes exactly the primes up to
+    max(d, 2), so what is left exceeds 1 iff a larger prime divides den.
+    """
+    for q in range(2, max(d, 2) + 1):
+        while den % q == 0:
+            den //= q
+    return den > 1
 
 
 class BchTable:
@@ -52,8 +64,7 @@ class BchTable:
             raise MaxclassError("BCH table fails the class-3 anchor")
         for d, terms in self.terms.items():
             for _, c in terms:
-                if any(c.denominator % q == 0 for q in range(max(d, 2) + 1, c.denominator + 1)
-                       if _is_prime(q)):
+                if _large_prime_divides(c.denominator, d):
                     raise MaxclassError(f"degree-{d} coefficient {c} has too large a prime denominator")
 
     def self_test(self, max_deg: int | None = None) -> bool:

@@ -8,16 +8,22 @@ inputs both must give the same coset, which the tests compare through the
 digits of LieElt.value.  The Lie lower central series evaluates gamma on the
 d^2 ordered pairs of each layer with the basis of P^i.
 
-basis_brackets here joins the cached theta_a values of the basis wedges with
-CycElt ring operations, as gamma_eval does.  Divided by kappa^i, it is the
-oracle of homs.bracket_quotients, which reads the same quotients from
-numerator_table at a precision found in closed form.
+basis_thetas and vandermonde build each level's tables from scratch, as the
+package once did: theta_a_eval on the basis wedges of P^i followed by
+div_kappa(i) per entry, and u_a.pow(i).  They are the oracles of
+homs._basis_quotients and homs.vandermonde, which read level i off level 0
+and extend cached powers by one product per level.  basis_brackets joins
+the theta_a values of the basis wedges with CycElt ring operations, as
+gamma_eval does.  Divided by kappa^i, it is the oracle of
+homs.bracket_quotients, which reads the same quotients from numerator_table
+at a precision found in closed form.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
-from maxclass import CycElt, PrecisionExhausted, Valuation, gamma_eval, lower_central_series
-from maxclass.homs import _basis_thetas
+from maxclass import CycElt, PrecisionExhausted, Valuation, gamma_eval, lower_central_series, theta_a_eval
+from maxclass.homs import VandermondeData
 
 
 def combine(g, theta, prec: int) -> CycElt:
@@ -42,10 +48,42 @@ def combine(g, theta, prec: int) -> CycElt:
     return acc.div_kappa(d_max)
 
 
+@lru_cache(maxsize=None)
+def basis_thetas(ctx, i: int) -> tuple:
+    """theta_a(kappa^{i+r} ^ kappa^{i+s}) from theta_a_eval, by a and pair r < s, and the same divided by kappa^i.
+
+    The quotients are known mod P^{M_work - i}, or None when i >= M_work.
+    Cached by the value of the context and i.
+    """
+    basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+    pairs = tuple(combinations(range(ctx.d), 2))
+    thetas = tuple(tuple(theta_a_eval(a, basis[r], basis[s]) for r, s in pairs)
+                   for a in range(2, ctx.l + 2))
+    quotients = None if i >= ctx.M_work else tuple(
+        tuple(t.div_kappa(i) for t in row) for row in thetas)
+    return thetas, quotients
+
+
+def vandermonde(ctx, i: int) -> VandermondeData:
+    """V_i, B and the u_a, built afresh: u_a.pow(i) and u_a.pow(j) for every entry."""
+    kappa = ctx.kappa_power(1)
+    u = []
+    for a in range(2, ctx.l + 2):
+        b = (1 - a) % ctx.p
+        u.append(kappa.galois(a) * kappa.galois(b))
+    v_diag = []
+    for idx, a in enumerate(range(2, ctx.l + 2)):
+        b = (1 - a) % ctx.p
+        t = (ctx.theta(a) - ctx.theta(b)) * u[idx].pow(i)
+        v_diag.append(t.div_kappa(2 * i + 1))
+    b_mat = [[u[idx].pow(j) for j in range(ctx.l)] for idx in range(ctx.l)]
+    return VandermondeData(ctx, i, v_diag, b_mat, u)
+
+
 def basis_brackets(g, i: int) -> dict:
-    """gamma(kappa^{i+r} ^ kappa^{i+s}) by pair r < s, from the theta_a values cached per (context, i)."""
+    """gamma(kappa^{i+r} ^ kappa^{i+s}) by pair r < s, from the theta_a values of basis_thetas."""
     ctx = g.ctx
-    thetas = _basis_thetas(ctx, i)[0]
+    thetas = basis_thetas(ctx, i)[0]
     return {rs: combine(g, lambda a: thetas[a - 2][k], ctx.M_work)
             for k, rs in enumerate(combinations(range(ctx.d), 2))}
 

@@ -228,9 +228,13 @@ def test_i_zero_exit_2(capsys, argv):
     ('[{"p": 5, "prec": 30, "digits": ["1", "0", "0", "0"]}]',
      "an image lies outside P^7, so the images define no member of Hhat_3"),
     ('[{"p": 5, "prec": 60, "digits": ["0", "0", "0", "125"]}]',
-     "probe images do not define a member of Hhat_3")],
+     "probe images do not define a member of Hhat_3"),
+    ('[{"p": 5, "prec": 7, "digits": ["0", "0", "0", "0"]}]',
+     "image 1 is known only mod P^7; at i = 3 every image needs a precision above 7"),
+    ('[{"p": 5, "prec": -2, "digits": ["0", "0", "0", "0"]}]',
+     "image 1 is known only mod P^-2; at i = 3 every image needs a precision above 7")],
     ids=["int", "missing-keys", "object", "other-prime", "five-digits", "no-images",
-         "image-below-target", "not-a-member"])
+         "image-below-target", "not-a-member", "prec-at-shift", "negative-prec"])
 def test_bad_images_json_is_config_error(capsys, tmp_path, content, error):
     # a file that is not a list of probe images of this p, or whose images
     # define no member of Hhat_i, is a config error naming the file, not a
@@ -242,6 +246,15 @@ def test_bad_images_json_is_config_error(capsys, tmp_path, content, error):
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {path}: ") and error in err
         assert err.count("\n") == 1
+
+
+def test_m_work_at_the_vandermonde_shift_is_a_resource_limit(capsys):
+    # the Vandermonde data divide by kappa^{2i+1}: a larger --m-work mends this,
+    # so it stays a resource limit, unlike an image file's own precision
+    code, out, err = run(capsys, "jacobi", "--p", "5", "--i", "3", "--coeff", "1", "--m-work", "7")
+    assert (code, out, err) == (3, "", "resource limit: precision 7 <= shift 7\n")
+    code, out, err = run(capsys, "jacobi", "--p", "5", "--i", "3", "--coeff", "1", "--m-work", "8")
+    assert code == 0 and err == ""
 
 
 def test_coeff_and_images_json_are_exclusive(capsys, tmp_path):

@@ -303,8 +303,8 @@ def test_table_entry_below_precision_raises():
 def test_truncate_evaluates_no_gamma(monkeypatch):
     # lambda and the top ring build one numerator_table each; the truncations
     # reduce the top ring's structure constants, and their central series
-    # read them, so no theta_a and no gamma is evaluated on the way, once the
-    # theta_a on the basis wedges of P^7 are cached on the context
+    # read them, so no theta_a and no gamma is evaluated on the way; the
+    # quotients theta_a/kappa^7 on the basis wedges are read off the theta_a table
     spec = theta2_spec(5, 7, 44)
     fresh = {m: LieRingSpec(spec.ctx, 7, m, spec.gamma, lam=spec.lam) for m in range(7, 25)}
     want = {m: ([x.bracket(y) for x, y in combinations(s.basis(), 2)], lcs_profile(s))
@@ -321,7 +321,6 @@ def test_truncate_evaluates_no_gamma(monkeypatch):
 
     ctx = PrimeContext(5, 44)
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    homs._basis_thetas(ctx, 7)
     monkeypatch.setattr(liering, "numerator_table", counted)
     monkeypatch.setattr(homs, "numerator_table", counted)
     for module in (liering, homs):

@@ -181,6 +181,65 @@ def test_vandermonde_row_products_formed_once(monkeypatch):
     assert products and not any(products)
 
 
+def scratch_bracket_precisions(g, i):
+    # _bracket_precisions with omega_a read as the valuation bound of theta_a on
+    # the basis wedge mod P^M_work, from theta_a_eval (route.basis_thetas)
+    ctx, top = g.ctx, g.ctx.M_work
+    out, d_max = [top] * (ctx.d * (ctx.d - 1) // 2), max(c.den_exp for c in g.coeffs)
+    for a, c in enumerate(g.coeffs):
+        if c.num.prec < top and not c.is_zero():
+            pi, nu, e = c.num.prec, c.num.valuation().bound, d_max - c.den_exp
+            for j, t in enumerate(route.basis_thetas(ctx, i)[0][a]):
+                om = t.valuation().bound
+                out[j] = min(out[j], pi + om + min(e, nu + om))
+    return out
+
+
+def level_outcome(build, ctx, i):
+    try:
+        vd = build(ctx, i)
+    except PrecisionExhausted as exc:
+        return str(exc)
+    return vd.V_diag, vd.B, vd.VB, vd.residue_cols, vd.u
+
+
+@pytest.mark.parametrize("p, m_work", [(5, 20), (5, 60), (7, 20), (7, 60), (11, 20), (11, 60)])
+def test_level_tables_equal_scratch_route(p, m_work, monkeypatch):
+    # every level 0..M_work+1 of the theta_a quotients and the Vandermonde data,
+    # read off level 0 with cached powers, against the tables built from scratch,
+    # on fresh contexts visited in increasing, decreasing and shuffled order
+    ref, levels = PrimeContext(p, m_work), list(range(m_work + 2))
+    shuffled = random.Random(p * m_work).sample(levels, len(levels))
+    rng = random.Random(p + m_work)
+    # per level, coefficients cut below M_work and coefficients with kappa-denominators
+    vectors = {i: [[(rng.randrange(1, p ** 3), rng.randrange(1, m_work), 0) for _ in range(ref.l)],
+                   [(rng.randrange(1, p ** 3), rng.choice((rng.randrange(1, m_work), m_work)),
+                     rng.randrange(3)) for _ in range(ref.l)]]
+               for i in levels}
+
+    def gammas(ctx, i):
+        return [GammaCoeffs(ctx, i, [CycFrac(ctx.element([v, v + 1], prec), den) for v, prec, den in vec],
+                            check=False) for vec in vectors[i]]
+
+    want = {i: (route.basis_thetas(ref, i)[1], [scratch_bracket_precisions(g, i) for g in gammas(ref, i)],
+                level_outcome(route.vandermonde, ref, i)) for i in levels}
+    assert sum(isinstance(w[2], str) for w in want.values()) == m_work + 2 - (m_work // 2)
+
+    def boom(*args):
+        raise AssertionError("the level tables evaluate no theta_a")
+
+    monkeypatch.setattr(homs, "theta_a_eval", boom)
+    for order in (levels, levels[::-1], shuffled):
+        ctx = PrimeContext(p, m_work)
+        for i in order:
+            quotients, precisions, vd = want[i]
+            got = homs._basis_quotients(ctx, i)
+            assert (got is None) == (i >= m_work) and got == quotients
+            assert [homs._bracket_precisions(g, i) for g in gammas(ctx, i)] == precisions
+            # a level that raises raises again, with the same message
+            assert level_outcome(vandermonde, ctx, i) == vd == level_outcome(vandermonde, ctx, i)
+
+
 def row_product_in_hhat(g, i):
     # the oracle: form (c) V_i B in K by CycFrac products and sums, entry by
     # entry, and read integrality and a unit entry off their valuations

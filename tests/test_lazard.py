@@ -18,9 +18,11 @@ from maxclass import (
     group_commutator_closed3,
     group_lcs,
     jacobi_exponent,
+    lazard,
     lcs_profile,
     theta_power_map,
 )
+from maxclass.cyclotomic import _is_prime
 from maxclass.freelie import bch_coefficients, verify_associativity
 
 
@@ -72,6 +74,26 @@ def test_table_anchor_rejects_corruption():
     bad[2] = [((0, 1), Fraction(1, 3))]
     with pytest.raises(MaxclassError):
         BchTable(3, bad)
+
+
+def test_large_prime_denominator_rule_equals_prime_scan():
+    # the former check: some q in max(d, 2)+1..den is prime and divides den; the
+    # divisors of den are listed in pairs (q, den/q), q <= sqrt(den), to keep it fast
+    for den in range(1, 5001):
+        divisors = {x for q in range(1, math.isqrt(den) + 1) if den % q == 0 for x in (q, den // q)}
+        for d in range(1, 11):
+            want = any(_is_prime(q) for q in divisors if max(d, 2) < q <= den)
+            assert lazard._large_prime_divides(den, d) == want, (den, d)
+
+
+def test_table_rejects_a_large_prime_denominator():
+    obj = build_bch_table(6).to_json()
+    word, _ = obj["terms"]["6"][0]
+    obj["terms"]["6"][0] = [word, "1/7"]
+    with pytest.raises(MaxclassError, match="degree-6 coefficient 1/7 has too large a prime denominator"):
+        BchTable.from_json(obj, 6)
+    obj["terms"]["6"][0] = [word, "1/5"]
+    assert BchTable.from_json(obj, 6).terms[6][0][1] == Fraction(1, 5)
 
 
 def test_table_serialization_round_trip(tmp_path):
