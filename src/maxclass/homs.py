@@ -134,11 +134,13 @@ def _basis_quotients(ctx: PrimeContext, i: int) -> tuple | None:
         theta_a(kappa^{i+r} ^ kappa^{i+s}) = u_a^i theta_a(kappa^r ^ kappa^s),
     and the quotient is z_a^i T_rs, z_a = u_a/kappa and T_rs row rs of
     _theta_table(ctx, a), known mod P^M.  For i = 0 that row is the entry.  For
-    i >= 1, z_a^i and T_rs are known mod P^{M-1} (_LevelUnit), so the raw
-    product of their digits represents the quotient mod P^{M-1}, which
-    contains P^{M-i}.  Canonical digits mod P^{M-i} are unique, so they are the
-    digits of theta_a_eval on the basis wedge followed by div_kappa(i), and the
-    precision M - i is the same.  Built once per context and i.
+    i >= 1, z_a^i and T_rs are known mod P^{M-1} (_LevelUnit), so the exact
+    product of their digit representatives, sum_j t_j (z_a^i kappa^j) with
+    each z_a^i kappa^j reduced exactly by kappa^{p-1} = sum_k red_k kappa^k,
+    represents the quotient mod P^{M-1}, which contains P^{M-i}.  Canonical
+    digits mod P^{M-i} are unique, so they are the digits of theta_a_eval on
+    the basis wedge followed by div_kappa(i), and the precision M - i is the
+    same.  Built once per context and i.
     """
     if i >= ctx.M_work:
         return None
@@ -148,8 +150,13 @@ def _basis_quotients(ctx: PrimeContext, i: int) -> tuple | None:
         for a, unit in enumerate(_level_units(ctx), 2):
             table = zip(*_theta_table(ctx, a)[1])
             if i:
-                z = unit.z_pow(i)
-                table = (ctx._canonical(ctx._mul_raw(z, t), n) for t in table)
+                # column j of the product by z_a^i is z_a^i kappa^j, one kappa shift per column
+                cols, red = [unit.z_pow(i)], ctx.kappa_reduction
+                for _ in range(ctx.d - 1):
+                    top = cols[-1][-1]
+                    cols.append([top * red[0], *(x + top * r for x, r in zip(cols[-1], red[1:]))])
+                mat = tuple(zip(*cols))
+                table = (ctx._canonical([sum(map(mul, row, t)) for row in mat], n) for t in table)
             rows.append(tuple(CycElt(ctx, t, n) for t in table))
         tab = ctx._basis_quotients[i] = tuple(rows)
     return tab
