@@ -8,9 +8,9 @@ inputs both must give the same coset, which the tests compare through the
 digits of LieElt.value.  The Lie lower central series evaluates gamma on the
 d^2 ordered pairs of each layer with the basis of P^i.
 
-basis_thetas and vandermonde build each level's tables from scratch, as the
-package once did: theta_a_eval on the basis wedges of P^i followed by
-div_kappa(i) per entry, and u_a.pow(i).  They are the oracles of
+basis_thetas and vandermonde build each level's tables from scratch:
+theta_a_eval on the basis wedges of P^i followed by div_kappa(i) per entry,
+and u_a.pow(i).  They are the oracles of
 homs._basis_quotients and homs.vandermonde, which read level i off level 0
 and extend cached powers by one product per level.  basis_brackets joins
 the theta_a values of the basis wedges with CycElt ring operations, as
