@@ -456,6 +456,9 @@ class VandermondeData:
 
     residue_cols[j][a] is what in_Hhat reads of VB[a][j] for a vector with
     no kappa-denominator: (digit 0 mod p, precision, valuation bound).
+
+    B[a][0] = u_a^0 = 1, so VB[a][0] is V_diag[a] itself: the product v * 1
+    would keep v's digits and its precision min(v.prec, M + v(v), M) = v.prec.
     """
 
     def __init__(self, ctx: PrimeContext, i: int, v_diag, b, u):
@@ -464,7 +467,7 @@ class VandermondeData:
         self.V_diag = tuple(v_diag)
         self.B = tuple(tuple(row) for row in b)
         self.u = tuple(u)
-        self.VB = tuple(tuple(v * x for x in row) for v, row in zip(self.V_diag, self.B))
+        self.VB = tuple((v,) + tuple(v * x for x in row[1:]) for v, row in zip(self.V_diag, self.B))
         self.residue_cols = tuple(
             tuple((row[j].digits[0] % ctx.p, row[j].prec, row[j].valuation().bound) for row in self.VB)
             for j in range(ctx.l))

@@ -278,25 +278,19 @@ def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:
     return tuple(key)
 
 
-def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[CycElt]:
-    """Galois-invariant quotients sigma_k(c2_a) / c_a; for such u, rho_a(u) = u."""
+def _quotients(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[CycFrac | None]:
+    """The quotients q_a = sigma_k(c2_a) / c_a, or None where c_a is 0 or the division is undecided.
+
+    The move search reads its derived candidates and its pivot key off this
+    list.  A division raising InsufficientValuation or PrecisionExhausted
+    leaves q_a undecided; any other error propagates.
+    """
     out = []
     for ca, ca2 in zip(c.coeffs, c2.coeffs):
-        if ca.is_zero() or ca2.is_zero():
-            continue
         try:
-            q = ca2.galois(k) / ca
+            out.append(None if ca.is_zero() else ca2.galois(k) / ca)
         except (InsufficientValuation, PrecisionExhausted):
-            continue
-        v = q.valuation()
-        if q.den_exp == 0 and v.exact and v.value == 0:
-            u = q.num
-            # keep only Z_p-fixed candidates, where the rho-twist collapses to u;
-            # sigma_g(a kappa^j) - a kappa^j has valuation exactly v(a kappa^j)
-            # for 1 <= j <= p-2, distinct for distinct j, so u is Galois-fixed
-            # mod P^prec iff its canonical digits j >= 1 all vanish
-            if not any(u.digits[1:]):
-                out.append(u)
+            out.append(None)
     return out
 
 
@@ -307,29 +301,33 @@ def _derived_unit_candidates(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[Cy
 # route stays among integers: 1/c_a is A^{-1} at precision pa, and the quotient
 # c2_a/c_a is B A^{-1} at precision min(pb, pa + v(B)), the product rule with
 # v(1/c_a) = 0.  Galois-fixed c2_a and u make sigma_k(c2_a) = c2_a and
-# rho_a(u) = u, at the precision of u.  So each of the three helpers below gives
-# the value, the precision and the PrecisionExhausted of its ring counterpart.
-# They stay beside the ring route, which remains the only route for other
-# vectors: on integer vectors it is slower even with integer shortcuts in CycElt
+# rho_a(u) = u, at the precision of u.  So both helpers below give the value,
+# the precision and the PrecisionExhausted of their ring counterparts.  They
+# stay beside the ring route, which remains the only route for other vectors:
+# on integer vectors it is slower even with integer shortcuts in CycElt
 # (BENCH_16.json, simplification_controls).
 
-def _integer_candidates(ctx: PrimeContext, zc: tuple, zc2: tuple) -> list[CycElt]:
-    """_derived_unit_candidates for integer vectors: B/A is a unit iff B is, at precision min(pa, pb)."""
+def _integer_quotients(ctx: PrimeContext, zc: tuple, zc2: tuple) -> list[CycFrac | None]:
+    """_quotients for integer vectors: B A^{-1} at precision min(pb, pa + v(B)), None where A is 0."""
     out, zeros = [], (0,) * (ctx.d - 1)
-    for (_, pa, _, inv), (b, pb, _, _) in zip(zc, zc2):
-        if inv is not None and b % ctx.p:
-            mod = ctx.digit_moduli(min(pa, pb))[0]
-            out.append(CycElt(ctx, (b * inv % mod,) + zeros, min(pa, pb)))
+    for (_, pa, _, inv), (b, pb, vb, _) in zip(zc, zc2):
+        prec = min(pb, pa + vb)
+        out.append(None if inv is None else
+                   CycFrac(CycElt(ctx, (b * inv % ctx.digit_moduli(prec)[0],) + zeros, prec)))
     return out
 
 
-def _integer_key(ctx: PrimeContext, za: tuple, zb: tuple, n: int) -> tuple | None:
-    """_quotient_key for integers c_a = A, a unit, and c2_a = B."""
-    (_, pa, _, inv), (b, pb, vb, _) = za, zb
-    if min(pb, pa + vb) < n:
-        return None
-    mod = ctx.digit_moduli(n)[0]
-    return (b * inv % mod,) + (0,) * (ctx.d - 1)
+def _zp_units(quotients: list[CycFrac | None], p: int) -> list[CycElt]:
+    """The quotients that are Z_p units, the derived candidates; for such u, rho_a(u) = u.
+
+    These are the q with den_exp 0, no digits past digit 0 and p not dividing
+    digit 0.  Proof: sigma_g(a kappa^j) - a kappa^j has valuation exactly
+    v(a kappa^j) for 1 <= j <= p-2, distinct for distinct j, so q is Galois-fixed
+    mod P^prec iff its canonical digits j >= 1 vanish; q is then digit 0, an
+    integer, of exact valuation 0 iff p does not divide it.
+    """
+    return [q.num for q in quotients
+            if q is not None and not q.den_exp and q.num.digits[0] % p and not any(q.num.digits[1:])]
 
 
 def _integer_congruent(p: int, zc: tuple, zc2: tuple, u: CycElt, m: int) -> bool:
@@ -388,22 +386,6 @@ def _decidable(c: GammaCoeffs, c2: GammaCoeffs, m: int, prec: int, ks) -> bool:
     return True
 
 
-def _quotient_key(ca2: CycFrac, k: int, ca: CycFrac, n: int) -> tuple | None:
-    """q = sigma_k(ca2) / ca mod P^n as canonical digits, or None when q is not known mod P^n.
-
-    A unit never has the key of a non-unit q: a q in P has digit 0 divisible by
-    p, and a q with a kappa-denominator gets the key (), which no digit tuple is.
-    An error on the way only leaves q undecided.
-    """
-    try:
-        q = ca2.galois(k) / ca
-    except MaxclassError:
-        return None
-    if q.num.prec - q.den_exp < n:
-        return None
-    return () if q.den_exp else q.num.reduce_to(n).digits
-
-
 def _grid_units(ctx: PrimeContext, unit_modulus: int, budget: int) -> list[CycElt]:
     """The units of O/P^{unit_modulus} lifted to M_work, in enumerate_units order; cached on the context.
 
@@ -448,20 +430,23 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
       verdict at a* holds for every representative of the cosets.  Multiplying
       by c_{a*}^{-1}, of valuation -v, carries P^m onto P^n, so the congruence
       at a* holds iff rho_{a*}(u) = q_k mod P^n, q_k known mod P^n.
-    - So (u, k) is skipped only if q_k is known mod P^n (_quotient_key),
-      u is known mod P^n, and rho_{a*}(u) is not q_k mod P^n.  A derived u is
-      Galois-fixed, so rho_{a*}(u) = u.  Grid units are looked up in an index
-      keyed by rho_{a*}(u) mod P^n, cached on the context.  A non-unit q_k
-      matches no unit, so its k has no candidate.
+    - So (u, k) is skipped only if q_k is known mod P^n, u is known mod P^n,
+      and rho_{a*}(u) is not q_k mod P^n.  q_k is entry a* of the quotient
+      list (_quotients) that also yields the derived units (_zp_units), so it
+      is divided once per k.  A derived u is Galois-fixed, so rho_{a*}(u) = u.
+      Grid units are looked up in an index keyed by rho_{a*}(u) mod P^n,
+      cached on the context.  A non-unit q_k matches no unit, so its k has no
+      candidate: a q_k in P has digit 0 divisible by p, and a q_k with a
+      kappa-denominator gets the key (), which no digit tuple is.
     - A repeat of (u, k) in one k's derived list failed the first time; it
       is dropped.
     - When every c2_a is Galois-fixed (every grid vector at unit_modulus 1),
       sigma_k(c2_a) is c2_a itself, so move_congruent(u, k) is one computation
-      for every k: it runs once per u, and the derived list once.
+      for every k: it runs once per u, and the quotient list once.
     - When c and c2 are integer vectors (every grid vector at coeff_mod 1)
       and every nonzero c_a is a unit, the pivot is the first nonzero c_a, and
-      the derived list and q_k are Z_p arithmetic (_integer_candidates,
-      _integer_key), as is move_congruent on each derived unit.
+      the quotient list is Z_p arithmetic (_integer_quotients), as is
+      move_congruent on each derived unit.
     The grid is enumerated only after the derived candidates fail, so
     BudgetExceeded is raised where the scan would raise it.
     """
@@ -475,7 +460,8 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     else:
         pivot = _pivot(c, m)
     n = None if pivot is None else m - pivot[0]
-    keys: dict[int, tuple | None] = {}     # q_k mod P^n by k, 1 standing for every k when fixed
+    quotients: dict[int, list] = {}        # the quotient list by k, 1 standing for every k when fixed
+    keys: dict[int, tuple | None] = {}     # q_k mod P^n by k, likewise
     decided: dict[int, bool] = {}          # _decidable by unit precision
     derived: dict[int, list[CycElt]] = {}  # the derived units by k, repeats and skips dropped
     verdicts: dict[tuple, bool] = {}       # move_congruent by (u, k), or by u when fixed
@@ -483,9 +469,9 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     def key(k: int) -> tuple | None:
         k = 1 if fixed else k
         if k not in keys:
-            a = pivot[1]
-            keys[k] = (_integer_key(ctx, zc[a], zc2[a], n) if zc
-                       else _quotient_key(c2.coeffs[a], k, c.coeffs[a], n))
+            q = quotients[k][pivot[1]]
+            keys[k] = (None if q is None or q.num.prec - q.den_exp < n
+                       else () if q.den_exp else ctx._canonical(q.num.digits, n))
         return keys[k]
 
     def solvable(prec: int) -> bool:
@@ -511,8 +497,8 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     for k in ks:
         j = 1 if fixed else k
         if j not in derived:
-            found = _integer_candidates(ctx, zc, zc2) if zc else _derived_unit_candidates(c, c2, j)
-            derived[j] = [u for u in dict.fromkeys(found) if not skip(u, j)]
+            quotients[j] = _integer_quotients(ctx, zc, zc2) if zc else _quotients(c, c2, j)
+            derived[j] = [u for u in dict.fromkeys(_zp_units(quotients[j], ctx.p)) if not skip(u, j)]
         for u in derived[j]:
             if mv := certified(u, k):
                 return mv

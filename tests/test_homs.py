@@ -164,12 +164,15 @@ def test_vandermonde_row_products_formed_once(monkeypatch):
                for _ in range(ctx.l)] for _ in range(5)]
     solved = [images_to_coeffs(ctx, i, imgs).to_json() for imgs in images]
 
-    diag = {id(v) for v in vd.V_diag}
+    # VB[a][0] is V_diag[a] itself, so a product is flagged by its two
+    # factors: a V_diag entry times a B entry
+    diag, row_b = {id(v) for v in vd.V_diag}, {id(x) for row in vd.B for x in row}
     products = []
     real_mul = homs.CycElt.__mul__
 
     def counted(self, other):
-        products.append(id(self) in diag or id(other) in diag)
+        pair = {id(self), id(other)}
+        products.append(bool(pair & diag and pair & row_b))
         return real_mul(self, other)
 
     monkeypatch.setattr(homs.CycElt, "__mul__", counted)

@@ -38,12 +38,11 @@ from maxclass import homs, liering
 from maxclass.isom import (
     _coeff_key,
     _decidable,
-    _derived_unit_candidates,
-    _integer_candidates,
     _integer_congruent,
-    _integer_key,
-    _quotient_key,
+    _integer_quotients,
+    _quotients,
     _witness_differences,
+    _zp_units,
 )
 import cycelt_route as route
 
@@ -257,33 +256,38 @@ def test_move_serialization(ctx, units):
     assert mv2.k == mv.k and mv2.u == mv.u
 
 
+def derived_units(c, c2, k):
+    # the derived candidates of find_certified_move for Galois index k
+    return _zp_units(_quotients(c, c2, k), c.ctx.p)
+
+
 def test_derived_candidates_are_zp_units(ctx):
     # only Galois-fixed quotients are kept: 2 is, theta and 1 + 5 kappa^3 are not
     c = GammaCoeffs.from_integers(ctx, I, [1])
     for x, kept in ((ctx.from_int(2), 1), (ctx.theta(), 0),
                     (ctx.one() + ctx.kappa_power(3) * 5, 0)):
         c2 = GammaCoeffs(ctx, I, [x], check=False)
-        assert len(_derived_unit_candidates(c, c2, 1)) == kept
+        assert len(derived_units(c, c2, 1)) == kept
 
 
 @pytest.mark.parametrize("error", [NonUnit, ValueError])
 def test_derived_candidates_skip_only_undecided_divisions(ctx, monkeypatch, error):
     c = GammaCoeffs.from_integers(ctx, I, [1])
     c2 = GammaCoeffs.from_integers(ctx, I, [2])
-    assert len(_derived_unit_candidates(c, c2, 1)) == 1  # the Z_p unit 2
+    assert len(derived_units(c, c2, 1)) == 1  # the Z_p unit 2
 
     def undecided(self, other):
         raise PrecisionExhausted("quotient undecided at working precision")
 
     monkeypatch.setattr(CycFrac, "__truediv__", undecided)
-    assert _derived_unit_candidates(c, c2, 1) == []
+    assert derived_units(c, c2, 1) == []
 
     def broken(self, other):
         raise error("not a precision limit")
 
     monkeypatch.setattr(CycFrac, "__truediv__", broken)
     with pytest.raises(error):
-        _derived_unit_candidates(c, c2, 1)
+        derived_units(c, c2, 1)
 
 
 def p7_grid_gammas():
@@ -316,7 +320,7 @@ def test_derived_candidates_equal_quotients_on_p7_grid():
     for a, c in enumerate(gammas):
         for c2 in gammas[a + 1:]:
             for k in range(1, 7):
-                got = _derived_unit_candidates(c, c2, k)
+                got = derived_units(c, c2, k)
                 assert got == quotient_candidates(c, c2, k)
                 found += len(got)
     assert found > 0
@@ -347,7 +351,7 @@ def test_find_certified_move_inverts_each_coefficient_once(monkeypatch):
         find_certified_move(fresh, c2, 18)
         assert inversions == []
     assert counts[:len(grid)] == [0] * len(grid)
-    # one inversion per c_a that meets a nonzero c2_a, whatever the Galois index
+    # one inversion per nonzero c_a, whatever the Galois index
     assert max(counts) <= ctx.l and sum(counts) > 0
 
 
@@ -554,11 +558,10 @@ def test_integer_search_steps_equal_the_ring_route(p, i, m_work):
                 ring_decidable(c, twisted, m, prec, range(1, p))
         if any(inv is None for a, _, _, inv in zc if a):
             continue
-        assert _integer_candidates(ctx, zc, zc2) == _derived_unit_candidates(c, c2, 1)
-        for a, (za, zb) in enumerate(zip(zc, zc2)):
-            if za[3] is not None:
-                n = rng.randrange(1, m_work + 3)
-                assert _integer_key(ctx, za, zb, n) == _quotient_key(c2.coeffs[a], 1, c.coeffs[a], n)
+        for q, want in zip(_integer_quotients(ctx, zc, zc2), _quotients(c, c2, 1), strict=True):
+            assert (q is None) == (want is None)
+            if q is not None:
+                assert (q.num.digits, q.num.prec, q.den_exp) == (want.num.digits, want.num.prec, want.den_exp)
         for u in rng.sample(units, 3):
             want = outcome(move_congruent_by_ring, c, c2, IsoMove(u, 1), m)
             assert outcome(_integer_congruent, p, zc, zc2, u, m) == want
@@ -700,7 +703,7 @@ def scan_certified_move(c, c2, m, unit_modulus=1, budget=DEFAULT_BUDGET):
     # the oracle: every derived candidate k-major, then every grid unit u-major
     # and k-minor, each tested by the ring congruence and then verify_witness
     ctx, ks = c.ctx, range(1, c.ctx.p)
-    derived = ((u, k) for k in ks for u in _derived_unit_candidates(c, c2, k))
+    derived = ((u, k) for k in ks for u in quotient_candidates(c, c2, k))
     lifted = (u.lift_to(ctx.M_work) for u in enumerate_units(ctx, unit_modulus, budget))
     for u, k in chain(derived, ((u, k) for u in lifted for k in ks)):
         mv = IsoMove(u, k)
@@ -827,7 +830,7 @@ def test_find_certified_move_tries_a_derived_unit_where_the_scan_raises():
     c2 = GammaCoeffs(ctx, i, [CycFrac((ctx.from_int(5) + kappa).reduce_to(11) * kappa),
                               CycFrac(ctx.from_int(2) + kappa), CycFrac(ctx.from_int(3)),
                               CycFrac(ctx.from_int(3))], check=False)
-    assert [len(_derived_unit_candidates(c, c2, k)) for k in range(1, 11)] == [2] * 10
+    assert [len(derived_units(c, c2, k)) for k in range(1, 11)] == [2] * 10
     for budget in (5, DEFAULT_BUDGET):
         want = search_outcome(scan_certified_move, c, c2, m, 2, budget)
         assert want is PrecisionExhausted
@@ -889,3 +892,14 @@ def test_find_certified_move_applies_each_galois_index_once(monkeypatch):
         assert len(runs[0]) == len(set(runs[0])) and runs[1] == []
         counted += len(runs[0])
     assert counted > 0
+
+
+def test_quotients_are_divided_once_per_k_on_the_p5_p2_tree(monkeypatch):
+    # the derived candidates and the pivot key read one quotient list per
+    # Galois index, so the pivot's sigma_k(c2_a) / c_a is not divided a second
+    # time for the key: 768 divisions, where that second division made 1,536
+    divisions, real = [], CycFrac.__truediv__
+    monkeypatch.setattr(CycFrac, "__truediv__",
+                        lambda self, other: divisions.append(other) or real(self, other))
+    enumerate_frame(PrimeContext(5, 48), 7, 20, coeff_mod=2)
+    assert len(divisions) == 768

@@ -158,7 +158,7 @@ def primitive_root(p):
 @given(st.data())
 def test_zp_digit_test_matches_galois_invariance(data):
     # u is fixed by the Galois group mod P^prec iff its digits j >= 1 vanish;
-    # _derived_unit_candidates relies on this to keep only Z_p units
+    # isom._zp_units relies on this to keep only Z_p units
     p = data.draw(primes)
     ctx = CTX[p]
     if data.draw(st.booleans()):
