@@ -125,42 +125,28 @@ def _write(path: str | None, blob: str) -> None:
 
 
 # json's text of a value of exactly this type, None for a container
-_TEXT = {str: encode_basestring_ascii, int: repr, float: json.JSONEncoder().encode,
+_TEXT = {str: encode_basestring_ascii, int: repr,
          bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
          **dict.fromkeys((list, tuple, dict), lambda _: None)}
 _FLUSH_EVERY = 4096   # chunks that _write_json holds before it writes them
 
 
-def _subclass_text(o) -> str | None:
-    """_TEXT for an instance of a subclass; TypeError for what json refuses."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):   # bool has no subclasses
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _TEXT[float](o)
-    if isinstance(o, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    """A dict key as json writes it, quoted: bool before int, a float as its float text."""
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if k is None or isinstance(k, (int, float)):
-        return encode_basestring_ascii(_TEXT.get(k.__class__, _subclass_text)(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+def _refuse(o) -> None:
+    raise TypeError(f"{o.__class__.__name__} is not a payload type: dict, list, tuple, str, "
+                    f"int, bool or None")
 
 
 def _write_json(obj, write) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) + "\\n" through write, byte for byte.
 
-    With indent set, json formats in pure Python and returns the whole text.
-    Here scalars go through json's C routines, and whenever a container is
-    closed with _FLUSH_EVERY chunks waiting, they are written and dropped, so
-    the text is never all held at once.  What json refuses raises TypeError,
-    as in json; a circular container is not detected.
+    obj is a payload, as every command builds one: dicts with str keys, and
+    lists, tuples, str, int, bool and None, each value of exactly its type.
+    Anything else raises TypeError, even where json would write it: a float,
+    a value of a subclass, a key that is not a str.  With indent set, json
+    formats in pure Python and returns the whole text.  Here scalars go
+    through json's C routines, and whenever a container is closed with
+    _FLUSH_EVERY chunks waiting, they are written and dropped, so the text is
+    never all held at once.  A circular container is not detected.
     """
     chunks = []
     append = chunks.append
@@ -179,9 +165,9 @@ def _write_json(obj, write) -> None:
         if isinstance(o, dict):
             sep, close = "{" + inner, newline[depth] + "}"
             for k, v in sorted(o.items()):
-                head = sep + (encode_basestring_ascii(k) if k.__class__ is str else _key(k)) + ": "
+                head = sep + encode_basestring_ascii(k) + ": "
                 sep = comma
-                text = text_of(v.__class__, _subclass_text)(v)
+                text = text_of(v.__class__, _refuse)(v)
                 if text is None:
                     append(head)
                     container(v, depth + 1)
@@ -191,7 +177,7 @@ def _write_json(obj, write) -> None:
             sep, close = "[" + inner, newline[depth] + "]"
             for v in o:
                 head, sep = sep, comma
-                text = text_of(v.__class__, _subclass_text)(v)
+                text = text_of(v.__class__, _refuse)(v)
                 if text is None:
                     append(head)
                     container(v, depth + 1)
@@ -202,7 +188,7 @@ def _write_json(obj, write) -> None:
             write("".join(chunks))
             chunks.clear()
 
-    text = text_of(obj.__class__, _subclass_text)(obj)
+    text = text_of(obj.__class__, _refuse)(obj)
     if text is None:
         container(obj, 0)
     else:

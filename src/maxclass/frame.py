@@ -2,8 +2,8 @@
 
 Each S_{i,m}(gamma) has order p^{m-i+1}; the P-factor acts on the Lazard
 group by multiplication with theta.  The frame of a branch is assembled by
-sweeping a coefficient grid and keeping, per surviving gamma, only the pair
-(gamma, top level m_top): its chain of truncations m = i .. m_top.  Each
+sweeping a coefficient grid and keeping, per surviving gamma, only gamma,
+lambda and the top level m_top: its chain of truncations m = i .. m_top.  Each
 vertex has maximal class by a lemma (s_group_lcs is the sweep that checks it),
 and the Lie class is < p by the same lemma up to level p*i; only a gamma kept
 above p*i has its Lie series swept.
@@ -92,8 +92,8 @@ class SGroup:
             out = self.multiply(out, base)
         return out
 
-    def enumerate_elements(self, budget: int | None = None):
-        for g in self.spec.enumerate_elements(budget=budget):
+    def enumerate_elements(self):
+        for g in self.spec.enumerate_elements():
             for t in range(self.ctx.p):
                 yield GroupElt(self, g, t)
 
@@ -305,12 +305,12 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
                     budget: int = DEFAULT_BUDGET) -> FrameTree:
     """Build the tree of frame vertices for the grid of coefficients mod P^{coeff_mod}.
 
-    Every grid representative gamma passing the Hhat_i test is kept as the
-    pair (gamma, m_top = min(lambda, m_max)), the chain of truncations
-    m = i .. m_top of its Lie ring, with lambda from _line_lambda.  Vertices at
-    each level are merged only under certified moves, and a pair is tried only
-    if it lies in one class of the level below; at level i those classes are
-    the lines of the vectors mod P (_line_key).
+    Every grid representative gamma passing the Hhat_i test is kept with
+    m_top = min(lambda, m_max), the chain of truncations m = i .. m_top of its
+    Lie ring, and lambda from _line_lambda, which no later step recomputes.
+    Vertices at each level are merged only under certified moves, and a pair
+    is tried only if it lies in one class of the level below; at level i those
+    classes are the lines of the vectors mod P (_line_key).
 
     Maximal class is a lemma, not a sweep of s_group_lcs.  Let gamma be
     integral, i >= 1 and the Lie class < p.  sigma_a keeps valuations, so
@@ -342,7 +342,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         raise ValueError(f"i = {i}: the frame needs i >= 1; L_(0,m)(gamma) is not nilpotent")
     if m_max < i:
         raise ValueError(f"m_max = {m_max} lies below i = {i}: the tree would have no level")
-    kept: list[tuple[GammaCoeffs, int]] = []   # (gamma, its top level min(lambda, m_max))
+    kept: list[tuple[GammaCoeffs, int, Valuation]] = []   # (gamma, min(lambda, m_max), lambda)
     lam_of = _line_lambda(coeff_mod)
     passed = False
     for coeffs in _coefficient_grid(ctx, coeff_mod, budget):
@@ -353,24 +353,25 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         if not g.is_integral():
             raise MaxclassError(f"grid gamma {_coeff_key(g, coeff_mod)!r} is not integral")
         passed = True
-        m_top = min(lam_of(g, i).value, m_max)
+        lam = lam_of(g, i)
+        m_top = min(lam.value, m_max)
         if m_top >= i:
-            kept.append((g, m_top))
+            kept.append((g, m_top, lam))
     if not passed:
         raise MaxclassError(f"no grid coefficient passes the Hhat_{i} test")
-    max_class = max([1] + [LieRingSpec(ctx, i, m_top, g).nilpotency_class
-                           for g, m_top in kept if m_top > ctx.p * i])
+    max_class = max([1] + [LieRingSpec(ctx, i, m_top, g, lam=lam).nilpotency_class
+                           for g, m_top, lam in kept if m_top > ctx.p * i])
     if max_class >= ctx.p:
         raise ValueError(f"max_class {max_class} >= p = {ctx.p}: denominator p would appear")
 
     nodes: list[FrameNode] = []
     edges: list[tuple[str, str]] = []
     merged_by: list[dict] = []
-    prev_class_of = {idx: _line_key(g) for idx, (g, _) in enumerate(kept)}
-    keys = [_coeff_key(g, coeff_mod) for g, _ in kept]
+    prev_class_of = {idx: _line_key(g) for idx, (g, *_) in enumerate(kept)}
+    keys = [_coeff_key(g, coeff_mod) for g, *_ in kept]
 
     for m in range(i, m_max + 1):
-        members = [idx for idx, (_, m_top) in enumerate(kept) if m_top >= m]
+        members = [idx for idx, (_, m_top, _) in enumerate(kept) if m_top >= m]
         # congruence mod P^m implies congruence mod P^{m-1}, so a pair can merge
         # only inside one bucket, a class of the level below; each ia walks the
         # later members of its bucket, in the lexicographic pair order.  rep[idx]

@@ -280,7 +280,8 @@ class GammaCoeffs:
 
     Frame constructions require membership in Hhat_i (check=True); scan grids
     may carry raw vectors with check=False.  in_Hhat_at is i once the check has
-    passed, so a Lie ring built on this gamma at i need not repeat it.
+    passed, so a Lie ring built on this gamma at i need not repeat it.  Every
+    coefficient is of ctx, or of an equal context, whatever check is.
     """
 
     def __init__(self, ctx: PrimeContext, i: int, coeffs, check: bool = True, den_cap: int | None = None):
@@ -291,6 +292,8 @@ class GammaCoeffs:
         for c in coeffs:
             if c.den_exp > cap:
                 raise DenominatorCap(f"den_exp {c.den_exp} exceeds cap {cap}")
+            if c.ctx is not ctx and c.ctx != ctx:
+                raise ContextMismatch(f"{c.ctx!r} vs {ctx!r}")
         self.ctx = ctx
         self.i = i
         self.coeffs = coeffs
@@ -308,15 +311,14 @@ class GammaCoeffs:
     def integer_coeffs(self) -> tuple[tuple[int, int, int, int | None], ...] | None:
         """(digit 0, precision, valuation bound, inverse) of each c_a, or None unless every c_a is an integer.
 
-        An integer here is a Galois-fixed c_a (is_galois_fixed) of this context,
-        known mod P^prec with prec <= M_work, so its digit 0 is its residue mod
+        An integer here is a Galois-fixed c_a (is_galois_fixed), known mod
+        P^prec with prec <= M_work, so its digit 0 is its residue mod
         p^e, e = ceil(prec/(p-1)); the inverse is that of a unit mod p^e, else
         None.  Every grid vector at coeff_mod 1 has only such coefficients.
         Computed once per gamma, for the move search.
         """
         ctx = self.ctx
-        if not all(c.is_galois_fixed() and c.num.prec <= ctx.M_work and c.ctx == ctx
-                   for c in self.coeffs):
+        if not all(c.is_galois_fixed() and c.num.prec <= ctx.M_work for c in self.coeffs):
             return None
         out = []
         for c in self.coeffs:
@@ -379,9 +381,6 @@ def bracket_quotients(g: GammaCoeffs, i: int) -> list[CycElt]:
     InsufficientValuation on it, and the error classes agree.
     """
     ctx = g.ctx
-    for c in g.coeffs:   # the ring product c_a theta_a checks the context first
-        if not c.is_zero() and c.num.ctx != ctx:
-            raise ContextMismatch(f"{c.num.ctx!r} vs {ctx!r}")
     d_max = max(c.den_exp for c in g.coeffs)
     # the table's digits represent the coset mod P^{n-i}; div_kappa canonicalises
     return [CycElt(ctx, row, n - i).div_kappa(d_max)
@@ -503,11 +502,8 @@ def _row_times_vib(g: GammaCoeffs, vd: VandermondeData) -> list[CycFrac]:
 
 def _unit_entry_mod_p(g: GammaCoeffs, vd: VandermondeData) -> bool:
     """in_Hhat for a vector with every den_exp 0, from residues mod P."""
-    p, unit = g.ctx.p, vd.V_diag[0]
-    cs = []
-    for c in g.coeffs:
-        c.num._check_ctx(unit)
-        cs.append((c.num.digits[0] % p, c.num.prec, c.num.valuation().bound))
+    p = g.ctx.p
+    cs = [(c.num.digits[0] % p, c.num.prec, c.num.valuation().bound) for c in g.coeffs]
     undecided_unit = False
     for col in vd.residue_cols:
         n, s = g.ctx.M_work, 0

@@ -10,7 +10,6 @@ precision.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -186,38 +185,21 @@ class LieRingSpec:
         """Module generators kappa^{i+t}, t = 0..p-2, of P^i."""
         return [self.kappa_power(self.i + t) for t in range(self.ctx.d)]
 
-    def enumerate_elements(self, budget: int | None = None):
+    def enumerate_elements(self):
         """All p^{m-i} cosets, one per canonical digit tuple."""
-        n = self.m - self.i
-        if budget is not None and self.ctx.p ** n > budget:
-            raise MaxclassError(f"{self.ctx.p}^{n} elements exceed budget {budget}")
         for digs in product(*map(range, self._moduli)):
             yield LieElt(self, digs)
 
     def truncate(self, m: int) -> LieRingSpec:
-        """The quotient L_{i,m}(gamma) of this ring, for i <= m <= self.m.
+        """The quotient L_{i,m}(gamma) of this ring, i <= m <= self.m: the ring built at level m.
 
-        Hhat_i membership and lambda depend only on gamma, so neither is
-        recomputed; a cached lower central series is carried over, clamped at
-        m.  The structure constants are this ring's reduced digit by digit, as
-        reduce_to does; only where those raise PrecisionExhausted does the
-        quotient build its own, when a bracket asks for them.
+        lambda depends only on gamma and is handed on, as is Hhat_i membership
+        for a gamma checked at i (in_Hhat_at).  The quotient builds its own
+        structure constants from bracket_quotients when a bracket asks for them.
         """
         if not self.i <= m <= self.m:
             raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
-        out = copy.copy(self)
-        out.m = m
-        out._moduli = self.ctx.digit_moduli(m - self.i)
-        try:
-            pairs, cols = self._structure_constants()
-        except PrecisionExhausted:
-            out._table = None
-        else:
-            out._table = (pairs, tuple(tuple(x % q for x in col) for col, q in zip(cols, out._moduli)))
-        if self._profile is not None:
-            out._profile = LcsProfile(
-                tuple(w for w in self._profile.exponents if w < m) + (m,), m)
-        return out
+        return LieRingSpec(self.ctx, self.i, m, self.gamma, lam=self.lam)
 
     # ---- structure ----
 

@@ -301,10 +301,11 @@ def test_table_entry_below_precision_raises():
 
 
 def test_truncate_evaluates_no_gamma(monkeypatch):
-    # lambda and the top ring build one numerator_table each; the truncations
-    # reduce the top ring's structure constants, and their central series
-    # read them, so no theta_a and no gamma is evaluated on the way; the
-    # quotients theta_a/kappa^7 on the basis wedges are read off the theta_a table
+    # lambda builds one numerator_table, and so does each ring that reads its
+    # structure constants: the truncations at m = 8..24 and the top ring, but
+    # not the ring at m = i = 7, which has none; no theta_a and no gamma is
+    # evaluated on the way, as the quotients theta_a/kappa^7 on the basis
+    # wedges are read off the theta_a table
     spec = theta2_spec(5, 7, 44)
     fresh = {m: LieRingSpec(spec.ctx, 7, m, spec.gamma, lam=spec.lam) for m in range(7, 25)}
     want = {m: ([x.bracket(y) for x, y in combinations(s.basis(), 2)], lcs_profile(s))
@@ -334,4 +335,4 @@ def test_truncate_evaluates_no_gamma(monkeypatch):
         assert [x.bracket(y) for x, y in combinations(cut.basis(), 2)] == want[m][0]
         assert lcs_profile(cut) == want[m][1]
     assert top.lcs_profile() == want[24][1]
-    assert built == [(g, 7), (g, 7)]
+    assert built == [(g, 7)] * (1 + len(range(8, 25)) + 1)

@@ -468,3 +468,20 @@ def test_jacobi_exponent_calls_per_line(monkeypatch, job, calls, atleast):
         lams = [e for e in out["entries"] if e["lambda"] is not None]
         assert atleast == sum(not e["exact"] for e in lams)
         assert out["coeff_mod"] == 1 or calls == len(lams)
+
+
+def test_lie_class_sweep_takes_the_grid_lambda(monkeypatch):
+    # enumerate --p 5 --i 1 --coeff-mod 1: the grid's four gammas lie on one
+    # line mod P, whose lambda is computed once; each reaches m_max = 6 > p*i,
+    # so each has its Lie series swept, on a ring given that lambda
+    calls = []
+
+    def counted(g, i=None):
+        calls.append(i)
+        return jacobi_exponent(g, i)
+
+    for module in (frame, liering):
+        monkeypatch.setattr(module, "jacobi_exponent", counted)
+    tree = enumerate_frame(PrimeContext(5, 30), 1, 6)
+    assert sum(n.m == 6 for n in tree.nodes) >= 1
+    assert calls == [1]

@@ -21,6 +21,7 @@ from maxclass import (
     homs,
     images_to_coeffs,
     in_Hhat,
+    jacobi_exponent,
     min_probe_valuation,
     o_a,
     shift_check,
@@ -580,9 +581,21 @@ def test_bracket_quotients_equal_ring_route():
         outcomes.append((member, raised, i >= m_work))
     assert any(member for member, _, _ in outcomes)
     assert any(raised for _, raised, _ in outcomes) and any(beyond for _, _, beyond in outcomes)
-    # a coefficient of another context raises where the ring product does
-    ctx = contexts[5, 20]
-    g = GammaCoeffs(ctx, 3, [CycFrac(PrimeContext(5, 21).one())], check=False)
-    got = quotient_outcome(homs.bracket_quotients, g, 3)
-    assert got == quotient_outcome(ring_route_quotients, g, 3)
-    assert got[0] is ContextMismatch
+    # a coefficient of another context is refused when the vector is built
+    with pytest.raises(ContextMismatch):
+        GammaCoeffs(contexts[5, 20], 3, [CycFrac(PrimeContext(5, 21).one())], check=False)
+
+
+def test_coefficient_of_another_context_is_refused_at_construction():
+    # c_2 of the context M_work 61 at precision 60 in a vector at M_work 60: the
+    # integral route of jacobi_exponent reads digits alone and would give a
+    # lambda, where gamma_eval, in_Hhat and bracket_quotients raise
+    ctx, other = PrimeContext(7, 60), PrimeContext(7, 61)
+    for check in (False, True):
+        with pytest.raises(ContextMismatch):
+            GammaCoeffs(ctx, 9, [CycFrac(other.from_int(1, 60)), CycFrac(ctx.from_int(1))],
+                        check=check)
+    # an equal context held in another object passes, as in a ring operation
+    twin = PrimeContext(7, 60)
+    g = GammaCoeffs(ctx, 9, [CycFrac(twin.from_int(1)), CycFrac(ctx.from_int(1))], check=False)
+    assert jacobi_exponent(g, 9) == Valuation.exactly(30)
