@@ -117,7 +117,7 @@ class LcsProfile:
 
 
 class LieRingSpec:
-    """The Lie ring L_{i,m}(gamma), with lambda recomputed at construction.
+    """The Lie ring L_{i,m}(gamma), with lambda computed at construction unless given.
 
     Its bracket is Z_p-bilinear, so it contracts digit wedges with the table
     C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{m-i}, read from
