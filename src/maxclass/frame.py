@@ -173,11 +173,21 @@ class FrameNode:
     i: int
     m: int
     gamma: GammaCoeffs
-    classification: str
-    order_exp: int
-    s_class: int
     member_keys: list = field(default_factory=list)
     node_id: str = ""
+
+    @property
+    def classification(self) -> str:
+        return classify(self.i, self.m)
+
+    @property
+    def order_exp(self) -> int:
+        return self.m - self.i + 1
+
+    @property
+    def s_class(self) -> int:
+        """The class of a maximal-class group of order p^(m-i+1): m - i, and 1 at m = i."""
+        return self.m - self.i if self.m > self.i else 1
 
     @property
     def branch_root(self) -> int | None:
@@ -405,14 +415,8 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         class_of: dict[int, str] = {}
         for n, root in enumerate(sorted(classes, key=keys.__getitem__)):
             node_id = f"m{m}n{n}"
-            nodes.append(FrameNode(
-                i=i, m=m, gamma=kept[root][0],
-                classification=classify(i, m),
-                order_exp=m - i + 1,
-                s_class=m - i if m > i else 1,
-                member_keys=[keys[idx] for idx in classes[root]],
-                node_id=node_id,
-            ))
+            nodes.append(FrameNode(i=i, m=m, gamma=kept[root][0],
+                                   member_keys=[keys[idx] for idx in classes[root]], node_id=node_id))
             for idx in classes[root]:
                 class_of[idx] = node_id
         if m > i:

@@ -190,8 +190,9 @@ class CycFrac:
         return f"CycFrac({self.num!r}, den_exp={self.den_exp})"
 
     def valuation(self) -> Valuation:
+        """The numerator's cached valuation, shifted by the denominator when there is one."""
         v = self.num.valuation()
-        return Valuation(v.value - self.den_exp, v.exact)
+        return Valuation(v.value - self.den_exp, v.exact) if self.den_exp else v
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

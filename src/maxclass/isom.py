@@ -19,6 +19,12 @@ rather than scanning the unit grid: it skips a candidate only when that
 candidate is proven to fail, so each search returns the move, or raises the
 error, that trying every candidate in order would.  On integer vectors (every
 grid vector at coeff_mod 1) its quotients and congruences are Z_p arithmetic.
+
+find_certified_move, move_congruent and verify_witness take what the
+coefficient grid gives them: c, c2 and the move unit of one context (equal
+contexts count as one, as in CycElt), and no coefficient with a
+kappa-denominator.  Anything else is refused at entry, with ContextMismatch
+for a context and ValueError for a kappa-denominator.
 """
 
 from __future__ import annotations
@@ -30,15 +36,14 @@ from operator import mul, sub
 from .cyclotomic import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    ContextMismatch,
     CycElt,
-    InsufficientValuation,
-    MaxclassError,
     NonUnit,
     PrecisionExhausted,
     PrimeContext,
     enumerate_units,
 )
-from .homs import CycFrac, GammaCoeffs, _bracket_precisions, gamma_eval, numerator_table
+from .homs import CycFrac, GammaCoeffs, _bracket_precisions, numerator_table
 
 
 @dataclass(frozen=True)
@@ -105,16 +110,29 @@ def apply_move(c: GammaCoeffs, mv: IsoMove, m: int) -> GammaCoeffs:
     return GammaCoeffs(ctx, c.i, out, check=False)
 
 
+def _refuse(c: GammaCoeffs, c2: GammaCoeffs, u: CycElt | None = None) -> None:
+    """Raise unless c2 and u are of c's context and no coefficient has a kappa-denominator."""
+    ctx = c.ctx
+    if c2.ctx is not ctx and c2.ctx != ctx:
+        raise ContextMismatch(f"c2 is of {c2.ctx!r}, c of {ctx!r}")
+    if u is not None and u.ctx is not ctx and u.ctx != ctx:
+        raise ContextMismatch(f"the move unit is of {u.ctx!r}, c of {ctx!r}")
+    for what, g in (("c", c), ("c2", c2)):
+        for x in g.coeffs:
+            if x.den_exp:
+                raise ValueError(f"{what} has a kappa-denominator: the move search takes den_exp 0 only")
+
+
 def move_congruent(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool:
     """The move congruence sigma_k(c2_a) = rho_a(u) c_a mod P^m, all a.
 
-    For integer vectors and an integer unit of c's context it is Z_p arithmetic
+    For integer vectors and an integer unit it is Z_p arithmetic
     (_integer_congruent), with the verdict or the error of the ring operations.
     """
     u, ctx = mv.u, c.ctx
+    _refuse(c, c2, u)
     zc, zc2 = c.integer_coeffs, c2.integer_coeffs
-    if (zc is not None and zc2 is not None and c2.ctx == ctx == u.ctx
-            and u.prec <= ctx.M_work and not any(u.digits[1:])):
+    if zc is not None and zc2 is not None and u.prec <= ctx.M_work and not any(u.digits[1:]):
         return _integer_congruent(ctx.p, zc, zc2, u, m)
     for a_idx, (ca, ca2) in enumerate(zip(c.coeffs, c2.coeffs)):
         lhs = ca2.galois(mv.k)
@@ -146,20 +164,16 @@ def _coordinates(ctx: PrimeContext, k: int, i: int) -> tuple[CycElt, ...]:
     return data
 
 
-def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
+def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple[tuple[int, int], ...]:
     """(precision, valuation bound) of each difference verify_witness tests, in its order.
-
-    A MaxclassError met on the way takes the place of its difference and ends
-    the tuple: the checks never get past it.
 
     The differences are phi(theta e_r) - theta^k phi(e_r), then
     phi(gamma_{c2}(e_r ^ e_s)) - gamma_c(phi e_r ^ phi e_s) for s > r, where
     e_r = kappa^{i+r} and phi(x) = u sigma_k(x).  Each entry is the one that
     evaluating them with CycElt ring operations stores (that route is the
-    oracle in tests/), yet gamma_c is not evaluated: homs._bracket_precisions
+    oracle in tests/), yet gamma is not evaluated: homs._bracket_precisions
     proves that such a value may be found by another route, and gives n_rs(c),
-    the precision of kappa^D gamma_c(e_r ^ e_s), D the largest den_exp of c.
-    Below, M = M_work.
+    the precision of gamma_c(e_r ^ e_s).  Below, M = M_work.
     - X_r = phi(e_r)/kappa^i is u times sigma_k(e_r)/kappa^i, known mod P^{M-i}.
       It has valuation r and precision P_r - i, where P_r = min(u.prec + i + r, M)
       is the precision of the ring product u sigma_k(e_r).
@@ -173,65 +187,42 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple:
       if omega_a < T and pi_a + omega_a <= T + nu_a, else at least P_r, as is
       tau_a.  The sum starts at precision P_r, so n_G = min(P_r, n_rs(c)).
       The value: gamma is Z_p-bilinear and phi(e_r) = sum_t X_{r,t} e_t, so
-      kappa^D gamma_c(phi e_r ^ phi e_s) = kappa^i G, where
+      gamma_c(phi e_r ^ phi e_s) = kappa^i G, where
       G = sum_{t<w} (X_{r,t} X_{s,w} - X_{r,w} X_{s,t}) N[t][w] and N is the
       numerator_table of c.  An error of X_r in P^{P_r-i} moves kappa^i G by
-      P^{P_r+i+s}, N errs by P^{M-i}, and n_G <= P_r <= P_s.  For D > 0 the
-      ring route divides by kappa^D with div_kappa: the same call on the same
-      digits here, so it raises where the ring route does.
-    - phi(gamma_{c2}(e_r ^ e_s)) when c2 has no kappa-denominator.  The bracket
-      b = kappa^i C2[r][s], C2 the numerator_table of c2, has the precision
-      n_b = n_rs(c2) and a valuation v >= 2i + r + s, so phi(b) has the
-      precision Pi = min(u.prec + v, n_b), at least min(P_r, n_b); as
-      n_G <= P_r, the difference has the precision n = min(n_b, n_G).  And
-      phi(b) = sum_t C2[r][s]_t phi(e_t) = kappa^i Y, Y = sum_t C2[r][s]_t X_t:
-      term t errs by C2_t P^{P_t}, inside P^Pi since t + (p-1) v_p(C2_t) >= v - i.
-      A c2 with kappa-denominators, or of another context, takes b from
-      gamma_eval on every basis pair of its own context first, in combinations
-      order, then forms the ring product u sigma_k(b), raising where it did.
-    - With D = 0 the difference is kappa^i (Y - G), so its bound is i plus the
-      bound of Y - G at precision n - i.  Otherwise kappa^i Y and kappa^i G are
-      put to precision n_b and n_G and subtracted as ring elements.
+      P^{P_r+i+s}, N errs by P^{M-i}, and n_G <= P_r <= P_s.
+    - phi(gamma_{c2}(e_r ^ e_s)).  The bracket b = kappa^i C2[r][s], C2 the
+      numerator_table of c2, has the precision n_b = n_rs(c2) and a valuation
+      v >= 2i + r + s, so phi(b) has the precision Pi = min(u.prec + v, n_b), at
+      least min(P_r, n_b); as n_G <= P_r, the difference has the precision
+      n = min(n_b, n_G).  And phi(b) = sum_t C2[r][s]_t phi(e_t) = kappa^i Y,
+      Y = sum_t C2[r][s]_t X_t: term t errs by C2_t P^{P_t}, inside P^Pi since
+      t + (p-1) v_p(C2_t) >= v - i.
+    - The difference is kappa^i (Y - G), so its bound is i plus the bound of
+      Y - G at precision n - i.
+    Every step is a product, a contraction or a reduction, and the coordinates'
+    div_kappa is exact, so nothing here raises.
     """
     ctx, i = c.ctx, c.i
-    out = []
-    try:
-        xs = [mv.u * z for z in _coordinates(ctx, mv.k, i)]
-        prec = [x.prec + i for x in xs]
-        tabled = c2.ctx == ctx and all(x.den_exp == 0 for x in c2.coeffs)
-        if tabled:
-            table2, n_bs = numerator_table(c2, i), _bracket_precisions(c2, i)
-        else:
-            basis2 = [c2.ctx.kappa_power(i + r) for r in range(c2.ctx.d)]
-            brackets2 = [gamma_eval(c2, x, y) for x, y in combinations(basis2, 2)]
-        d_max = max(x.den_exp for x in c.coeffs)
-        table, n_gs = numerator_table(c, i), _bracket_precisions(c, i)
-        cols, xcols = list(zip(*table)), list(zip(*(x.digits for x in xs)))
-        pairs, kappa_i = list(combinations(range(ctx.d), 2)), ctx.kappa_power(i).digits
-        j = 0   # the pair (r, s) in combinations order
-        for r in range(ctx.d):
-            out.append((prec[r], prec[r]))
-            x_r = xs[r].digits
-            for s in range(r + 1, ctx.d):
-                n_g = min(prec[r], n_gs[j])
-                x_s = xs[s].digits
-                wedge = [x_r[t] * x_s[w] - x_r[w] * x_s[t] for t, w in pairs]
-                g = [sum(map(mul, wedge, col)) for col in cols]
-                if tabled:
-                    n_b, y = n_bs[j], [sum(map(mul, table2[j], col)) for col in xcols]
-                if tabled and not d_max:
-                    n = min(n_b, n_g) - i
-                    diff = CycElt(ctx, ctx._canonical(list(map(sub, y, g)), n), n)
-                    out.append((n + i, diff.valuation().bound + i))
-                else:
-                    b = (CycElt(ctx, ctx._canonical(ctx._mul_raw(kappa_i, y), n_b), n_b) if tabled
-                         else mv.u * brackets2[j].galois(mv.k))
-                    acc = CycElt(ctx, ctx._canonical(ctx._mul_raw(kappa_i, g), n_g), n_g)
-                    diff = b - (acc.div_kappa(d_max) if d_max else acc)
-                    out.append((diff.prec, diff.valuation().bound))
-                j += 1
-    except MaxclassError as exc:
-        out.append(exc)
+    xs = [mv.u * z for z in _coordinates(ctx, mv.k, i)]
+    prec = [x.prec + i for x in xs]
+    table, n_gs = numerator_table(c, i), _bracket_precisions(c, i)
+    table2, n_bs = numerator_table(c2, i), _bracket_precisions(c2, i)
+    cols, xcols = list(zip(*table)), list(zip(*(x.digits for x in xs)))
+    pairs, out = list(combinations(range(ctx.d), 2)), []
+    j = 0   # the pair (r, s) in combinations order
+    for r in range(ctx.d):
+        out.append((prec[r], prec[r]))
+        x_r = xs[r].digits
+        for s in range(r + 1, ctx.d):
+            x_s = xs[s].digits
+            wedge = [x_r[t] * x_s[w] - x_r[w] * x_s[t] for t, w in pairs]
+            g = [sum(map(mul, wedge, col)) for col in cols]
+            y = [sum(map(mul, table2[j], col)) for col in xcols]
+            n = min(n_bs[j], prec[r], n_gs[j]) - i
+            diff = CycElt(ctx, ctx._canonical(list(map(sub, y, g)), n), n)
+            out.append((n + i, diff.valuation().bound + i))
+            j += 1
     return tuple(out)
 
 
@@ -247,20 +238,17 @@ def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool
     No difference depends on m, so each is computed once per (c, c2, move),
     keyed by content on the context, and replayed at every m: a difference
     known mod P^prec with valuation at least bound is in P^m iff bound >= m,
-    and undecidable when prec < m, which is what CycElt.congruent decides.  A
-    MaxclassError met while computing a difference is stored and re-raised.
+    and undecidable when prec < m, which is what CycElt.congruent decides.
     """
+    _refuse(c, c2, mv.u)
     if c.i != c2.i:
         return False
     memo = c.ctx._witness
-    key = (c.i, c2.ctx, mv.u.ctx, mv.k, mv.u.prec, mv.u.digits, c.content_key, c2.content_key)
+    key = (c.i, mv.k, mv.u.prec, mv.u.digits, c.content_key, c2.content_key)
     steps = memo.get(key)
     if steps is None:
         steps = memo[key] = _witness_differences(c, c2, mv)
-    for step in steps:
-        if isinstance(step, MaxclassError):
-            raise step.with_traceback(None)
-        prec, bound = step
+    for prec, bound in steps:
         if prec < m:
             raise PrecisionExhausted(f"congruence mod P^{m} undecidable at precision {prec}")
         if bound < m:
@@ -282,14 +270,15 @@ def _quotients(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[CycFrac | None]:
     """The quotients q_a = sigma_k(c2_a) / c_a, or None where c_a is 0 or the division is undecided.
 
     The move search reads its derived candidates and its pivot key off this
-    list.  A division raising InsufficientValuation or PrecisionExhausted
-    leaves q_a undecided; any other error propagates.
+    list.  A division raising PrecisionExhausted leaves q_a undecided: a unit
+    c_a known beyond M_work cannot be inverted at its precision.  Any other
+    error propagates.
     """
     out = []
     for ca, ca2 in zip(c.coeffs, c2.coeffs):
         try:
             out.append(None if ca.is_zero() else ca2.galois(k) / ca)
-        except (InsufficientValuation, PrecisionExhausted):
+        except PrecisionExhausted:
             out.append(None)
     return out
 
@@ -355,35 +344,20 @@ def _pivot(c: GammaCoeffs, m: int) -> tuple[int, int] | None:
     return min(((v.value, a) for v, a in vals if v.exact and v.value < m), default=None)
 
 
-def _decidable(c: GammaCoeffs, c2: GammaCoeffs, m: int, prec: int, ks) -> bool:
-    """Whether move_congruent decides every a, for k in ks, for each unit of precision prec.
+def _decidable(c: GammaCoeffs, c2: GammaCoeffs, m: int, prec: int) -> bool:
+    """Whether move_congruent decides every a, for every k, for each unit of precision prec.
 
-    rho_a(u) of a unit known mod P^prec <= M_work is a unit known mod P^prec, and
-    every precision move_congruent meets depends on rho_a(u) only through those
-    two facts, so the stand-in 1 + P^prec raises exactly where rho_a(u) would.
-    Any error on the way counts as undecidable.
-
-    When no coefficient has a kappa-denominator, and all share c's context, this
-    is read off the precisions: sigma_k keeps the precision of c2_a, the
-    stand-in product c_a (1 + P^prec) has precision min(prec c_a, prec + v(c_a),
-    M_work), v the valuation bound, and the congruence raises iff the least of
-    these and prec c2_a is below m, whatever k.
+    rho_a(u) of a unit known mod P^prec <= M_work is a unit known mod P^prec,
+    and every precision move_congruent meets depends on rho_a(u) only through
+    those two facts.  sigma_k keeps the precision of c2_a, c_a rho_a(u) has
+    precision min(prec c_a, prec + v(c_a), M_work), v the valuation bound, and
+    the congruence raises iff the least of these and prec c2_a is below m,
+    whatever k.
     """
     ctx = c.ctx
-    if prec > ctx.M_work:
-        return False
-    if all(x.den_exp == 0 and x.num.ctx is ctx for x in c.coeffs + c2.coeffs):
-        return all(min(x2.num.prec, x.num.prec, prec + x.num.valuation().bound, ctx.M_work) >= m
-                   for x, x2 in zip(c.coeffs, c2.coeffs))
-    one = ctx.one(prec)
-    try:
-        for ca, ca2 in zip(c.coeffs, c2.coeffs):
-            rhs = ca * one
-            for k in ks:
-                ca2.galois(k).congruent(rhs, m)
-    except MaxclassError:
-        return False
-    return True
+    return prec <= ctx.M_work and all(
+        min(x2.num.prec, x.num.prec, prec + x.num.valuation().bound, ctx.M_work) >= m
+        for x, x2 in zip(c.coeffs, c2.coeffs))
 
 
 def _grid_units(ctx: PrimeContext, unit_modulus: int, budget: int) -> list[CycElt]:
@@ -450,10 +424,11 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     The grid is enumerated only after the derived candidates fail, so
     BudgetExceeded is raised where the scan would raise it.
     """
+    _refuse(c, c2)
     ctx, ks = c.ctx, range(1, c.ctx.p)
     fixed = all(ca2.is_galois_fixed() for ca2 in c2.coeffs)
     zc, zc2 = c.integer_coeffs, c2.integer_coeffs
-    if zc2 is None or c2.ctx != ctx or zc is None or any(inv is None for a, _, _, inv in zc if a):
+    if zc2 is None or zc is None or any(inv is None for a, _, _, inv in zc if a):
         zc = None
     if zc:   # every nonzero c_a is a unit, so the first one has the least valuation, 0
         pivot = next(((0, a) for a, z in enumerate(zc) if z[0] and m > 0), None)
@@ -476,7 +451,7 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
 
     def solvable(prec: int) -> bool:
         if prec not in decided:
-            decided[prec] = pivot is not None and _decidable(c, c2, m, prec, (1,) if fixed else ks)
+            decided[prec] = pivot is not None and _decidable(c, c2, m, prec)
         return decided[prec]
 
     def skip(u: CycElt, k: int) -> bool:

@@ -65,6 +65,11 @@ def _random_coset(spec: LieRingSpec, rng: random.Random) -> LieElt:
     return LieElt(spec, spec._canon(acc))
 
 
+def _theta2(ctx: PrimeContext, i: int) -> GammaCoeffs:
+    """theta_2 alone, the coefficient vector (1, 0, ..., 0), checked to lie in Hhat_i."""
+    return GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
+
+
 def _random_gamma(ctx: PrimeContext, i: int, rng: random.Random,
                   require_hhat: bool = False) -> GammaCoeffs:
     for _ in range(64):
@@ -73,7 +78,7 @@ def _random_gamma(ctx: PrimeContext, i: int, rng: random.Random,
         if not require_hhat or in_Hhat(g, i):
             return g
     # theta_2 always works
-    return GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
+    return _theta2(ctx, i)
 
 
 # ---- image valuations of the elementary homomorphisms ----
@@ -161,7 +166,7 @@ def suite_jacobi_exponent(p: int, per_i: int = 2, seed: int = 0) -> CheckResult:
     violations = []
     pairs = 0
     for i in range(p - 1, 3 * p + 1):
-        gs = [GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))]
+        gs = [_theta2(ctx, i)]
         gs += [_random_gamma(ctx, i, rng, require_hhat=True) for _ in range(per_i)]
         for g in gs:
             lam = jacobi_exponent(g, i)
@@ -186,7 +191,7 @@ def suite_class_bounds(p: int, per_i: int = 1, seed: int = 0) -> CheckResult:
     violations = []
     checked = 0
     for i in range(p - 1, 3 * p + 1):
-        gs = [GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))]
+        gs = [_theta2(ctx, i)]
         gs += [_random_gamma(ctx, i, rng, require_hhat=True) for _ in range(per_i)]
         for g in gs:
             lam = jacobi_exponent(g, i)
@@ -251,7 +256,7 @@ def suite_lazard(p: int, samples: int = 10_000, seed: int = 0, fault: str | None
     # sampled larger instance: the maximal ring L_{i,lambda} at i = p+2
     ctx = PrimeContext(p, 7 * p + 10)
     i = p + 2
-    g = GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
+    g = _theta2(ctx, i)
     lam = jacobi_exponent(g, i)
     m = lam.value
     spec = LieRingSpec(ctx, i, m, g, lam=lam)
@@ -309,7 +314,7 @@ def suite_group_construction(p: int, seed: int = 0) -> CheckResult:
     checked = []
     ctx = PrimeContext(p, 4 * p + 18)
     i = p + 2
-    g = GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
+    g = _theta2(ctx, i)
     lam = jacobi_exponent(g, i)
     for m in sorted({i + 1, i + 3, 2 * i + 1, 2 * i + 2, min(lam.value, 3 * i)}):
         spec = LieRingSpec(ctx, i, m, g, lam=lam)
@@ -337,7 +342,7 @@ def suite_quotient(p: int, samples: int = 40, seed: int = 0) -> CheckResult:
     violations = []
     ctx = PrimeContext(p, 4 * p + 18)
     i = p + 2
-    g = GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
+    g = _theta2(ctx, i)
     lam = jacobi_exponent(g, i)
     m = min(lam.value, 2 * i + 4)
     spec = LieRingSpec(ctx, i, m, g, lam=lam)
@@ -374,7 +379,7 @@ def suite_isomorphism_moves(p: int, moves: int = 100, seed: int = 0) -> CheckRes
     i = p + 2
     m = 2 * i + 3
     units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, 2)]
-    base = [GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))]
+    base = [_theta2(ctx, i)]
     for _ in range(3):
         base.append(_random_gamma(ctx, i, rng, require_hhat=True))
 

@@ -486,6 +486,15 @@ def test_cycfrac_canonical_and_inverse(ctx5):
     assert z.den_exp == 0 and z.is_zero()
 
 
+def test_cycfrac_valuation_reuses_the_numerators_without_a_denominator(ctx5):
+    # den_exp 0: the numerator's cached Valuation itself; otherwise shifted by den_exp
+    for num in (ctx5.from_int(3), ctx5.kappa_power(3), ctx5.zero(7)):
+        c = CycFrac(num)
+        assert c.valuation() is c.num.valuation()
+    q = CycFrac(ctx5.one() + ctx5.kappa_power(1), 3)
+    assert q.valuation() == Valuation.exactly(-3)
+
+
 def test_cycfrac_galois_respects_denominator(ctx5):
     # sigma_k(num/kappa^d) * sigma_k(kappa)^d == sigma_k(num)
     q = CycFrac(ctx5.one() + ctx5.kappa_power(2), 2)

@@ -360,26 +360,18 @@ def witness_differences_by_gamma_eval(c, c2, mv):
     # images phi(e_r), phi(e_s) and phi applied to gamma_{c2}(e_r ^ e_s)
     ctx, i = c.ctx, c.i
     out = []
-    try:
-        phi = witness_map(mv)
-        basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
-        phis = [phi(x) for x in basis]
-        brackets2 = route.basis_brackets(c2, i)
-        theta, theta_k = ctx.theta(), ctx.theta(mv.k)
-        for r in range(ctx.d):
-            d = phi(theta * basis[r]) - theta_k * phis[r]
+    phi = witness_map(mv)
+    basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+    phis = [phi(x) for x in basis]
+    brackets2 = route.basis_brackets(c2, i)
+    theta, theta_k = ctx.theta(), ctx.theta(mv.k)
+    for r in range(ctx.d):
+        d = phi(theta * basis[r]) - theta_k * phis[r]
+        out.append((d.prec, d.valuation().bound))
+        for s in range(r + 1, ctx.d):
+            d = phi(brackets2[r, s]) - gamma_eval(c, phis[r], phis[s])
             out.append((d.prec, d.valuation().bound))
-            for s in range(r + 1, ctx.d):
-                d = phi(brackets2[r, s]) - gamma_eval(c, phis[r], phis[s])
-                out.append((d.prec, d.valuation().bound))
-    except MaxclassError as exc:
-        out.append(exc)
     return tuple(out)
-
-
-def stored(steps):
-    # a stored tuple, each error as its type and message
-    return [(type(x), str(x)) if isinstance(x, MaxclassError) else x for x in steps]
 
 
 def tree_witnesses(monkeypatch, p, i, m_max, coeff_mod, points=None):
@@ -405,14 +397,13 @@ def test_witness_differences_equal_gamma_eval_route_on_trees(monkeypatch, p, i, 
     calls = tree_witnesses(monkeypatch, p, i, m_max, coeff_mod, points)
     assert len(calls) == witnesses
     for args in calls:
-        assert stored(_witness_differences(*args)) == stored(witness_differences_by_gamma_eval(*args))
+        assert _witness_differences(*args) == witness_differences_by_gamma_eval(*args)
 
 
 def test_witness_differences_equal_gamma_eval_route_off_the_grid():
-    # coefficients cut to a lower precision, scaled by kappa powers, given
-    # kappa-denominators or random digits; c2 a move image or another vector;
-    # units of every precision, on or off the integers; i up to and past M_work
-    seen = set()
+    # coefficients cut to a lower precision, scaled by kappa powers or given
+    # random digits; c2 a move image or another vector; units of every
+    # precision, on or off the integers; i up to and past M_work
     for p, i, m_work, count in [(5, 7, 24, 60), (7, 9, 30, 60), (7, 9, 60, 40), (5, 0, 20, 20),
                                 (5, 18, 20, 20), (5, 23, 20, 10), (7, 9, 10, 20), (11, 13, 40, 10)]:
         ctx = PrimeContext(p, m_work)
@@ -429,13 +420,11 @@ def test_witness_differences_equal_gamma_eval_route_off_the_grid():
                     ca = CycFrac(ca.num.reduce_to(rng.randrange(1, top + 1)), ca.den_exp)
                 elif r < 0.4:
                     ca = ca * ctx.kappa_power(rng.randrange(1, 4))
-                elif r < 0.6:
-                    ca = CycFrac(ca.num, ca.den_exp + rng.randrange(1, (3 if r < 0.5 else 1) * i + 4))
-                elif r < 0.7:
+                elif r < 0.5:
                     ca = CycFrac(ctx.element([rng.randrange(p ** 5) for _ in range(ctx.d)],
                                              rng.randrange(1, m_work + 1)))
                 out.append(ca)
-            return GammaCoeffs(ctx, i, out, check=False, den_cap=1000)
+            return GammaCoeffs(ctx, i, out, check=False)
 
         for _ in range(count):
             c = vary(rng.choice(grid)) if rng.random() < 0.7 else rng.choice(grid)
@@ -451,26 +440,7 @@ def test_witness_differences_equal_gamma_eval_route_off_the_grid():
                                               if rng.random() < 0.5 else [0] * (ctx.d - 1))
             prec = rng.choice([1, 2, 3, rng.randrange(1, m_work + 1), m_work, m_work])
             mv = IsoMove(ctx.element(digits, prec), rng.randrange(1, p))
-            got = stored(_witness_differences(c, c2, mv))
-            assert got == stored(witness_differences_by_gamma_eval(c, c2, mv))
-            seen.add(got[-1][0] if isinstance(got[-1][0], type) else "no error")
-    # a kappa-denominator on c_2 raises the precision of the c_3 term, known
-    # only mod P^3, by kappa^4
-    ctx = PrimeContext(7, 60)
-    c = GammaCoeffs(ctx, 9, [CycFrac(ctx.from_int(3), 4), CycFrac(ctx.from_int(2, 3))], check=False)
-    for k in range(1, 7):
-        args = (c, p7_grid_gammas()[k], IsoMove(ctx.from_int(2 + k % 4), k))
-        got = stored(_witness_differences(*args))
-        assert got == stored(witness_differences_by_gamma_eval(*args))
-        assert all(isinstance(prec, int) and prec < 40 for prec, _ in got[1:ctx.d])
-    # a unit or a c2 of another context
-    ctx, other = PrimeContext(5, 24), PrimeContext(5, 30)
-    c, c2 = GammaCoeffs.from_integers(ctx, I, [1]), GammaCoeffs.from_integers(other, I, [2])
-    for args in ((c, c2, IsoMove(ctx.from_int(2), 1)), (c, c, IsoMove(other.from_int(2), 1))):
-        got = stored(_witness_differences(*args))
-        assert got == stored(witness_differences_by_gamma_eval(*args))
-        seen.add(got[-1][0])
-    assert seen == {"no error", PrecisionExhausted, InsufficientValuation, ContextMismatch}
+            assert _witness_differences(c, c2, mv) == witness_differences_by_gamma_eval(c, c2, mv)
 
 
 def test_merge_phase_evaluates_no_gamma(monkeypatch):
@@ -552,10 +522,9 @@ def test_integer_search_steps_equal_the_ring_route(p, i, m_work):
         zc, zc2 = c.integer_coeffs, c2.integer_coeffs
         m = rng.randrange(0, m_work + 3)
         for prec in (1, rng.randrange(1, m_work + 1), m_work, m_work + 1):
-            assert _decidable(c, c2, m, prec, range(1, p)) == ring_decidable(c, c2, m, prec, range(1, p))
+            assert _decidable(c, c2, m, prec) == ring_decidable(c, c2, m, prec, range(1, p))
             twisted = apply_move(c2, IsoMove(ctx.element([1, 1]).lift_to(m_work), 2), m_work)
-            assert _decidable(c, twisted, m, prec, range(1, p)) == \
-                ring_decidable(c, twisted, m, prec, range(1, p))
+            assert _decidable(c, twisted, m, prec) == ring_decidable(c, twisted, m, prec, range(1, p))
         if any(inv is None for a, _, _, inv in zc if a):
             continue
         for q, want in zip(_integer_quotients(ctx, zc, zc2), _quotients(c, c2, 1), strict=True):
@@ -568,9 +537,6 @@ def test_integer_search_steps_equal_the_ring_route(p, i, m_work):
             assert outcome(move_congruent, c, c2, IsoMove(u, 1), m) == want
             seen.add(want)
     assert seen == {True, False, PrecisionExhausted}
-    # a unit of another context keeps the ring route and its error
-    stranger = IsoMove(PrimeContext(p, m_work - 1).from_int(2), 1)
-    assert outcome(move_congruent, vectors[0], vectors[1], stranger, i) is ContextMismatch
 
 
 @pytest.mark.parametrize("p, i, m_work", [(5, 7, 24), (7, 9, 40)])
@@ -628,10 +594,13 @@ def test_verify_witness_verdicts_equal_gamma_eval_route(p, i, m, m_work):
     units = [u.lift_to(m_work) for u in enumerate_units(ctx, 2)]
     gammas = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
     gammas = [g for g in gammas if in_Hhat(g, i)]
-    # probe-image vectors bring kappa-denominators at p = 7
-    gammas += [images_to_coeffs(ctx, i, [ctx.kappa_power(2 * i + 1) * ctx.element(
-        [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(ctx.d - 1)]) for _ in range(ctx.l)])
-        for _ in range(3)]
+    # probe-image vectors, times kappa^D to clear the kappa-denominators they bring at p = 7
+    for _ in range(3):
+        g = images_to_coeffs(ctx, i, [ctx.kappa_power(2 * i + 1) * ctx.element(
+            [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(ctx.d - 1)]) for _ in range(ctx.l)])
+        top = max(ca.den_exp for ca in g.coeffs)
+        gammas.append(GammaCoeffs(ctx, i, [CycFrac(ca.num * ctx.kappa_power(top - ca.den_exp))
+                                           for ca in g.coeffs], check=False))
     verdicts = []
     for _ in range(30):
         c = rng.choice(gammas)
@@ -654,24 +623,6 @@ def test_verify_witness_verdicts_equal_gamma_eval_route(p, i, m, m_work):
             assert verify_witness(c, c2, IsoMove(mv.u, k), m) == \
                 verify_witness_by_gamma_eval(c, c2, IsoMove(mv.u, k), m)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 10
-
-
-def test_verify_witness_replays_stored_error():
-    # gamma_c vanishes on e_0 ^ e_1 but has kappa-denominators too deep for
-    # e_0 ^ e_2: the third check divides by kappa^45 and raises, after two
-    # checks that pass up to level 19; every replay raises there too
-    ctx, i = PrimeContext(7, 60), 9
-    e0, e1 = ctx.kappa_power(i), ctx.kappa_power(i + 1)
-    c = GammaCoeffs(ctx, i, [CycFrac(theta_a_eval(3, e0, e1), 45),
-                             CycFrac(-theta_a_eval(2, e0, e1), 45)], check=False, den_cap=100)
-    c2 = GammaCoeffs.from_integers(ctx, i, [1, 0])
-    levels = list(range(i, ctx.M_work + 2))
-    random.Random(1).shuffle(levels)
-    for mv in (IsoMove.identity(ctx), IsoMove(ctx.from_int(3), 2)):
-        got = {n: outcome(verify_witness, c, c2, mv, n) for n in levels}
-        assert got == {n: outcome(verify_witness_by_gamma_eval, c, c2, mv, n) for n in levels}
-        assert {got[n] for n in range(i, 20)} == {InsufficientValuation}
-        assert True not in got.values() and PrecisionExhausted in got.values()
 
 
 def test_verify_witness_memo_keyed_by_content():
@@ -697,6 +648,66 @@ def test_verify_witness_memo_keyed_by_content():
     assert not verify_witness(c, pert, mv, m)
     assert not verify_witness_by_gamma_eval(c, pert, mv, m)
     assert len(ctx._witness) == entries + 1
+
+
+REFUSALS = {
+    # case: (which input is off the contract, the error, the words its message names)
+    "c with a kappa-denominator": ("c", ValueError, "c has a kappa-denominator"),
+    "c2 with a kappa-denominator": ("c2", ValueError, "c2 has a kappa-denominator"),
+    "c2 of another context": ("c2", ContextMismatch, "c2 is of"),
+    "a unit of another context": ("u", ContextMismatch, "the move unit is of"),
+}
+
+
+@pytest.mark.parametrize("search, case", [
+    (search, case) for search in ("find_certified_move", "move_congruent", "verify_witness")
+    for case in REFUSALS if not (search == "find_certified_move" and case == "a unit of another context")])
+def test_move_search_refuses_other_input_at_entry(monkeypatch, search, case):
+    # the search takes no unit, so it has no unit case
+    ctx, other = PrimeContext(5, 40), PrimeContext(5, 41)
+    args = {"c": GammaCoeffs.from_integers(ctx, I, [1]), "c2": GammaCoeffs.from_integers(ctx, I, [2]),
+            "u": ctx.from_int(2)}
+    where, error, message = REFUSALS[case]
+    args[where] = {ValueError: GammaCoeffs(ctx, I, [CycFrac(ctx.from_int(3), 2)], check=False),
+                   ContextMismatch: GammaCoeffs.from_integers(other, I, [2]) if where == "c2"
+                   else other.from_int(2)}[error]
+    call = ((args["c"], args["c2"], M) if search == "find_certified_move"
+            else (args["c"], args["c2"], IsoMove(args["u"], 1), M))
+
+    def work(*_):
+        raise AssertionError("arithmetic before the refusal")
+
+    for cls, name in ((CycElt, "__mul__"), (CycElt, "galois"), (CycFrac, "galois"),
+                      (CycFrac, "__truediv__")):
+        monkeypatch.setattr(cls, name, work)
+    monkeypatch.setattr(isom, "numerator_table", work)
+    with pytest.raises(error, match=message):
+        getattr(isom, search)(*call)
+
+
+def test_move_search_accepts_an_equal_context():
+    # c2 and the unit of a context equal to c's, but another object
+    ctx, twin = PrimeContext(5, 40), PrimeContext(5, 40)
+    c = GammaCoeffs.from_integers(ctx, I, [1])
+    mv = IsoMove(twin.element([2, 1, 3]).lift_to(twin.M_work), 3)
+    c2 = apply_move(GammaCoeffs.from_integers(twin, I, [1]), mv, M)
+    assert move_congruent(c, c2, mv, M) and verify_witness(c, c2, mv, M)
+    same = GammaCoeffs(ctx, I, [CycFrac(ctx.element(ca.num.digits, ca.num.prec)) for ca in c2.coeffs],
+                       check=False)
+    want = search_outcome(find_certified_move, c, same, M, 3)
+    assert want is not None and search_outcome(find_certified_move, c, c2, M, 3) == want
+
+
+def test_quotients_leave_a_unit_known_past_m_work_undecided():
+    # the division error that a vector without kappa-denominators can meet: a
+    # unit c_a known beyond M_work is not inverted at its precision
+    ctx = PrimeContext(5, 24)
+    c = GammaCoeffs(ctx, I, [CycFrac(ctx.from_int(2, 25))], check=False)
+    c2 = GammaCoeffs.from_integers(ctx, I, [1])
+    with pytest.raises(PrecisionExhausted):
+        c.coeffs[0].inverse()
+    assert _quotients(c, c2, 1) == [None]
+    assert search_outcome(find_certified_move, c, c2, M) == search_outcome(scan_certified_move, c, c2, M)
 
 
 def scan_certified_move(c, c2, m, unit_modulus=1, budget=DEFAULT_BUDGET):
@@ -769,9 +780,9 @@ def test_find_certified_move_raises_where_the_scan_raises():
 
 def varied_searches(ctx, i, rng, count):
     # (c, c2, m) off the grid: move images of grid vectors whose coefficients
-    # may be cut to a lower precision, scaled by kappa powers or given
-    # kappa-denominators; c2 is a move image of c at or near level m, perhaps
-    # perturbed at level m - 1, m or m + 1, or varied in turn
+    # may be cut to a lower precision or scaled by kappa powers; c2 is a move
+    # image of c at or near level m, perhaps perturbed at level m - 1, m or
+    # m + 1, or varied in turn
     grid = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
     grid = [g for g in grid if in_Hhat(g, i)]
     units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, 2)]
@@ -784,10 +795,8 @@ def varied_searches(ctx, i, rng, count):
                 ca = CycFrac(ca.num.reduce_to(rng.randrange(1, ca.num.prec + 1)), ca.den_exp)
             elif r < 0.3:
                 ca = ca * ctx.kappa_power(rng.randrange(1, 4))
-            elif r < 0.4:
-                ca = CycFrac(ca.num, ca.den_exp + rng.randrange(1, 3))
             out.append(ca)
-        return GammaCoeffs(ctx, i, out, check=False, den_cap=100)
+        return GammaCoeffs(ctx, i, out, check=False)
 
     for _ in range(count):
         c = vary(rng.choice(grid))
@@ -798,7 +807,7 @@ def varied_searches(ctx, i, rng, count):
         if r < 0.3:
             e, a = m + rng.randrange(-1, 2), rng.randrange(ctx.l)
             c2 = GammaCoeffs(ctx, i, [ca + CycFrac(ctx.kappa_power(e)) if b == a else ca
-                                      for b, ca in enumerate(c2.coeffs)], check=False, den_cap=100)
+                                      for b, ca in enumerate(c2.coeffs)], check=False)
         elif r < 0.5:
             c2 = vary(c2)
         yield c, c2, m
@@ -835,18 +844,6 @@ def test_find_certified_move_tries_a_derived_unit_where_the_scan_raises():
         want = search_outcome(scan_certified_move, c, c2, m, 2, budget)
         assert want is PrecisionExhausted
         assert search_outcome(find_certified_move, c, c2, m, 2, budget) is want
-
-
-def test_find_certified_move_keeps_the_scan_error_of_a_witness():
-    # verify_witness raises InsufficientValuation on a congruent candidate
-    ctx, i = PrimeContext(7, 60), 9
-    e0, e1 = ctx.kappa_power(i), ctx.kappa_power(i + 1)
-    c = GammaCoeffs(ctx, i, [CycFrac(theta_a_eval(3, e0, e1), 45),
-                             CycFrac(-theta_a_eval(2, e0, e1), 45)], check=False, den_cap=100)
-    for m in range(i, ctx.M_work + 2):
-        want = search_outcome(scan_certified_move, c, c, m)
-        assert search_outcome(find_certified_move, c, c, m) == want
-        assert want in (InsufficientValuation, PrecisionExhausted)
 
 
 def test_move_congruent_calls_on_the_p7_tree(monkeypatch):

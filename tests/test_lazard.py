@@ -2,6 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -36,10 +37,19 @@ def test_table_matches_closed_formulas_through_degree_3():
                                   ((0, 1), 1): Fraction(1, 12)}
 
 
-def test_generated_table_equals_shipped_data():
-    shipped = build_bch_table(6)
-    fresh = generate_bch_table(6)
-    assert shipped.terms == fresh.terms
+def test_generated_table_equals_shipped_data(monkeypatch):
+    # the packaged file is present and is what build_bch_table reads: with
+    # generation refused it still gives the class-8 table, equal to a fresh one
+    data = resources.files("maxclass").joinpath("data").joinpath(lazard.BCH_DATA_FILE)
+    assert data.is_file() and json.loads(data.read_text())["max_class"] >= 8
+
+    def refused(max_class):
+        raise AssertionError(f"class {max_class} table generated, not loaded")
+
+    monkeypatch.setattr(lazard, "generate_bch_table", refused)
+    shipped = build_bch_table(8)
+    monkeypatch.undo()
+    assert shipped.max_class == 8 and shipped.terms == generate_bch_table(8).terms
 
 
 def test_free_algebra_associativity_degree_4_and_5():
