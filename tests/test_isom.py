@@ -665,12 +665,13 @@ REFUSALS = {
 def test_move_search_refuses_other_input_at_entry(monkeypatch, search, case):
     # the search takes no unit, so it has no unit case
     ctx, other = PrimeContext(5, 40), PrimeContext(5, 41)
+    with_den = GammaCoeffs(ctx, I, [CycFrac(ctx.from_int(3), 2)], check=False)
     args = {"c": GammaCoeffs.from_integers(ctx, I, [1]), "c2": GammaCoeffs.from_integers(ctx, I, [2]),
             "u": ctx.from_int(2)}
     where, error, message = REFUSALS[case]
-    args[where] = {ValueError: GammaCoeffs(ctx, I, [CycFrac(ctx.from_int(3), 2)], check=False),
-                   ContextMismatch: GammaCoeffs.from_integers(other, I, [2]) if where == "c2"
-                   else other.from_int(2)}[error]
+    args[where] = {"c with a kappa-denominator": with_den, "c2 with a kappa-denominator": with_den,
+                   "c2 of another context": GammaCoeffs.from_integers(other, I, [2]),
+                   "a unit of another context": other.from_int(2)}[case]
     call = ((args["c"], args["c2"], M) if search == "find_certified_move"
             else (args["c"], args["c2"], IsoMove(args["u"], 1), M))
 
