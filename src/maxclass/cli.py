@@ -75,14 +75,16 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
     if images_path:
         with open(images_path, encoding="utf-8") as fh:
             try:
-                images = [CycElt.from_json(ctx, obj) for obj in json.load(fh)]
+                objs = json.load(fh)
+                images = [CycElt.from_json(ctx, obj) for obj in objs]
             except (KeyError, TypeError, ValueError, ContextMismatch) as exc:
                 raise ValueError(f'{images_path}: not a list of {{"p": {ctx.p}, "prec": ..., '
                                  f'"digits": [...]}} images: {type(exc).__name__}: {exc}') from exc
-        for j, img in enumerate(images, 1):
-            # images_to_coeffs divides each image by kappa^{2i+1}; --m-work cannot lift a file's precision
-            if img.prec <= 2 * i + 1:
-                raise ValueError(f"{images_path}: image {j} is known only mod P^{img.prec}; at i = {i} "
+        for j, obj in enumerate(objs, 1):
+            # images_to_coeffs divides each image by kappa^{2i+1}; --m-work cannot lift a file's
+            # precision, and from_json reads an image known beyond M_work at M_work
+            if (prec := int(obj["prec"])) <= 2 * i + 1:
+                raise ValueError(f"{images_path}: image {j} is known only mod P^{prec}; at i = {i} "
                                  f"every image needs a precision above {2 * i + 1}")
         try:
             g = images_to_coeffs(ctx, i, images)

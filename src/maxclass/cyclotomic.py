@@ -186,13 +186,9 @@ class PrimeContext:
         # powers ((1+kappa)^k - 1)^j for j = 0..p-2, at precision M_work
         tab = self._galois_pows.get(k)
         if tab is None:
-            one = tuple([1] + [0] * (self.d - 1))
-            th = tuple([1, 1] + [0] * (self.d - 2))
-            tk = one
-            for _ in range(k):
-                tk = self._canonical(self._mul_raw(tk, th), self.M_work)
+            tk = self.theta(k).digits
             gk = self._canonical([tk[0] - 1, *tk[1:]], self.M_work)
-            pows = [one]
+            pows = [(1,) + (0,) * (self.d - 1)]
             for _ in range(self.d - 1):
                 pows.append(self._canonical(self._mul_raw(pows[-1], gk), self.M_work))
             tab = tuple(pows)
@@ -202,7 +198,13 @@ class PrimeContext:
     # ---- constructors ----
 
     def element(self, digits, prec: int | None = None) -> CycElt:
+        """The element with these digits, known mod P^prec (default M_work); the one constructor.
+
+        No ring operation reaches a precision above M_work, so one is refused.
+        """
         prec = self.M_work if prec is None else prec
+        if prec > self.M_work:
+            raise PrecisionExhausted(f"precision {prec} exceeds M_work={self.M_work}")
         digs = list(digits)[: self.d]
         digs += [0] * (self.d - len(digs))
         return CycElt(self, self._canonical(digs, prec), prec)
@@ -231,8 +233,6 @@ class PrimeContext:
         if e < 0:
             raise ValueError(f"kappa power needs e >= 0, got {e}")
         prec = self.M_work if prec is None else prec
-        if prec > self.M_work:
-            raise PrecisionExhausted(f"precision {prec} exceeds M_work={self.M_work}")
         if e >= prec:
             return self.zero(prec)
         pows = self._kappa_pows
@@ -244,7 +244,7 @@ class PrimeContext:
             if top:
                 nxt = [a + top * r for a, r in zip(nxt, self.kappa_reduction)]
             pows.append(self._canonical(nxt, self.M_work))
-        return CycElt(self, self._canonical(pows[e], prec), prec)
+        return self.element(pows[e], prec)
 
     def theta(self, t: int = 1, prec: int | None = None) -> CycElt:
         prec = self.M_work if prec is None else prec
@@ -255,7 +255,7 @@ class PrimeContext:
         th = (1, 1) + (0,) * (self.d - 2)
         while len(pows) <= t:
             pows.append(self._canonical(self._mul_raw(pows[-1], th), self.M_work))
-        return CycElt(self, self._canonical(pows[t], prec), prec)
+        return self.element(pows[t], prec)
 
 
 class CycElt:
@@ -371,7 +371,7 @@ class CycElt:
         This picks the specific lift whose digits are the stored residues; use
         only where a choice of coset representative is deliberate.
         """
-        return CycElt(self.ctx, self.ctx._canonical(list(self.digits), prec), prec)
+        return self.ctx.element(self.digits, prec)
 
     # ---- Galois, division, inversion ----
 
@@ -432,11 +432,12 @@ class CycElt:
 
     @classmethod
     def from_json(cls, ctx: PrimeContext, obj: dict) -> CycElt:
+        """The serialized element, read at min(prec, M_work)."""
         if obj["p"] != ctx.p:
             raise ContextMismatch(f"serialized p={obj['p']} vs context p={ctx.p}")
         if len(obj["digits"]) > ctx.d:
             raise ValueError(f"{len(obj['digits'])} digits, more than p-1 = {ctx.d}")
-        return ctx.element([int(s) for s in obj["digits"]], int(obj["prec"]))
+        return ctx.element([int(s) for s in obj["digits"]], min(int(obj["prec"]), ctx.M_work))
 
 
 def enumerate_units(ctx: PrimeContext, m: int, budget: int | None = None) -> Iterator[CycElt]:

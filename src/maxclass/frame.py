@@ -29,7 +29,7 @@ from .cyclotomic import (
     Valuation,
 )
 from .homs import GammaCoeffs, NotInHhat
-from .isom import _coeff_key, find_certified_move
+from .isom import find_certified_move
 from .lazard import BchTable, bch_multiply, build_bch_table, group_commutator, theta_power_map
 from .liering import LcsProfile, LieElt, LieRingSpec, jacobi_exponent, layer_step, lower_central_series
 
@@ -361,7 +361,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         except NotInHhat:
             continue
         if not g.is_integral():
-            raise MaxclassError(f"grid gamma {_coeff_key(g, coeff_mod)!r} is not integral")
+            raise MaxclassError(f"grid gamma {g.key!r} is not integral")
         passed = True
         lam = lam_of(g, i)
         m_top = min(lam.value, m_max)
@@ -378,7 +378,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
     edges: list[tuple[str, str]] = []
     merged_by: list[dict] = []
     prev_class_of = {idx: _line_key(g) for idx, (g, *_) in enumerate(kept)}
-    keys = [_coeff_key(g, coeff_mod) for g, *_ in kept]
+    keys = [g.key for g, *_ in kept]
 
     for m in range(i, m_max + 1):
         members = [idx for idx, (_, m_top, _) in enumerate(kept) if m_top >= m]

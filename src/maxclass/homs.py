@@ -313,19 +313,29 @@ class GammaCoeffs:
         """(digit 0, precision, valuation bound, inverse) of each c_a, or None unless every c_a is an integer.
 
         An integer here is a Galois-fixed c_a (is_galois_fixed), known mod
-        P^prec with prec <= M_work, so its digit 0 is its residue mod
+        P^prec, so its digit 0 is its residue mod
         p^e, e = ceil(prec/(p-1)); the inverse is that of a unit mod p^e, else
         None.  Every grid vector at coeff_mod 1 has only such coefficients.
         Computed once per gamma, for the move search.
         """
         ctx = self.ctx
-        if not all(c.is_galois_fixed() and c.num.prec <= ctx.M_work for c in self.coeffs):
+        if not all(c.is_galois_fixed() for c in self.coeffs):
             return None
         out = []
         for c in self.coeffs:
             a, mod = c.num.digits[0], ctx.digit_moduli(c.num.prec)[0]
             out.append((a, c.num.prec, c.num.valuation().bound, pow(a, -1, mod) if a % ctx.p else None))
         return tuple(out)
+
+    @property
+    def key(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(den_exp, digits) of each c_a, naming the vector by its canonical digits.
+
+        It names the vector mod P^m when each c_a has the canonical digits of
+        its coset mod P^{m + den_exp}, as grid vectors at coeff_mod and
+        apply_move outputs at m have.
+        """
+        return tuple((c.den_exp, c.num.digits) for c in self.coeffs)
 
     def is_integral(self) -> bool:
         """Integral at working precision: every c_a has den_exp 0, every nonzero c_a is known mod P^M_work."""

@@ -132,7 +132,7 @@ def move_congruent(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool
     u, ctx = mv.u, c.ctx
     _refuse(c, c2, u)
     zc, zc2 = c.integer_coeffs, c2.integer_coeffs
-    if zc is not None and zc2 is not None and u.prec <= ctx.M_work and not any(u.digits[1:]):
+    if zc is not None and zc2 is not None and not any(u.digits[1:]):
         return _integer_congruent(ctx.p, zc, zc2, u, m)
     for a_idx, (ca, ca2) in enumerate(zip(c.coeffs, c2.coeffs)):
         lhs = ca2.galois(mv.k)
@@ -256,36 +256,18 @@ def verify_witness(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove, m: int) -> bool
     return True
 
 
-def _coeff_key(c: GammaCoeffs, modulus: int) -> tuple:
-    # the digits of num.reduce_to(prec), which cannot raise: prec <= num.prec
-    key = []
-    for ca in c.coeffs:
-        num = ca.num
-        prec = min(num.prec, modulus + ca.den_exp)
-        key.append((ca.den_exp, num.ctx._canonical(num.digits, prec)))
-    return tuple(key)
-
-
 def _quotients(c: GammaCoeffs, c2: GammaCoeffs, k: int) -> list[CycFrac | None]:
-    """The quotients q_a = sigma_k(c2_a) / c_a, or None where c_a is 0 or the division is undecided.
+    """The quotients q_a = sigma_k(c2_a) / c_a, or None where c_a is 0.
 
     The move search reads its derived candidates and its pivot key off this
-    list.  A division raising PrecisionExhausted leaves q_a undecided: a unit
-    c_a known beyond M_work cannot be inverted at its precision.  Any other
-    error propagates.
+    list.
     """
-    out = []
-    for ca, ca2 in zip(c.coeffs, c2.coeffs):
-        try:
-            out.append(None if ca.is_zero() else ca2.galois(k) / ca)
-        except PrecisionExhausted:
-            out.append(None)
-    return out
+    return [None if ca.is_zero() else ca2.galois(k) / ca for ca, ca2 in zip(c.coeffs, c2.coeffs)]
 
 
 # The move search on integer vectors.  Let c_a = A known mod P^pa and c2_a = B
-# known mod P^pb be integers (GammaCoeffs.integer_coeffs), pa, pb <= M_work, with
-# every nonzero A a unit.  An integer known mod P^n is its residue mod
+# known mod P^pb be integers (GammaCoeffs.integer_coeffs), with every nonzero
+# A a unit.  An integer known mod P^n is its residue mod
 # p^e, e = ceil(n/(p-1)) (digit 0, as p is kappa^{p-1} times a unit), and the ring
 # route stays among integers: 1/c_a is A^{-1} at precision pa, and the quotient
 # c2_a/c_a is B A^{-1} at precision min(pb, pa + v(B)), the product rule with
@@ -320,7 +302,7 @@ def _zp_units(quotients: list[CycFrac | None], p: int) -> list[CycElt]:
 
 
 def _integer_congruent(p: int, zc: tuple, zc2: tuple, u: CycElt, m: int) -> bool:
-    """move_congruent for integer vectors and an integer unit u = U known mod P^pu, pu <= M_work.
+    """move_congruent for integer vectors and an integer unit u = U known mod P^pu.
 
     At each a, in order: c_a rho_a(u) = A U has precision min(pa, pu + v(A)), so
     the difference B - A U has precision n = min(pb, pa, pu + v(A)) and raises
@@ -347,17 +329,15 @@ def _pivot(c: GammaCoeffs, m: int) -> tuple[int, int] | None:
 def _decidable(c: GammaCoeffs, c2: GammaCoeffs, m: int, prec: int) -> bool:
     """Whether move_congruent decides every a, for every k, for each unit of precision prec.
 
-    rho_a(u) of a unit known mod P^prec <= M_work is a unit known mod P^prec,
+    rho_a(u) of a unit known mod P^prec is a unit known mod P^prec,
     and every precision move_congruent meets depends on rho_a(u) only through
     those two facts.  sigma_k keeps the precision of c2_a, c_a rho_a(u) has
-    precision min(prec c_a, prec + v(c_a), M_work), v the valuation bound, and
+    precision min(prec c_a, prec + v(c_a)), v the valuation bound, and
     the congruence raises iff the least of these and prec c2_a is below m,
     whatever k.
     """
-    ctx = c.ctx
-    return prec <= ctx.M_work and all(
-        min(x2.num.prec, x.num.prec, prec + x.num.valuation().bound, ctx.M_work) >= m
-        for x, x2 in zip(c.coeffs, c2.coeffs))
+    return all(min(x2.num.prec, x.num.prec, prec + x.num.valuation().bound) >= m
+               for x, x2 in zip(c.coeffs, c2.coeffs))
 
 
 def _grid_units(ctx: PrimeContext, unit_modulus: int, budget: int) -> list[CycElt]:
@@ -482,7 +462,7 @@ def find_certified_move(c: GammaCoeffs, c2: GammaCoeffs, m: int,
     pairs = ((pos, k) for pos in range(len(units)) for k in ks)
     known = [(k, key(k)) for k in ks] if solvable(ctx.M_work) else []
     if any(q is not None for _, q in known):
-        # a known q_k is known mod P^n, and never beyond M_work, so rho_{a*}(u) mod P^n exists
+        # a known q_k is known mod P^n, so rho_{a*}(u) mod P^n exists
         index, every = _unit_index(ctx, pivot[1], unit_modulus, n, units), range(len(units))
         pairs = sorted((pos, k) for k, q in known for pos in (every if q is None else index.get(q, ())))
     for pos, k in pairs:
@@ -503,7 +483,7 @@ def _orbit_scan(c: GammaCoeffs, m_c: int, budget: int) -> tuple[GammaCoeffs, set
         u = u.lift_to(ctx.M_work)
         for k in range(1, ctx.p):
             cand = apply_move(c, IsoMove(u, k), m_c)
-            key = _coeff_key(cand, m_c)
+            key = cand.key
             seen.add(key)
             if best_key is None or key < best_key:
                 best, best_key = cand, key

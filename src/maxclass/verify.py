@@ -25,7 +25,7 @@ from .homs import (
     shift_check,
     theta_a_eval,
 )
-from .isom import IsoMove, apply_move, move_congruent, orbit_canonical, verify_witness, _coeff_key
+from .isom import IsoMove, apply_move, move_congruent, orbit_canonical, verify_witness
 from .lazard import (
     bch_multiply,
     build_bch_table,
@@ -404,24 +404,24 @@ def suite_isomorphism_moves(p: int, moves: int = 100, seed: int = 0) -> CheckRes
         c = base[rng.randrange(len(base))]
         can = orbit_canonical(c, 1)
         can2 = orbit_canonical(can, 1)
-        if _coeff_key(can, 1) != _coeff_key(can2, 1):
+        if can.key != can2.key:
             violations.append(f"orbit {n}: canonical form not idempotent")
         mv = IsoMove(units1[rng.randrange(len(units1))], rng.randrange(1, p))
         moved = apply_move(c, mv, 1)
-        if _coeff_key(orbit_canonical(moved, 1), 1) != _coeff_key(can, 1):
+        if orbit_canonical(moved, 1).key != can.key:
             violations.append(f"orbit {n}: canonical form not move-invariant")
 
     if p == 5:
         # all unit residues c_2 mod P fall into orbits; brute-force the partition
         gs = [GammaCoeffs.from_integers(ctx, i, [v], check=False) for v in range(1, p)]
-        canon = {_coeff_key(orbit_canonical(g, 1), 1) for g in gs}
+        canon = {orbit_canonical(g, 1).key for g in gs}
         # brute force: saturate each vector under every move
         reach = {}
         for v, g in zip(range(1, p), gs):
             orb = set()
             for u in units1:
                 for k in range(1, p):
-                    orb.add(_coeff_key(apply_move(g, IsoMove(u, k), 1), 1))
+                    orb.add(apply_move(g, IsoMove(u, k), 1).key)
             reach[v] = frozenset(orb)
         brute = len(set(reach.values()))
         if brute != len(canon):
@@ -474,13 +474,13 @@ def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = SCAN_
                     continue
             except PrecisionExhausted:
                 unresolved += 1
-                entries.append({"i": i, "coeffs": repr(_coeff_key(g, coeff_mod)),
+                entries.append({"i": i, "coeffs": repr(g.key),
                                 "lambda": None, "exact": False,
                                 "flag": "Hhat_i membership undecided at working precision; "
                                         "raise M_work"})
                 continue
             lam = lam_of(g, i)
-            entry = {"i": i, "coeffs": repr(_coeff_key(g, coeff_mod)),
+            entry = {"i": i, "coeffs": repr(g.key),
                      "lambda": lam.value, "exact": lam.exact}
             if lam.exact:
                 if i > p - 2:

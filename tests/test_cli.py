@@ -628,6 +628,26 @@ def test_jacobi_images_json_with_kappa_denominators_pinned(capsys, tmp_path):
     assert any(c.den_exp > 0 for c in g.coeffs)
 
 
+@pytest.mark.parametrize("m_work", [12, 19, 20, 30, 40, 45, 55])
+def test_images_known_beyond_m_work_are_read_at_m_work(capsys, tmp_path, m_work):
+    # images known mod P^60 give what the file reduced to --m-work gives; at
+    # or below the shift 2i+1 = 19 the division of the images still fails
+    from maxclass import CycElt, PrimeContext
+    full, ctx = kappa_denominator_images(tmp_path), PrimeContext(7, 60)
+    reduced = tmp_path / "reduced.json"
+    reduced.write_text(json.dumps([CycElt.from_json(ctx, obj).reduce_to(m_work).to_json()
+                                   for obj in json.loads(Path(full).read_text())]))
+    for command in (["jacobi"], ["build", "--m", "16"]):
+        argv = [*command, "--p", "7", "--i", "9", "--m-work", str(m_work), "--format", "json",
+                "--images-json"]
+        got = run(capsys, *argv, full)
+        if m_work <= 19:
+            assert got == (3, "", f"resource limit: precision {m_work} <= shift 19\n")
+        else:
+            assert got[1] and not got[2]
+            assert got == run(capsys, *argv, str(reduced))
+
+
 TABLE_PINS = [
     ("build --p 7 --i 9 --m 16 --images-json F",
      "117d273f8d8985d682fa3d964a8ff1b1d0c443b19df89d197280d123d3f954bd"),

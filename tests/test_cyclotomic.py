@@ -234,6 +234,21 @@ def test_serialization_round_trip(ctx):
         CycElt.from_json(ctx, dict(obj, digits=obj["digits"] + ["1"]))
 
 
+def test_precision_above_m_work_is_refused():
+    # element is the one constructor and refuses a precision no ring operation
+    # reaches; from_json reads an element known beyond M_work at M_work
+    ctx = PrimeContext(5, 24)
+    for build in (lambda: ctx.element([2], 25), lambda: ctx.from_int(2, 25),
+                  lambda: ctx.from_rational(Fraction(1, 2), 25), lambda: ctx.kappa_power(0, 25),
+                  lambda: ctx.kappa_power(30, 25), lambda: ctx.theta(1, 25),
+                  lambda: ctx.from_int(2).lift_to(25)):
+        with pytest.raises(PrecisionExhausted, match="^precision 25 exceeds M_work=24$"):
+            build()
+    beyond = PrimeContext(5, 25).element([7, 2, 19, 3], 25)
+    read = CycElt.from_json(ctx, beyond.to_json())
+    assert read == ctx.element([7, 2, 19, 3], 24) and read.prec == 24
+
+
 def test_negative_exponents_raise():
     # on a fresh context, and once kappa^7 is cached, a negative exponent
     # raises instead of reading the cached kappa powers from their end

@@ -27,7 +27,6 @@ from maxclass import (
     verify,
     verify_maximal_class,
 )
-from maxclass.isom import _coeff_key
 import oracles
 
 
@@ -230,7 +229,8 @@ def _kept(monkeypatch, ctx, i, m_max, coeff_mod, points=None):
     kept = [(g, min(lam.value, m_max)) for g, lam in seen if min(lam.value, m_max) >= i]
     for m in range(i, m_max + 1):
         members = sorted(k for n in tree.nodes if n.m == m for k in n.member_keys)
-        assert members == sorted(_coeff_key(g, coeff_mod) for g, top in kept if top >= m)
+        assert members == sorted(tuple((ca.den_exp, ca.num.reduce_to(coeff_mod).digits) for ca in g.coeffs)
+                                 for g, top in kept if top >= m)
     return kept
 
 
@@ -379,7 +379,7 @@ def test_line_keys_partition_as_orbits_mod_p(p, i, m_work, points, members, line
               for coeffs in islice(frame._coefficient_grid(ctx, 1, 10 ** 5), points)]
     gammas = [g for g in gammas if homs.in_Hhat(g, i)]
     line = [frame._line_key(g) for g in gammas]
-    orbit = [_coeff_key(orbit_canonical(g, 1), 1) for g in gammas]
+    orbit = [orbit_canonical(g, 1).key for g in gammas]
     assert len(gammas) == members
     assert len(set(line)) == len(set(orbit)) == len(set(zip(line, orbit))) == lines
 
