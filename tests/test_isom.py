@@ -212,7 +212,7 @@ def test_key_equals_reduce_to_digits():
                      for ca in g.coeffs)
 
     for coeff_mod in (1, 2):
-        for coeffs in islice(_coefficient_grid(ctx, coeff_mod, 10 ** 5), 0, None, 97):
+        for coeffs in _coefficient_grid(ctx, coeff_mod, 10 ** 5):
             g = GammaCoeffs(ctx, 9, coeffs, check=False)
             assert g.key == reduced(g, coeff_mod)
     for _ in range(100):
