@@ -219,7 +219,9 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
     lam = jacobi_exponent(g, i)
     bound = 3 * i + 3 - p
     applicable = i > p - 2
-    ok = (lam.bound >= bound) if applicable else None
+    # lambda >= a bound below 3i+3-p decides nothing: undecided at this --m-work
+    undecided = applicable and not lam.exact and lam.bound < bound
+    ok = lam.bound >= bound if applicable and not undecided else None
     payload = {
         "p": p, "i": i, "m_work": m_work,
         "coeffs": g.to_json(),
@@ -231,9 +233,12 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
     text = [
         f"J_{i}(gamma) = P^lambda with lambda {'=' if lam.exact else '>='} {lam.value}"
         f"  (lower bound 3i+3-p = {bound}"
-        + (f", satisfied: {ok})" if applicable else ", skipped: i <= p-2)"),
+        + (", skipped: i <= p-2)" if not applicable
+           else f", undecided at --m-work {m_work})" if undecided else f", satisfied: {ok})"),
     ]
     _emit(payload, args.fmt, args.out, text)
+    if undecided:
+        return EXIT_RESOURCE
     return EXIT_OK if ok in (True, None) else EXIT_VIOLATION
 
 

@@ -10,12 +10,11 @@ is ever rounded, and precision is propagated conservatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import mod
-from typing import Iterator
 
 
 class MaxclassError(Exception):
@@ -57,16 +56,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Valuation:
     """Position in the ideal chain O > P > P^2 > ...
 
     Either the exact exponent, or a lower bound when every digit vanishes at
-    the element's precision.
+    the element's precision.  A value: equal and hashed by its fields.
     """
 
-    value: int
-    exact: bool
+    __slots__ = ("value", "exact")
+
+    def __init__(self, value: int, exact: bool):
+        self.value = value
+        self.exact = exact
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.exact == other.exact
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.exact))
 
     @classmethod
     def exactly(cls, v: int) -> Valuation:

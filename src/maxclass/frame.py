@@ -16,8 +16,6 @@ P^{l-1}(F_p).
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
 from itertools import product
 
 from .cyclotomic import (
@@ -166,15 +164,15 @@ def quotient_edge(group: SGroup) -> tuple[SGroup, callable]:
     return target, project
 
 
-@dataclass
 class FrameNode:
     """A vertex of the enumerated tree: one certified class of S_{i,m}(gamma)."""
 
-    i: int
-    m: int
-    gamma: GammaCoeffs
-    member_keys: list = field(default_factory=list)
-    node_id: str = ""
+    def __init__(self, i: int, m: int, gamma: GammaCoeffs, member_keys: list, node_id: str):
+        self.i = i
+        self.m = m
+        self.gamma = gamma
+        self.member_keys = member_keys
+        self.node_id = node_id
 
     @property
     def classification(self) -> str:
@@ -194,19 +192,21 @@ class FrameNode:
         return self.i + 2 if self.classification == BRANCH else None
 
     def label(self) -> str:
+        import hashlib  # only the DOT text needs it, and it loads OpenSSL
         h = hashlib.sha256(repr(self.member_keys[0]).encode()).hexdigest()[:8]
         return f"p^{self.order_exp}, class {self.s_class}, {h}"
 
 
-@dataclass
 class FrameTree:
-    p: int
-    i: int
-    m_max: int
-    coeff_mod: int
-    nodes: list[FrameNode]
-    edges: list[tuple[str, str]]
-    merged_by: list[dict]
+    def __init__(self, p: int, i: int, m_max: int, coeff_mod: int, nodes: list[FrameNode],
+                 edges: list[tuple[str, str]], merged_by: list[dict]):
+        self.p = p
+        self.i = i
+        self.m_max = m_max
+        self.coeff_mod = coeff_mod
+        self.nodes = nodes
+        self.edges = edges
+        self.merged_by = merged_by
 
     def to_json(self) -> dict:
         """The tree as JSON data; vertices that share a gamma share its serialisation."""

@@ -257,8 +257,9 @@ class CycFrac:
             if self.den_exp == 0:
                 img = CycFrac(self.num.galois(k), 0)
             else:
-                # sigma_k(kappa)^den = kappa^den * s_k^den with s_k a unit
-                s_k = self.ctx.kappa_power(1, self.num.prec).galois(k).div_kappa(1)
+                # sigma_k(kappa)^den = kappa^den * s_k^den with s_k a fixed unit, taken at
+                # M_work rather than at the numerator's precision
+                s_k = self.ctx.kappa_power(1).galois(k).div_kappa(1)
                 img = CycFrac(self.num.galois(k) * s_k.unit_inverse().pow(self.den_exp), self.den_exp)
             self._sigma[k] = img
         return img

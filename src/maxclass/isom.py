@@ -29,7 +29,6 @@ for a context and ValueError for a kappa-denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul, sub
 
@@ -46,20 +45,31 @@ from .cyclotomic import (
 from .homs import CycFrac, GammaCoeffs, _bracket_precisions, numerator_table
 
 
-@dataclass(frozen=True)
 class IsoMove:
     """A unit u together with a Galois index k (the move uses sigma_k)."""
 
-    u: CycElt
-    k: int
+    __slots__ = ("u", "k")
 
-    def __post_init__(self):
-        p = self.u.ctx.p
-        if not 1 <= self.k <= p - 1:
-            raise ValueError(f"Galois index must lie in 1..{p - 1}, got {self.k}")
-        v = self.u.valuation()
+    def __init__(self, u: CycElt, k: int):
+        p = u.ctx.p
+        if not 1 <= k <= p - 1:
+            raise ValueError(f"Galois index must lie in 1..{p - 1}, got {k}")
+        v = u.valuation()
         if not (v.exact and v.value == 0):
             raise NonUnit("move unit must have valuation exactly 0")
+        self.u = u
+        self.k = k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.u == other.u and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.k))
+
+    def __repr__(self) -> str:
+        return f"IsoMove(u={self.u!r}, k={self.k!r})"
 
     @classmethod
     def identity(cls, ctx: PrimeContext) -> IsoMove:

@@ -10,8 +10,8 @@ through a modular inverse and nothing is approximated.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
-from importlib import resources
 from operator import mul
 
 from .cyclotomic import MaxclassError, PrimeContext
@@ -115,8 +115,8 @@ def build_bch_table(max_class: int, p: int | None = None) -> BchTable:
     if p is not None and max_class >= p:
         raise ValueError(f"max_class {max_class} >= p = {p}: denominator p would appear")
     try:
-        data = resources.files("maxclass").joinpath("data").joinpath(BCH_DATA_FILE)
-        obj = json.loads(data.read_text())
+        with open(os.path.join(os.path.dirname(__file__), "data", BCH_DATA_FILE), encoding="utf-8") as f:
+            obj = json.load(f)
         if obj["max_class"] >= max_class:
             return BchTable.from_json(obj, max_class)
     except FileNotFoundError:

@@ -10,7 +10,6 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mod, mul, neg, sub
@@ -101,12 +100,22 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     return Valuation.exactly(i + least) if least < n else Valuation.at_least(ctx.M_work)
 
 
-@dataclass(frozen=True)
 class LcsProfile:
     """kappa-valuation exponents w_1, w_2, ... of a lower central series."""
 
-    exponents: tuple[int, ...]
-    m: int
+    __slots__ = ("exponents", "m")
+
+    def __init__(self, exponents: tuple[int, ...], m: int):
+        self.exponents = exponents
+        self.m = m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents and self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash((self.exponents, self.m))
 
     @property
     def nilpotency_class(self) -> int:

@@ -9,7 +9,6 @@ to demonstrate that the suites actually detect wrong tables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (DEFAULT_BUDGET, CycElt, PrecisionExhausted, PrimeContext, Valuation,
@@ -39,12 +38,12 @@ from .frame import (SGroup, _coefficient_grid, _line_lambda, classify, quotient_
                     verify_maximal_class)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    summary: str
-    violations: list = field(default_factory=list)
+    def __init__(self, name: str, passed: bool, summary: str, violations: list):
+        self.name = name
+        self.passed = passed
+        self.summary = summary
+        self.violations = violations
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "summary": self.summary,

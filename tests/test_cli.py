@@ -593,6 +593,27 @@ def test_write_json_raises_type_error_off_the_payload_types(obj, name):
         written_json(obj)
 
 
+def test_enumerate_text_output_pinned(capsys):
+    # the DOT labels hash each class's first member with sha256
+    code, out, _ = run(capsys, "enumerate", "--p", "5", "--i", "7", "--m-max", "20",
+                       "--coeff-mod", "1")
+    assert code == 0 and "digraph frame {" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "40bcef2ad1604d8635b102b24f22f1b59aacea1594a180eedad793ea0f597b39"
+
+
+def test_import_leaves_unused_stdlib_modules_unloaded():
+    # under python -S no site hook preloads anything; importing the CLI and
+    # loading the packaged BCH table imports none of these
+    absent = ("dataclasses", "inspect", "hashlib", "_hashlib", "importlib.resources", "typing")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import maxclass.cli; "
+            "from maxclass.lazard import build_bch_table; build_bch_table(6, p=7); "
+            "print([m for m in sys.argv[2:] if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), *absent],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_enumerate_json_independent_of_hash_seed():
     argv = [sys.executable, "-m", "maxclass.cli", "enumerate", "--p", "5", "--i", "7",
             "--m-max", "20", "--coeff-mod", "1", "--format", "json"]
@@ -646,6 +667,23 @@ def test_images_known_beyond_m_work_are_read_at_m_work(capsys, tmp_path, m_work)
         else:
             assert got[1] and not got[2]
             assert got == run(capsys, *argv, str(reduced))
+
+
+def test_jacobi_bound_undecided_below_it_exits_3(capsys, tmp_path):
+    # at --m-work 20 the probe images give only lambda >= 16, which decides
+    # nothing about lambda >= 3i+3-p = 23: undecided (null, exit 3), not violated
+    argv = ["jacobi", "--p", "7", "--i", "9", "--images-json", kappa_denominator_images(tmp_path)]
+    assert run(capsys, *argv, "--m-work", "20") == (3, "J_9(gamma) = P^lambda with lambda >= 16"
+                                                    "  (lower bound 3i+3-p = 23, undecided at --m-work 20)\n", "")
+    code, out, err = run(capsys, *argv, "--m-work", "20", "--format", "json")
+    obj = json.loads(out)
+    assert (code, err, obj["lambda"]) == (3, "", {"value": 16, "exact": False})
+    assert obj["bound_applicable"] is True and obj["bound_satisfied"] is None
+    # a lower bound at or above 23 decides it, as an exact lambda does
+    for m_work, lam in (("30", {"value": 26, "exact": False}), ("60", {"value": 26, "exact": True})):
+        code, out, _ = run(capsys, *argv, "--m-work", m_work, "--format", "json")
+        obj = json.loads(out)
+        assert (code, obj["lambda"], obj["bound_satisfied"]) == (0, lam, True)
 
 
 TABLE_PINS = [

@@ -63,6 +63,17 @@ def test_valuation_examples(ctx):
     assert not v.exact and v.value == 20
 
 
+def test_valuation_is_a_value():
+    # equal and hashed by (value, exact), and never equal to another class
+    a = Valuation.exactly(3)
+    assert a == Valuation(3, True) and hash(a) == hash(Valuation(3, True)) == hash((3, True))
+    assert a != Valuation.at_least(3) and a != Valuation.exactly(4)
+    assert a != (3, True) and (3, True) != a
+    assert a.__eq__((3, True)) is NotImplemented
+    assert len({a, Valuation(3, True), Valuation.at_least(3)}) == 2
+    assert (repr(a), repr(Valuation.at_least(5))) == ("Exact(3)", "AtLeast(5)")
+
+
 def test_valuation_exact_below_prec(ctx):
     rng = random.Random(0)
     for _ in range(200):

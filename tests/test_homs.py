@@ -517,11 +517,25 @@ def test_cycfrac_galois_memoised(ctx5):
             assert q.galois(k) is img and (img is q) is fixed
             want = q.num.galois(k)
             if q.den_exp:
-                s_k = kappa.reduce_to(q.num.prec).galois(k).div_kappa(1)
+                s_k = kappa.galois(k).div_kappa(1)
                 want = want * s_k.unit_inverse().pow(q.den_exp)
             assert (img.num.digits, img.num.prec, img.den_exp) == (want.digits, want.prec, q.den_exp)
         with pytest.raises(ValueError):
             q.galois(5)
+
+
+def test_cycfrac_galois_keeps_the_numerator_precision():
+    # s_k = sigma_k(kappa)/kappa is a fixed unit known mod P^(M_work-1), so a
+    # kappa-denominator costs the image no precision below M_work
+    ctx = PrimeContext(7, 30)
+    assert CycFrac(ctx.element([1, 2], 10), 2).galois(2).num.prec == 10
+    for prec in (1, 2, 10, 29, 30):
+        num = ctx.element([1, 2], prec)
+        for k in range(2, 7):
+            img = CycFrac(num, 2).galois(k)
+            assert (img.num.prec, img.den_exp) == (min(prec, 29), 2)
+            s_k = ctx.kappa_power(1).galois(k).div_kappa(1)
+            assert (img.num * s_k.pow(2)).congruent(num.galois(k), img.num.prec)
 
 
 def test_denominator_cap_enforced(ctx5):

@@ -67,6 +67,24 @@ def test_move_validation(ctx):
     IsoMove.identity(ctx)
 
 
+def test_move_is_a_value(ctx):
+    # equal and hashed by (u, k), never equal to another class, and checked
+    # at construction: a bad index or a non-unit still raises
+    u = ctx.element([2, 1])
+    mv = IsoMove(u, 3)
+    assert mv == IsoMove(ctx.element([2, 1]), 3) and hash(mv) == hash((u, 3))
+    assert mv != IsoMove(u, 2) and mv != IsoMove(u.reduce_to(ctx.M_work - 1), 3)
+    assert mv != (u, 3) and mv.__eq__((u, 3)) is NotImplemented
+    assert len({mv, IsoMove(ctx.element([2, 1]), 3), IsoMove.identity(ctx)}) == 2
+    assert repr(mv) == f"IsoMove(u={u!r}, k=3)" == f"IsoMove(u=CycElt(p=5, digits=[2, 1, 0, 0], prec=40), k=3)"
+    for bad_k in (0, ctx.p, -1):
+        with pytest.raises(ValueError, match="Galois index"):
+            IsoMove(u, bad_k)
+    for non_unit in (ctx.kappa_power(1), ctx.zero(), ctx.element([5])):
+        with pytest.raises(NonUnit):
+            IsoMove(non_unit, 2)
+
+
 def test_rho_basics(ctx, units):
     assert (rho(2, ctx.one()) - ctx.one()).is_zero()
     assert (rho(2, ctx.theta(3)) - ctx.one()).is_zero()

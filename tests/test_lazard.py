@@ -52,6 +52,15 @@ def test_generated_table_equals_shipped_data(monkeypatch):
     assert shipped.max_class == 8 and shipped.terms == generate_bch_table(8).terms
 
 
+def test_missing_table_file_falls_back_to_generation(monkeypatch, tmp_path):
+    # the table is read from data/ next to the module; without it, it is generated
+    generated = []
+    generate = lazard.generate_bch_table
+    monkeypatch.setattr(lazard, "generate_bch_table", lambda c: generated.append(c) or generate(c))
+    monkeypatch.setattr(lazard, "__file__", str(tmp_path / "lazard.py"))
+    assert build_bch_table(4).terms == generate(4).terms and generated == [4]
+
+
 def test_free_algebra_associativity_degree_4_and_5():
     terms = bch_coefficients(5)
     assert verify_associativity(terms, 4)

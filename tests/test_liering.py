@@ -43,6 +43,16 @@ def g5(ctx5):
     return GammaCoeffs.from_integers(ctx5, 7, [1])
 
 
+def test_lcs_profile_is_a_value():
+    # equal and hashed by (exponents, m), and never equal to another class
+    a = LcsProfile((3, 5, 6), 6)
+    assert a == LcsProfile((3, 5, 6), 6) and hash(a) == hash(((3, 5, 6), 6))
+    assert a != LcsProfile((3, 5, 6), 7) and a != LcsProfile((3, 5), 6)
+    assert a != ((3, 5, 6), 6) and a.__eq__(((3, 5, 6), 6)) is NotImplemented
+    assert len({a, LcsProfile((3, 5, 6), 6), LcsProfile((3, 5), 6)}) == 2
+    assert repr(a) == "LcsProfile([3, 5, 6], m=6, class=2)"
+
+
 def test_jacobiator_alternating(ctx5, g5):
     x, y, z = ctx5.kappa_power(7), ctx5.kappa_power(8), ctx5.kappa_power(9)
     assert jacobiator(g5, x, x, z).is_zero()
