@@ -25,11 +25,11 @@ for (a, i, j) in [(2, 4, 4), (2, 5, 4), (3, 6, 3), (3, 5, 3)]:
           f"rule gives {i + j + epsilon(7, a, i, j)}")
 
 # a general homomorphism is a coefficient vector (c_2, ..., c_{(p-1)/2});
-# surjectivity onto P^{2i+1} is the Vandermonde criterion
+# it carries its level i, and surjectivity onto P^{2i+1} is the Vandermonde criterion
 i = 5
 g = GammaCoeffs.from_integers(ctx, i, [4, 1])
-print("in Hhat_5:", in_Hhat(g, i))
-print("probe valuation:", min_probe_valuation(g, i), " (2i+1 =", 2 * i + 1, ")")
+print("in Hhat_5:", in_Hhat(g))
+print("probe valuation:", min_probe_valuation(g), " (2i+1 =", 2 * i + 1, ")")
 
 # the diagonal matrix entries are units and the u_a sit at valuation 2
 vd = vandermonde(ctx, i)

@@ -12,11 +12,11 @@ g = GammaCoeffs.from_integers(ctx, i, [1])
 # the Jacobiator of the bracket gamma(x ^ y) generates the ideal P^lambda
 x, y, z = ctx.kappa_power(7), ctx.kappa_power(8), ctx.kappa_power(9)
 print("a sample Jacobiator valuation:", jacobiator(g, x, y, z).valuation())
-lam = jacobi_exponent(g, i)
+lam = jacobi_exponent(g)
 print("lambda =", lam, " lower bound 3i+3-p =", 3 * i + 3 - 5)
 
-# quotients P^i/P^m are Lie rings for every m <= lambda
-spec = LieRingSpec(ctx, i, lam.value, g)
+# quotients P^i/P^m are Lie rings for every m <= lambda; the ring takes i from gamma
+spec = LieRingSpec(g, lam.value)
 prof = spec.lcs_profile()
 print("lower central series exponents:", list(prof.exponents))
 print("class:", prof.nilpotency_class)
@@ -31,7 +31,7 @@ print("Jacobi identity holds mod P^m:", jac.is_zero())
 
 # truncating below the derived subring exponent 2i+1 gives an abelian ring
 print("class of the m=2i+1 truncation:",
-      LieRingSpec(ctx, i, 2 * i + 1, g).lcs_profile().nilpotency_class)
+      LieRingSpec(g, 2 * i + 1).lcs_profile().nilpotency_class)
 
 # the class-bound report compares the computed class with every bound
 rep = check_class_bounds(spec)
@@ -40,4 +40,4 @@ print("general bound 3 + (2p-8)/(i-(p-2)) =", rep["bounds"]["general"], "(exact 
 
 # the shift i -> i+(p-1) moves lambda by exactly 3(p-1)
 g2 = GammaCoeffs.from_integers(ctx, i + 4, [1])
-print("lambda at i+4:", jacobi_exponent(g2, i + 4), "=", lam.value, "+ 12")
+print("lambda at i+4:", jacobi_exponent(g2), "=", lam.value, "+ 12")

@@ -14,8 +14,8 @@ for deg, terms in table.terms.items():
 
 ctx = PrimeContext(5, 44)
 g = GammaCoeffs.from_integers(ctx, 7, [1])
-lam = jacobi_exponent(g, 7)
-spec = LieRingSpec(ctx, 7, lam.value, g, lam=lam)   # class 3
+lam = jacobi_exponent(g)
+spec = LieRingSpec(g, lam.value, lam=lam)   # class 3
 print("ring class:", spec.nilpotency_class)
 
 x = spec.element(ctx.kappa_power(7))

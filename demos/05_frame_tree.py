@@ -8,11 +8,11 @@ from maxclass import (
 ctx = PrimeContext(5, 40)
 i = 7
 g = GammaCoeffs.from_integers(ctx, i, [1])
-lam = jacobi_exponent(g, i)
+lam = jacobi_exponent(g)
 
 # S_(i,m) extends the Lazard group by the cyclic group acting through theta;
 # its order is p^(m-i+1) and it always has maximal class
-group = SGroup(LieRingSpec(ctx, i, 18, g, lam=lam))
+group = SGroup(LieRingSpec(g, 18, lam=lam))
 print("order exponent:", group.order_exp)
 # maximal class: the central series exponents step by exactly one
 prof = s_group_lcs(group)

@@ -83,7 +83,7 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
         for j, obj in enumerate(objs, 1):
             # images_to_coeffs divides each image by kappa^{2i+1}; --m-work cannot lift a file's
             # precision, and from_json reads an image known beyond M_work at M_work
-            if (prec := int(obj["prec"])) <= 2 * i + 1:
+            if (prec := obj["prec"]) <= 2 * i + 1:
                 raise ValueError(f"{images_path}: image {j} is known only mod P^{prec}; at i = {i} "
                                  f"every image needs a precision above {2 * i + 1}")
         try:
@@ -93,7 +93,7 @@ def _resolve_gamma(ctx: PrimeContext, i: int, coeff: str | None,
         except InsufficientValuation as exc:
             raise ValueError(f"{images_path}: an image lies outside P^{2 * i + 1}, so the images "
                              f"define no member of Hhat_{i}") from exc
-        if not in_Hhat(g, i):
+        if not in_Hhat(g):
             raise NotInHhat(f"{images_path}: probe images do not define a member of Hhat_{i}")
         return g
     if coeff is None:
@@ -216,7 +216,7 @@ def cmd_jacobi(args: argparse.Namespace) -> int:
     m_work = 3 * (i + p) + 12 if args.m_work is None else args.m_work
     ctx = PrimeContext(p, m_work)
     g = _resolve_gamma(ctx, i, args.coeff, args.images_json)
-    lam = jacobi_exponent(g, i)
+    lam = jacobi_exponent(g)
     bound = 3 * i + 3 - p
     applicable = i > p - 2
     # lambda >= a bound below 3i+3-p decides nothing: undecided at this --m-work
@@ -251,8 +251,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     m_work = max(m + 2 * (p - 1), 3 * (i + p) + 12) if args.m_work is None else args.m_work
     ctx = PrimeContext(p, m_work)
     g = _resolve_gamma(ctx, i, args.coeff, args.images_json)
-    lam = jacobi_exponent(g, i)
-    spec = LieRingSpec(ctx, i, m, g, lam=lam)
+    lam = jacobi_exponent(g)
+    spec = LieRingSpec(g, m, lam=lam)
     group = SGroup(spec)
     s_prof = s_group_lcs(group)
     maximal = is_maximal_class_chain(s_prof)

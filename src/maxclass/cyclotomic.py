@@ -441,12 +441,20 @@ class CycElt:
 
     @classmethod
     def from_json(cls, ctx: PrimeContext, obj: dict) -> CycElt:
-        """The serialized element, read at min(prec, M_work)."""
+        """The serialized element at min(prec, M_work); digits holds ints or decimal strings, prec an int."""
         if obj["p"] != ctx.p:
             raise ContextMismatch(f"serialized p={obj['p']} vs context p={ctx.p}")
-        if len(obj["digits"]) > ctx.d:
-            raise ValueError(f"{len(obj['digits'])} digits, more than p-1 = {ctx.d}")
-        return ctx.element([int(s) for s in obj["digits"]], min(int(obj["prec"]), ctx.M_work))
+        digits, prec = obj["digits"], obj["prec"]
+        if type(digits) is not list:
+            raise ValueError(f"digits must be a list, got {digits!r}")
+        for s in digits:
+            if type(s) is not int and not (type(s) is str and s.isascii() and s.removeprefix("-").isdigit()):
+                raise ValueError(f"digits entry {s!r} is neither an int nor a decimal string of one")
+        if type(prec) is not int:
+            raise ValueError(f"prec must be an int, got {prec!r}")
+        if len(digits) > ctx.d:
+            raise ValueError(f"{len(digits)} digits, more than p-1 = {ctx.d}")
+        return ctx.element([int(s) for s in digits], min(prec, ctx.M_work))
 
 
 def enumerate_units(ctx: PrimeContext, m: int, budget: int | None = None) -> Iterator[CycElt]:

@@ -165,10 +165,10 @@ def quotient_edge(group: SGroup) -> tuple[SGroup, callable]:
 
 
 class FrameNode:
-    """A vertex of the enumerated tree: one certified class of S_{i,m}(gamma)."""
+    """A vertex of the enumerated tree: one certified class of S_{i,m}(gamma), i = gamma.i."""
 
-    def __init__(self, i: int, m: int, gamma: GammaCoeffs, member_keys: list, node_id: str):
-        self.i = i
+    def __init__(self, m: int, gamma: GammaCoeffs, member_keys: list, node_id: str):
+        self.i = gamma.i
         self.m = m
         self.gamma = gamma
         self.member_keys = member_keys
@@ -275,10 +275,10 @@ def _line_key(g: GammaCoeffs) -> tuple[int, ...]:
 
 
 def _line_lambda(coeff_mod: int):
-    """A function (g, i) -> jacobi_exponent(g, i) that computes lambda once per line mod P and i.
+    """A function g -> jacobi_exponent(g) that computes lambda once per line mod P and level g.i.
 
     The returned function keeps the exact lambda < 3i+p-1 of the first integral
-    gamma it meets on each (i, _line_key) and gives it to every later gamma
+    gamma it meets on each (g.i, _line_key) and gives it to every later gamma
     there; any other case (coeff_mod >= 2, a non-integral gamma, an AtLeast or
     a larger lambda) is computed by jacobi_exponent and not kept.  One function
     serves one PrimeContext.  The proof, for coeff_mod = 1 and integral c, c':
@@ -297,14 +297,14 @@ def _line_lambda(coeff_mod: int):
     """
     memo: dict[tuple, Valuation] = {}
 
-    def lam(g: GammaCoeffs, i: int) -> Valuation:
+    def lam(g: GammaCoeffs) -> Valuation:
         if coeff_mod != 1 or not g.is_integral():
-            return jacobi_exponent(g, i)
-        key = (i, _line_key(g))
+            return jacobi_exponent(g)
+        key = (g.i, _line_key(g))
         v = memo.get(key)
         if v is None:
-            v = jacobi_exponent(g, i)
-            if v.exact and v.value < 3 * i + g.ctx.p - 1:
+            v = jacobi_exponent(g)
+            if v.exact and v.value < 3 * g.i + g.ctx.p - 1:
                 memo[key] = v
         return v
 
@@ -363,13 +363,13 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         if not g.is_integral():
             raise MaxclassError(f"grid gamma {g.key!r} is not integral")
         passed = True
-        lam = lam_of(g, i)
+        lam = lam_of(g)
         m_top = min(lam.value, m_max)
         if m_top >= i:
             kept.append((g, m_top, lam))
     if not passed:
         raise MaxclassError(f"no grid coefficient passes the Hhat_{i} test")
-    max_class = max([1] + [LieRingSpec(ctx, i, m_top, g, lam=lam).nilpotency_class
+    max_class = max([1] + [LieRingSpec(g, m_top, lam=lam).nilpotency_class
                            for g, m_top, lam in kept if m_top > ctx.p * i])
     if max_class >= ctx.p:
         raise ValueError(f"max_class {max_class} >= p = {ctx.p}: denominator p would appear")
@@ -415,7 +415,7 @@ def enumerate_frame(ctx: PrimeContext, i: int, m_max: int, coeff_mod: int = 1,
         class_of: dict[int, str] = {}
         for n, root in enumerate(sorted(classes, key=keys.__getitem__)):
             node_id = f"m{m}n{n}"
-            nodes.append(FrameNode(i=i, m=m, gamma=kept[root][0],
+            nodes.append(FrameNode(m=m, gamma=kept[root][0],
                                    member_keys=[keys[idx] for idx in classes[root]], node_id=node_id))
             for idx in classes[root]:
                 class_of[idx] = node_id

@@ -99,10 +99,6 @@ def standard_bracketing(w: Word) -> Tree:
     raise ValueError(f"{w} is not a Lyndon word")
 
 
-def tree_degree(t: Tree) -> int:
-    return 1 if isinstance(t, int) else tree_degree(t[0]) + tree_degree(t[1])
-
-
 def expand_tree(t: Tree, letters: list[Poly], max_deg: int) -> Poly:
     if isinstance(t, int):
         return letters[t]

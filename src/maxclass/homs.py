@@ -274,16 +274,18 @@ class CycFrac:
 
     @classmethod
     def from_json(cls, ctx: PrimeContext, obj: dict) -> CycFrac:
-        return cls(CycElt.from_json(ctx, obj["num"]), int(obj["den_exp"]))
+        if type(den_exp := obj["den_exp"]) is not int or den_exp < 0:
+            raise ValueError(f"den_exp must be an int >= 0, got {den_exp!r}")
+        return cls(CycElt.from_json(ctx, obj["num"]), den_exp)
 
 
 class GammaCoeffs:
     """A homomorphism given by its coefficient vector (c_2, ..., c_{l+1}).
 
     Frame constructions require membership in Hhat_i (check=True); scan grids
-    may carry raw vectors with check=False.  in_Hhat_at is i once the check has
-    passed, so a Lie ring built on this gamma at i need not repeat it.  Every
-    coefficient is of ctx, or of an equal context, whatever check is.
+    may carry raw vectors with check=False.  checked is True once it has passed,
+    so a Lie ring on this gamma need not repeat it; i and ctx are read from here
+    alone.  Every coefficient is of ctx, or of an equal context, whatever check is.
     """
 
     def __init__(self, ctx: PrimeContext, i: int, coeffs, check: bool = True, den_cap: int | None = None):
@@ -301,9 +303,9 @@ class GammaCoeffs:
         self.coeffs = coeffs
         # the vector by value, for LieRingSpec equality and the witness memo of isom
         self.content_key = tuple((c.den_exp, c.num.prec, c.num.digits) for c in coeffs)
-        if check and not in_Hhat(self, i):
+        if check and not in_Hhat(self):
             raise NotInHhat(f"coefficient vector is not in Hhat_{i}")
-        self.in_Hhat_at = i if check else None
+        self.checked = check
 
     @classmethod
     def from_integers(cls, ctx: PrimeContext, i: int, values, check: bool = True) -> GammaCoeffs:
@@ -370,8 +372,8 @@ def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
     return acc.div_kappa(d_max) if d_max else acc
 
 
-def bracket_quotients(g: GammaCoeffs, i: int) -> list[CycElt]:
-    """gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by basis pair r < s < p-1, from the numerator_table.
+def bracket_quotients(g: GammaCoeffs) -> list[CycElt]:
+    """gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by basis pair r < s < p-1, i = g.i, from the numerator_table.
 
     Entry rs is row rs of the table, N = kappa^D gamma(e_r ^ e_s)/kappa^i mod
     P^{M-i} with e_r = kappa^{i+r} and D the largest den_exp, put to the
@@ -392,15 +394,15 @@ def bracket_quotients(g: GammaCoeffs, i: int) -> list[CycElt]:
     Hhat_i maps P^i ^ P^i into P^{2i+1}, so neither route meets an
     InsufficientValuation on it, and the error classes agree.
     """
-    ctx = g.ctx
+    ctx, i = g.ctx, g.i
     d_max = max(c.den_exp for c in g.coeffs)
     # the table's digits represent the coset mod P^{n-i}; div_kappa canonicalises
     return [CycElt(ctx, row, n - i).div_kappa(d_max)
-            for row, n in zip(numerator_table(g, i), _bracket_precisions(g, i))]
+            for row, n in zip(numerator_table(g), _bracket_precisions(g))]
 
 
-def _bracket_precisions(g: GammaCoeffs, i: int) -> list[int]:
-    """The precision n_rs at which ring operations know kappa^D gamma(e_r ^ e_s), e_r = kappa^{i+r}, by r < s.
+def _bracket_precisions(g: GammaCoeffs) -> list[int]:
+    """The precision n_rs at which ring operations know kappa^D gamma(e_r ^ e_s), e_r = kappa^{i+r}, i = g.i, by r < s.
 
     With M = M_work, D the largest den_exp, pi_a, nu_a, e_a the precision,
     valuation bound and den_exp of c_a, and omega_a that of theta_a(e_r ^ e_s) mod P^M,
@@ -420,7 +422,7 @@ def _bracket_precisions(g: GammaCoeffs, i: int) -> list[int]:
     the quotient then has v - i; if it is 0 mod P^M, its bound is M and the
     quotient's M - i; and for i >= M every basis wedge lies in P^M.
     """
-    ctx, top = g.ctx, g.ctx.M_work
+    ctx, i, top = g.ctx, g.i, g.ctx.M_work
     out, d_max = [top] * (ctx.d * (ctx.d - 1) // 2), max(c.den_exp for c in g.coeffs)
     for a, c in enumerate(g.coeffs):
         if c.num.prec < top and not c.is_zero():
@@ -432,16 +434,16 @@ def _bracket_precisions(g: GammaCoeffs, i: int) -> list[int]:
     return out
 
 
-def numerator_table(g: GammaCoeffs, i: int) -> list[tuple[int, ...]]:
-    """kappa^D gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{M-i} as canonical digits, by pair r < s.
+def numerator_table(g: GammaCoeffs) -> list[tuple[int, ...]]:
+    """kappa^D gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{M-i}, i = g.i, as canonical digits, by pair r < s.
 
     D is the largest den_exp, so the entry is sum_a c_a kappa^(D - e_a) (theta_a/kappa^i)
     over the representatives c_a of the numerators, from the cached quotients:
     no division, and no precision of the c_a is read.  For i >= M_work every
     entry is 0.  Built afresh on each call.
     """
-    ctx, n = g.ctx, g.ctx.M_work - i
-    pairs = ctx.d * (ctx.d - 1) // 2
+    ctx, i = g.ctx, g.i
+    n, pairs = ctx.M_work - i, ctx.d * (ctx.d - 1) // 2
     if n <= 0:
         return [(0,) * ctx.d] * pairs
     d_max = max(c.den_exp for c in g.coeffs)
@@ -531,8 +533,8 @@ def _unit_entry_mod_p(g: GammaCoeffs, vd: VandermondeData) -> bool:
     return False
 
 
-def in_Hhat(g: GammaCoeffs, i: int | None = None) -> bool:
-    """Surjectivity criterion: (c) V_i B integral with at least one unit entry.
+def in_Hhat(g: GammaCoeffs) -> bool:
+    """Surjectivity criterion at i = g.i: (c) V_i B integral with at least one unit entry.
 
     Two routes give the same verdict, or the same PrecisionExhausted.
 
@@ -554,8 +556,7 @@ def in_Hhat(g: GammaCoeffs, i: int | None = None) -> bool:
     (_row_times_vib).  Only there can an entry have a negative valuation:
     exact, so the vector is not in Hhat_i, or a bound, which raises.
     """
-    i = g.i if i is None else i
-    vd = vandermonde(g.ctx, i)
+    vd = vandermonde(g.ctx, g.i)
     if all(c.den_exp == 0 for c in g.coeffs):
         return _unit_entry_mod_p(g, vd)
     saw_unit = False
@@ -580,14 +581,13 @@ def in_Hhat(g: GammaCoeffs, i: int | None = None) -> bool:
     return False
 
 
-def min_probe_valuation(g: GammaCoeffs, i: int | None = None) -> Valuation:
-    """Minimum valuation of gamma over the probe wedges kappa^{i+j} ^ kappa^{i+j-1}.
+def min_probe_valuation(g: GammaCoeffs) -> Valuation:
+    """Minimum valuation of gamma over the probe wedges kappa^{i+j} ^ kappa^{i+j-1}, i = g.i.
 
     Independent route to the Hhat_i criterion: membership holds iff this
     equals exactly 2i+1.
     """
-    i = g.i if i is None else i
-    ctx = g.ctx
+    ctx, i = g.ctx, g.i
     vals = [gamma_eval(g, ctx.kappa_power(i + j), ctx.kappa_power(i + j - 1)).valuation()
             for j in range(1, ctx.l + 1)]
     return Valuation.minimum(vals)
@@ -633,9 +633,9 @@ def images_to_coeffs(ctx: PrimeContext, i: int, images) -> GammaCoeffs:
     return GammaCoeffs(ctx, i, coeffs, check=False)
 
 
-def shift_check(g: GammaCoeffs, i: int | None = None) -> bool:
-    """Membership at i + (p-1), which the multiplication-by-p bijection predicts."""
-    i = g.i if i is None else i
-    if not in_Hhat(g, i):
+def shift_check(g: GammaCoeffs) -> bool:
+    """Membership at g.i + (p-1), which the multiplication-by-p bijection predicts."""
+    ctx, i = g.ctx, g.i
+    if not in_Hhat(g):
         raise NotInHhat(f"shift_check requires membership in Hhat_{i}")
-    return in_Hhat(g, i + g.ctx.p - 1)
+    return in_Hhat(GammaCoeffs(ctx, i + ctx.p - 1, g.coeffs, check=False))

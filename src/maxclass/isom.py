@@ -216,8 +216,8 @@ def _witness_differences(c: GammaCoeffs, c2: GammaCoeffs, mv: IsoMove) -> tuple[
     ctx, i = c.ctx, c.i
     xs = [mv.u * z for z in _coordinates(ctx, mv.k, i)]
     prec = [x.prec + i for x in xs]
-    table, n_gs = numerator_table(c, i), _bracket_precisions(c, i)
-    table2, n_bs = numerator_table(c2, i), _bracket_precisions(c2, i)
+    table, n_gs = numerator_table(c), _bracket_precisions(c)
+    table2, n_bs = numerator_table(c2), _bracket_precisions(c2)
     cols, xcols = list(zip(*table)), list(zip(*(x.digits for x in xs)))
     pairs, out = list(combinations(range(ctx.d), 2)), []
     j = 0   # the pair (r, s) in combinations order

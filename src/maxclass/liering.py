@@ -14,13 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mod, mul, neg, sub
 
-from .cyclotomic import (
-    CycElt,
-    MaxclassError,
-    PrecisionExhausted,
-    PrimeContext,
-    Valuation,
-)
+from .cyclotomic import CycElt, MaxclassError, PrecisionExhausted, Valuation
 from .homs import GammaCoeffs, NotInHhat, bracket_quotients, gamma_eval, in_Hhat, numerator_table
 
 
@@ -35,8 +29,8 @@ def jacobiator(g: GammaCoeffs, x: CycElt, y: CycElt, z: CycElt) -> CycElt:
             + gamma_eval(g, gamma_eval(g, z, x), y))
 
 
-def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
-    """Exponent lambda with J_i(gamma) = P^lambda, from the basis triples.
+def jacobi_exponent(g: GammaCoeffs) -> Valuation:
+    """Exponent lambda with J_i(gamma) = P^lambda, i = g.i, from the basis triples.
 
     The Jacobiator is alternating and trilinear over Z_p and e_r = kappa^{i+r},
     r = 0..p-2, is a module basis of P^i, so the ideal generated by all
@@ -70,8 +64,7 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     binom(p-1, 2) basis pairs first, in combinations order, then on the three
     outer wedges of each triple.
     """
-    i = g.i if i is None else i
-    ctx, d = g.ctx, g.ctx.d
+    ctx, i, d = g.ctx, g.i, g.ctx.d
     if not g.is_integral():
         basis = [ctx.kappa_power(i + r) for r in range(d)]
         br = {(r, s): gamma_eval(g, basis[r], basis[s]) for r, s in combinations(range(d), 2)}
@@ -83,7 +76,7 @@ def jacobi_exponent(g: GammaCoeffs, i: int | None = None) -> Valuation:
     if n <= 0:
         return Valuation.at_least(ctx.M_work)
     table = [[(0,) * d for _ in range(d)] for _ in range(d)]
-    for (r, s), e in zip(combinations(range(d), 2), numerator_table(g, i)):
+    for (r, s), e in zip(combinations(range(d), 2), numerator_table(g)):
         table[r][s] = e
         table[s][r] = tuple(map(neg, e))
     # cols[t][k]: digit k of C[u][t], as a tuple over u
@@ -128,21 +121,22 @@ class LcsProfile:
 class LieRingSpec:
     """The Lie ring L_{i,m}(gamma), with lambda computed at construction unless given.
 
-    Its bracket is Z_p-bilinear, so it contracts digit wedges with the table
+    Its context and level i are gamma's.  Its bracket is Z_p-bilinear, so it
+    contracts digit wedges with the table
     C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i mod P^{m-i}, read from
     homs.bracket_quotients.
     """
 
-    def __init__(self, ctx: PrimeContext, i: int, m: int, gamma: GammaCoeffs,
-                 lam: Valuation | None = None):
+    def __init__(self, gamma: GammaCoeffs, m: int, lam: Valuation | None = None):
+        ctx, i = gamma.ctx, gamma.i
         if not i <= m:
             raise ValueError(f"need i <= m, got i={i}, m={m}")
         if ctx.M_work < m:
             raise PrecisionExhausted(f"M_work={ctx.M_work} cannot represent cosets mod P^{m}")
-        if gamma.in_Hhat_at != i and not in_Hhat(gamma, i):
+        if not gamma.checked and not in_Hhat(gamma):
             raise NotInHhat(f"gamma is not in Hhat_{i}")
         if lam is None:
-            lam = jacobi_exponent(gamma, i)
+            lam = jacobi_exponent(gamma)
         if m > lam.value:
             kind = "lambda" if lam.exact else "the lambda bound"
             raise ValueError(f"m={m} exceeds {kind} {lam.value}; bracket would violate Jacobi")
@@ -203,12 +197,12 @@ class LieRingSpec:
         """The quotient L_{i,m}(gamma) of this ring, i <= m <= self.m: the ring built at level m.
 
         lambda depends only on gamma and is handed on, as is Hhat_i membership
-        for a gamma checked at i (in_Hhat_at).  The quotient builds its own
+        for a gamma checked at construction.  The quotient builds its own
         structure constants from bracket_quotients when a bracket asks for them.
         """
         if not self.i <= m <= self.m:
             raise ValueError(f"need i={self.i} <= m <= {self.m}, got m={m}")
-        return LieRingSpec(self.ctx, self.i, m, self.gamma, lam=self.lam)
+        return LieRingSpec(self.gamma, m, lam=self.lam)
 
     # ---- structure ----
 
@@ -220,7 +214,7 @@ class LieRingSpec:
         """
         ctx, i, m = self.ctx, self.i, self.m
         if self._table is None and m > i:
-            pairs, quotients = tuple(combinations(range(ctx.d), 2)), bracket_quotients(self.gamma, i)
+            pairs, quotients = tuple(combinations(range(ctx.d), 2)), bracket_quotients(self.gamma)
             for (r, s), e in zip(pairs, quotients):
                 if e.prec < m - i:
                     raise PrecisionExhausted(
@@ -357,7 +351,7 @@ def check_class_bounds(spec: LieRingSpec) -> dict:
     if i <= p - 2:
         raise ValueError(f"class bounds require i > p-2 = {p - 2}")
     lam = spec.lam.value
-    maximal = spec if spec.m == lam else LieRingSpec(spec.ctx, i, lam, spec.gamma, lam=spec.lam)
+    maximal = spec if spec.m == lam else LieRingSpec(spec.gamma, lam, lam=spec.lam)
     profile = maximal.lcs_profile()
     cls = profile.nilpotency_class
     bound = Fraction(3) + Fraction(2 * p - 8, i - (p - 2))

@@ -74,7 +74,7 @@ def _random_gamma(ctx: PrimeContext, i: int, rng: random.Random,
     for _ in range(64):
         g = GammaCoeffs(ctx, i, [CycFrac(_random_element(ctx, rng)) for _ in range(ctx.l)],
                         check=False)
-        if not require_hhat or in_Hhat(g, i):
+        if not require_hhat or in_Hhat(g):
             return g
     # theta_2 always works
     return _theta2(ctx, i)
@@ -134,8 +134,8 @@ def suite_coefficient_coordinates(p: int, samples: int = 200, seed: int = 0) -> 
     for n in range(samples):
         i = rng.randrange(2 * p + 1)
         g = _random_gamma(ctx, i, rng)
-        member = in_Hhat(g, i)
-        probe = min_probe_valuation(g, i)
+        member = in_Hhat(g)
+        probe = min_probe_valuation(g)
         probe_member = probe.exact and probe.value == 2 * i + 1
         if member != probe_member:
             violations.append(f"sample {n}: in_Hhat={member} but probe valuation {probe!r}")
@@ -168,10 +168,10 @@ def suite_jacobi_exponent(p: int, per_i: int = 2, seed: int = 0) -> CheckResult:
         gs = [_theta2(ctx, i)]
         gs += [_random_gamma(ctx, i, rng, require_hhat=True) for _ in range(per_i)]
         for g in gs:
-            lam = jacobi_exponent(g, i)
+            lam = jacobi_exponent(g)
             if lam.bound < 3 * i + 3 - p:
                 violations.append(f"i={i}: lambda {lam!r} below 3i+3-p = {3 * i + 3 - p}")
-            lam_up = jacobi_exponent(g, i + p - 1)
+            lam_up = jacobi_exponent(GammaCoeffs(ctx, i + p - 1, g.coeffs, check=False))
             if lam.exact and lam_up.exact:
                 pairs += 1
                 if lam_up.value != lam.value + 3 * (p - 1):
@@ -193,11 +193,11 @@ def suite_class_bounds(p: int, per_i: int = 1, seed: int = 0) -> CheckResult:
         gs = [_theta2(ctx, i)]
         gs += [_random_gamma(ctx, i, rng, require_hhat=True) for _ in range(per_i)]
         for g in gs:
-            lam = jacobi_exponent(g, i)
+            lam = jacobi_exponent(g)
             if not lam.exact:
                 violations.append(f"i={i}: lambda not exact at working precision")
                 continue
-            spec = LieRingSpec(ctx, i, lam.value, g, lam=lam)
+            spec = LieRingSpec(g, lam.value, lam=lam)
             report = check_class_bounds(spec)
             checked += 1
             violations.extend(f"i={i}: {v}" for v in report["violations"])
@@ -235,7 +235,7 @@ def suite_lazard(p: int, samples: int = 10_000, seed: int = 0, fault: str | None
     if p == 5 and exhaustive:
         ctx = PrimeContext(5, 14)
         g = GammaCoeffs.from_integers(ctx, 1, [1])
-        spec = LieRingSpec(ctx, 1, 4, g)
+        spec = LieRingSpec(g, 4)
         table = corrupt(build_bch_table(max(spec.nilpotency_class, 1), p=5))
         elements, _, prod = _multiplication_table(spec, table)
         n = len(elements)
@@ -256,9 +256,9 @@ def suite_lazard(p: int, samples: int = 10_000, seed: int = 0, fault: str | None
     ctx = PrimeContext(p, 7 * p + 10)
     i = p + 2
     g = _theta2(ctx, i)
-    lam = jacobi_exponent(g, i)
+    lam = jacobi_exponent(g)
     m = lam.value
-    spec = LieRingSpec(ctx, i, m, g, lam=lam)
+    spec = LieRingSpec(g, m, lam=lam)
     table = corrupt(build_bch_table(max(spec.nilpotency_class, 1), p=p))
 
     def rnd_elt():
@@ -276,7 +276,7 @@ def suite_lazard(p: int, samples: int = 10_000, seed: int = 0, fault: str | None
     # commutator two-path agreement on all basis pairs of a class-3 truncation
     prof = spec.lcs_profile()
     m3 = prof.exponents[2] + 1 if len(prof.exponents) > 2 else spec.m
-    spec3 = LieRingSpec(ctx, i, min(m3, lam.value), g, lam=lam)
+    spec3 = LieRingSpec(g, min(m3, lam.value), lam=lam)
     basis = spec3.basis()
     for r in range(len(basis)):
         for s in range(r + 1, len(basis)):
@@ -299,7 +299,7 @@ def suite_lazard(p: int, samples: int = 10_000, seed: int = 0, fault: str | None
 
     # the central series of G(L) and L coincide
     for m_test in {2 * i + 1, m}:
-        spec_t = LieRingSpec(ctx, i, m_test, g, lam=lam)
+        spec_t = LieRingSpec(g, m_test, lam=lam)
         if group_lcs(spec_t, table) != lcs_profile(spec_t):
             violations.append(f"group and Lie central series differ at m={m_test}")
 
@@ -314,9 +314,9 @@ def suite_group_construction(p: int, seed: int = 0) -> CheckResult:
     ctx = PrimeContext(p, 4 * p + 18)
     i = p + 2
     g = _theta2(ctx, i)
-    lam = jacobi_exponent(g, i)
+    lam = jacobi_exponent(g)
     for m in sorted({i + 1, i + 3, 2 * i + 1, 2 * i + 2, min(lam.value, 3 * i)}):
-        spec = LieRingSpec(ctx, i, m, g, lam=lam)
+        spec = LieRingSpec(g, m, lam=lam)
         group = SGroup(spec)
         if group.order_exp != m - i + 1:
             violations.append(f"m={m}: order exponent {group.order_exp} != m-i+1")
@@ -342,9 +342,9 @@ def suite_quotient(p: int, samples: int = 40, seed: int = 0) -> CheckResult:
     ctx = PrimeContext(p, 4 * p + 18)
     i = p + 2
     g = _theta2(ctx, i)
-    lam = jacobi_exponent(g, i)
+    lam = jacobi_exponent(g)
     m = min(lam.value, 2 * i + 4)
-    spec = LieRingSpec(ctx, i, m, g, lam=lam)
+    spec = LieRingSpec(g, m, lam=lam)
     group = SGroup(spec)
     target, project = quotient_edge(group)
 
@@ -440,7 +440,7 @@ def suite_membership_shift(p: int, samples: int = 30, seed: int = 0) -> CheckRes
     for n in range(samples):
         i = rng.randrange(2 * p + 1)
         g = _random_gamma(ctx, i, rng, require_hhat=True)
-        if not shift_check(g, i):
+        if not shift_check(g):
             violations.append(f"sample {n}: membership lost at i+(p-1) from i={i}")
     return CheckResult("membership_shift", not violations,
                        f"{samples} membership shifts i -> i+(p-1)", violations)
@@ -469,7 +469,7 @@ def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = SCAN_
         for coeffs in _coefficient_grid(ctx, coeff_mod, budget):
             g = GammaCoeffs(ctx, i, coeffs, check=False)
             try:
-                if not in_Hhat(g, i):
+                if not in_Hhat(g):
                     continue
             except PrecisionExhausted:
                 unresolved += 1
@@ -478,7 +478,7 @@ def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = SCAN_
                                 "flag": "Hhat_i membership undecided at working precision; "
                                         "raise M_work"})
                 continue
-            lam = lam_of(g, i)
+            lam = lam_of(g)
             entry = {"i": i, "coeffs": repr(g.key),
                      "lambda": lam.value, "exact": lam.exact}
             if lam.exact:

@@ -232,9 +232,20 @@ def test_i_zero_exit_2(capsys, argv):
     ('[{"p": 5, "prec": 7, "digits": ["0", "0", "0", "0"]}]',
      "image 1 is known only mod P^7; at i = 3 every image needs a precision above 7"),
     ('[{"p": 5, "prec": -2, "digits": ["0", "0", "0", "0"]}]',
-     "image 1 is known only mod P^-2; at i = 3 every image needs a precision above 7")],
+     "image 1 is known only mod P^-2; at i = 3 every image needs a precision above 7"),
+    ('[{"p": 5, "prec": 30, "digits": "1000"}]', "ValueError: digits must be a list, got '1000'"),
+    ('[{"p": 5, "prec": 30, "digits": [1.5, 0, 0, 0]}]',
+     "ValueError: digits entry 1.5 is neither an int nor a decimal string of one"),
+    ('[{"p": 5, "prec": 30, "digits": [true]}]',
+     "ValueError: digits entry True is neither an int nor a decimal string of one"),
+    ('[{"p": 5, "prec": 30, "digits": ["1e3"]}]',
+     "ValueError: digits entry '1e3' is neither an int nor a decimal string of one"),
+    ('[{"p": 5, "prec": 30.9, "digits": ["0"]}]', "ValueError: prec must be an int, got 30.9"),
+    ('[{"p": 5, "prec": true, "digits": ["0"]}]', "ValueError: prec must be an int, got True")],
     ids=["int", "missing-keys", "object", "other-prime", "five-digits", "no-images",
-         "image-below-target", "not-a-member", "prec-at-shift", "negative-prec"])
+         "image-below-target", "not-a-member", "prec-at-shift", "negative-prec",
+         "digits-string", "digit-float", "digit-bool", "digit-not-decimal", "prec-float",
+         "prec-bool"])
 def test_bad_images_json_is_config_error(capsys, tmp_path, content, error):
     # a file that is not a list of probe images of this p, or whose images
     # define no member of Hhat_i, is a config error naming the file, not a

@@ -39,8 +39,8 @@ import cycelt_route as route
 def theta2_spec(p, i, m_work, m=None):
     ctx = PrimeContext(p, m_work)
     g = GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
-    lam = jacobi_exponent(g, i)
-    return LieRingSpec(ctx, i, lam.value if m is None else m, g, lam=lam)
+    lam = jacobi_exponent(g)
+    return LieRingSpec(g, lam.value if m is None else m, lam=lam)
 
 
 def grid_gammas(ctx, i, coeff_mod, count, seed):
@@ -49,7 +49,7 @@ def grid_gammas(ctx, i, coeff_mod, count, seed):
     members = []
     for coeffs in product(residues, repeat=ctx.l):
         g = GammaCoeffs(ctx, i, coeffs, check=False)
-        if in_Hhat(g, i):
+        if in_Hhat(g):
             members.append(g)
     return random.Random(seed).sample(members, min(count, len(members)))
 
@@ -85,8 +85,8 @@ def test_ring_operations_agree_with_cycelt_route(p, i, m_work):
     ctx = PrimeContext(p, m_work)
     rng = random.Random(p)
     for g in grid_gammas(ctx, i, 1, 3, seed=p):
-        lam = jacobi_exponent(g, i)
-        spec = LieRingSpec(ctx, i, min(lam.value, i + 2 * ctx.d + 1), g, lam=lam)
+        lam = jacobi_exponent(g)
+        spec = LieRingSpec(g, min(lam.value, i + 2 * ctx.d + 1), lam=lam)
         for _ in range(25):
             x, y = random_lift(spec, rng), random_lift(spec, rng)
             ex, ey = spec.element(x), spec.element(y)
@@ -123,8 +123,8 @@ def test_s_series_agree_with_cycelt_route(p, i, m_max, coeff_mod, count):
     ctx = PrimeContext(p, 60 if p == 7 else 40)
     classes = set()
     for g in grid_gammas(ctx, i, coeff_mod, count, seed=coeff_mod):
-        lam = jacobi_exponent(g, i)
-        spec = LieRingSpec(ctx, i, min(lam.value, m_max), g, lam=lam)
+        lam = jacobi_exponent(g)
+        spec = LieRingSpec(g, min(lam.value, m_max), lam=lam)
         table = build_bch_table(max(spec.nilpotency_class, 1), p=p)
         classes.add(spec.nilpotency_class)
         prof = s_group_lcs(SGroup(spec, table))
@@ -138,7 +138,7 @@ def kappa_denominator_gamma(ctx):
     images = [ctx.kappa_power(19) * ctx.element(digs)
               for digs in ([1, 2, 0, 3, 0, 1], [2, 0, 1, 0, 4, 0])]
     g = images_to_coeffs(ctx, 9, images)
-    assert any(c.den_exp > 0 for c in g.coeffs) and in_Hhat(g, 9)
+    assert any(c.den_exp > 0 for c in g.coeffs) and in_Hhat(g)
     return g
 
 
@@ -149,7 +149,7 @@ def below_precision_gamma():
     g_hi = images_to_coeffs(hi, 9, [hi.kappa_power(19) * hi.element(
         [rng.randrange(7) for _ in range(hi.d)]) for _ in range(hi.l)])
     assert max(c.den_exp for c in g_hi.coeffs) == 2
-    lam = jacobi_exponent(g_hi, 9)
+    lam = jacobi_exponent(g_hi)
     assert lam.exact and lam.value >= 20
     ctx = PrimeContext(7, 20)
     g = GammaCoeffs(ctx, 9, [CycFrac(ctx.element(c.num.digits, min(c.num.prec, 20)), c.den_exp)
@@ -162,10 +162,10 @@ def test_s_series_agree_with_cycelt_route_on_pinned_rings(case):
     # the rings of the pinned p = 11 class-2 build and of the class-2 --images-json build
     if case == "p11-class2":
         ctx = PrimeContext(11, 84)
-        spec = LieRingSpec(ctx, 13, 32, GammaCoeffs.from_integers(ctx, 13, [1, 0, 0, 0]))
+        spec = LieRingSpec(GammaCoeffs.from_integers(ctx, 13, [1, 0, 0, 0]), 32)
     else:
         ctx = PrimeContext(7, 60)
-        spec = LieRingSpec(ctx, 9, 24, kappa_denominator_gamma(ctx))
+        spec = LieRingSpec(kappa_denominator_gamma(ctx), 24)
     assert spec.nilpotency_class == 2
     table = build_bch_table(2, p=ctx.p)
     prof = s_group_lcs(SGroup(spec, table))
@@ -194,20 +194,20 @@ def test_bracket_table_is_divided_basis_brackets(p, i, m_work):
         else:
             quotients = [e.div_kappa(i) for e in route.basis_brackets(g, i).values()]
             if g.is_integral():
-                assert homs.numerator_table(g, i) == [e.digits for e in quotients]
+                assert homs.numerator_table(g) == [e.digits for e in quotients]
         if m_work < 2 * i + 2:
             with pytest.raises(PrecisionExhausted):
-                LieRingSpec(ctx, i, i, g)
+                LieRingSpec(g, i)
             continue
-        lam = jacobi_exponent(g, i)
-        top = LieRingSpec(ctx, i, lam.value, g, lam=lam)
+        lam = jacobi_exponent(g)
+        top = LieRingSpec(g, lam.value, lam=lam)
         for m in range(i + 1, lam.value + 1):
             assert all(e.prec >= m - i for e in quotients)
             want = (pairs, tuple(zip(*(ctx._canonical(e.digits, m - i) for e in quotients))))
-            assert LieRingSpec(ctx, i, m, g, lam=lam)._structure_constants() == want
+            assert LieRingSpec(g, m, lam=lam)._structure_constants() == want
             assert top.truncate(m)._structure_constants() == want
         with pytest.raises(PrecisionExhausted):
-            LieRingSpec(ctx, i, m_work + 1, g, lam=lam)
+            LieRingSpec(g, m_work + 1, lam=lam)
 
 
 @pytest.mark.parametrize("m, cls", [(20, 2), (24, 3)])
@@ -249,8 +249,8 @@ def images_gammas(count, seed):
             for _ in range(ctx.l)]
         try:
             g = images_to_coeffs(ctx, i, images)
-            if in_Hhat(g, i):
-                out.append((g, i, jacobi_exponent(g, i)))
+            if in_Hhat(g):
+                out.append((g, i, jacobi_exponent(g)))
         except PrecisionExhausted:
             continue
     return out
@@ -262,14 +262,14 @@ def lcs_cases():
     for p, i, m_work, m_max, coeff_mod, count in [(7, 9, 60, 18, 1, 3), (5, 7, 48, 20, 2, 3)]:
         ctx = PrimeContext(p, m_work)
         for g in grid_gammas(ctx, i, coeff_mod, count, seed=coeff_mod):
-            lam = jacobi_exponent(g, i)
-            specs += [LieRingSpec(ctx, i, m, g, lam=lam) for m in range(i, min(lam.value, m_max) + 1)]
+            lam = jacobi_exponent(g)
+            specs += [LieRingSpec(g, m, lam=lam) for m in range(i, min(lam.value, m_max) + 1)]
     specs.append(theta2_spec(11, 13, 84))
     ctx = PrimeContext(7, 60)
     g = kappa_denominator_gamma(ctx)
-    specs += [LieRingSpec(ctx, 9, m, g) for m in range(16, 27)]
+    specs += [LieRingSpec(g, m) for m in range(16, 27)]
     for g, i, lam in images_gammas(30, seed=8):
-        specs += [LieRingSpec(g.ctx, i, m, g, lam=lam) for m in range(i, min(lam.value, g.ctx.M_work) + 1)]
+        specs += [LieRingSpec(g, m, lam=lam) for m in range(i, min(lam.value, g.ctx.M_work) + 1)]
     return specs
 
 
@@ -279,7 +279,7 @@ def test_lcs_profile_equals_gamma_eval_route():
         assert outcome(lcs_profile, spec) == outcome(route.lcs_profile, spec), spec
     g, lam = below_precision_gamma()
     for m in (19, 20):
-        spec = LieRingSpec(g.ctx, 9, m, g, lam=lam)
+        spec = LieRingSpec(g, m, lam=lam)
         assert outcome(lcs_profile, spec) is outcome(route.lcs_profile, spec) is PrecisionExhausted
 
 
@@ -288,7 +288,7 @@ def test_table_entry_below_precision_raises():
     # at M_work = 20: the ring mod P^20 cannot be built, its quotient mod P^18 can
     g, lam = below_precision_gamma()
     ctx = g.ctx
-    spec = LieRingSpec(ctx, 9, 20, g, lam=lam)
+    spec = LieRingSpec(g, 20, lam=lam)
     x, y = spec.basis()[:2]
     with pytest.raises(PrecisionExhausted, match="known mod P\\^18 < P\\^20"):
         x.bracket(y)
@@ -307,7 +307,7 @@ def test_truncate_evaluates_no_gamma(monkeypatch):
     # evaluated on the way, as the quotients theta_a/kappa^7 on the basis
     # wedges are read off the theta_a table
     spec = theta2_spec(5, 7, 44)
-    fresh = {m: LieRingSpec(spec.ctx, 7, m, spec.gamma, lam=spec.lam) for m in range(7, 25)}
+    fresh = {m: LieRingSpec(spec.gamma, m, lam=spec.lam) for m in range(7, 25)}
     want = {m: ([x.bracket(y) for x, y in combinations(s.basis(), 2)], lcs_profile(s))
             for m, s in fresh.items()}
 
@@ -327,12 +327,12 @@ def test_truncate_evaluates_no_gamma(monkeypatch):
     for module in (liering, homs):
         monkeypatch.setattr(module, "gamma_eval", boom)
     monkeypatch.setattr(homs, "theta_a_eval", boom)
-    lam = jacobi_exponent(g, 7)
-    assert lam == spec.lam and built == [(g, 7)]
-    top = LieRingSpec(ctx, 7, lam.value, g, lam=lam)
+    lam = jacobi_exponent(g)
+    assert lam == spec.lam and built == [(g,)]
+    top = LieRingSpec(g, lam.value, lam=lam)
     for m in range(24, 6, -1):
         cut = top.truncate(m)
         assert [x.bracket(y) for x, y in combinations(cut.basis(), 2)] == want[m][0]
         assert lcs_profile(cut) == want[m][1]
     assert top.lcs_profile() == want[24][1]
-    assert built == [(g, 7)] * (1 + len(range(8, 25)) + 1)
+    assert built == [(g,)] * (1 + len(range(8, 25)) + 1)

@@ -245,6 +245,30 @@ def test_serialization_round_trip(ctx):
         CycElt.from_json(ctx, dict(obj, digits=obj["digits"] + ["1"]))
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"digits": "1000"}, "^digits must be a list, got '1000'$"),
+    ({"digits": ["1", 1.5]}, "^digits entry 1.5 is neither an int nor a decimal string of one$"),
+    ({"digits": [True]}, "^digits entry True is neither an int nor a decimal string of one$"),
+    ({"digits": ["1.5"]}, "^digits entry '1.5' is neither an int nor a decimal string of one$"),
+    ({"digits": [" 1"]}, "^digits entry ' 1' is neither an int nor a decimal string of one$"),
+    ({"prec": 10.9}, "^prec must be an int, got 10.9$"),
+    ({"prec": True}, "^prec must be an int, got True$"),
+    ({"prec": "10"}, "^prec must be an int, got '10'$")],
+    ids=["digits-string", "digit-float", "digit-bool", "digit-not-decimal", "digit-space",
+         "prec-float", "prec-bool", "prec-string"])
+def test_from_json_refuses_malformed_fields(ctx, field, message):
+    # a string of digits is not split into characters, and no precision is truncated
+    with pytest.raises(ValueError, match=message):
+        CycElt.from_json(ctx, dict({"p": 5, "prec": 10, "digits": ["1"]}, **field))
+
+
+def test_from_json_reads_ints_and_decimal_strings(ctx):
+    x = ctx.element([123, 0, 4], 10)
+    assert CycElt.from_json(ctx, {"p": 5, "prec": 10, "digits": ["123", 0, "4"]}) == x
+    assert CycElt.from_json(ctx, {"p": 5, "prec": 10, "digits": [123, "0", 4]}) == x
+    assert CycElt.from_json(ctx, {"p": 5, "prec": 10, "digits": ["-1"]}) == ctx.element([-1], 10)
+
+
 def test_precision_above_m_work_is_refused():
     # element is the one constructor and refuses a precision no ring operation
     # reaches; from_json reads an element known beyond M_work at M_work

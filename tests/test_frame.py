@@ -38,8 +38,8 @@ def ctx():
 @pytest.fixture(scope="module")
 def group(ctx):
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    lam = jacobi_exponent(g, 7)
-    return SGroup(LieRingSpec(ctx, 7, 18, g, lam=lam))
+    lam = jacobi_exponent(g)
+    return SGroup(LieRingSpec(g, 18, lam=lam))
 
 
 def _rnd(group, rng):
@@ -84,7 +84,7 @@ def test_s_group_lcs_step_by_one(group):
 def test_mainline_abelian_case(ctx):
     # for m <= 2i+1 the G-part is abelian and gamma_j(S) has exponent i+j-1
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    grp = SGroup(LieRingSpec(ctx, 7, 15, g))
+    grp = SGroup(LieRingSpec(g, 15))
     prof = s_group_lcs(grp)
     assert prof.exponents == tuple(7 + j - 1 for j in range(1, 10))
 
@@ -113,7 +113,7 @@ def test_quotient_composition_is_direct_truncation(group):
     rng = random.Random(2)
     t1, pr1 = quotient_edge(group)
     t2, pr2 = quotient_edge(t1)
-    direct_spec = LieRingSpec(group.ctx, 7, 16, group.spec.gamma, lam=group.spec.lam)
+    direct_spec = LieRingSpec(group.spec.gamma, 16, lam=group.spec.lam)
     direct = SGroup(direct_spec, group.table)
     for _ in range(10):
         x = _rnd(group, rng)
@@ -154,13 +154,13 @@ def test_branch_node_exists_at_2i_plus_2(ctx):
 def test_skeleton_contained_in_frame(ctx):
     # class-2 truncations (m <= w_3) are exactly the nodes with m <= 23
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    lam = jacobi_exponent(g, 7)
-    w3 = LieRingSpec(ctx, 7, 24, g, lam=lam).lcs_profile().exponents[2]
+    lam = jacobi_exponent(g)
+    w3 = LieRingSpec(g, 24, lam=lam).lcs_profile().exponents[2]
     tree = enumerate_frame(ctx, 7, 20, coeff_mod=1, budget=10 ** 6)
     skeleton = [n for n in tree.nodes if n.m <= w3 and n.m >= 16]
     assert skeleton  # the skeleton part of the branch is present
     for n in skeleton:
-        spec = LieRingSpec(ctx, 7, n.m, g, lam=lam)
+        spec = LieRingSpec(g, n.m, lam=lam)
         assert spec.lcs_profile().nilpotency_class <= 2
 
 
@@ -194,9 +194,9 @@ def test_enumerate_frame_tests_hhat_once_per_gamma(monkeypatch):
     calls = []
     real = homs.in_Hhat
 
-    def counting(g, i=None):
-        calls.append(i)
-        return real(g, i)
+    def counting(g):
+        calls.append(g.i)
+        return real(g)
 
     monkeypatch.setattr(homs, "in_Hhat", counting)
     monkeypatch.setattr(liering, "in_Hhat", counting)
@@ -217,8 +217,8 @@ def _kept(monkeypatch, ctx, i, m_max, coeff_mod, points=None):
     def recording(coeff_mod):
         lam_of = real_lambda(coeff_mod)
 
-        def lam(g, i):
-            seen.append((g, lam_of(g, i)))
+        def lam(g):
+            seen.append((g, lam_of(g)))
             return seen[-1][1]
         return lam
 
@@ -245,7 +245,7 @@ def test_lemma_agrees_with_the_s_group_sweep(monkeypatch, p, i, m_max, coeff_mod
     # gamma the frame keeps, at its top level (lower levels are the clamped
     # top series, test_s_series_of_truncation_is_clamped_top_series)
     ctx = PrimeContext(p, m_work)
-    specs = [LieRingSpec(ctx, i, top, g) for g, top in _kept(monkeypatch, ctx, i, m_max,
+    specs = [LieRingSpec(g, top) for g, top in _kept(monkeypatch, ctx, i, m_max,
                                                               coeff_mod, points)]
     assert len(specs) == kept
     table = build_bch_table(max(spec.nilpotency_class for spec in specs), p=p)
@@ -278,7 +278,7 @@ def test_lie_class_below_p_up_to_level_p_i(monkeypatch, p, i, m_max, coeff_mod, 
     assert reads == [(g.content_key, top) for g, top in pairs if top > p * i]
     assert len(reads) == above
     for g, top in pairs:
-        cls = LieRingSpec(ctx, i, top, g).nilpotency_class
+        cls = LieRingSpec(g, top).nilpotency_class
         assert cls <= -(-top // i) - 1
         assert cls < p or top > p * i
 
@@ -339,7 +339,7 @@ def test_s_series_of_truncation_is_clamped_top_series(ctx):
     # is the top series clamped at m, so the sweep at each gamma's top level
     # covers all its vertices; the per-vertex sweep is the oracle here
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    spec = LieRingSpec(ctx, 7, 20, g)
+    spec = LieRingSpec(g, 20)
     table = build_bch_table(spec.nilpotency_class, p=ctx.p)
     top = s_group_lcs(SGroup(spec, table))
     assert top.exponents == tuple(range(7, 21))
@@ -377,7 +377,7 @@ def test_line_keys_partition_as_orbits_mod_p(p, i, m_work, points, members, line
     ctx = PrimeContext(p, m_work)
     gammas = [GammaCoeffs(ctx, i, coeffs, check=False)
               for coeffs in islice(frame._coefficient_grid(ctx, 1, 10 ** 5), points)]
-    gammas = [g for g in gammas if homs.in_Hhat(g, i)]
+    gammas = [g for g in gammas if homs.in_Hhat(g)]
     line = [frame._line_key(g) for g in gammas]
     orbit = [orbit_canonical(g, 1).key for g in gammas]
     assert len(gammas) == members
@@ -399,8 +399,8 @@ def _counting_lambda(monkeypatch, fake=None):
     """The lambdas frame._line_lambda computes, recorded; fake stands in for jacobi_exponent."""
     direct = []
 
-    def recording(g, i):
-        direct.append((fake or jacobi_exponent)(g, i))
+    def recording(g):
+        direct.append((fake or jacobi_exponent)(g))
         return direct[-1]
 
     monkeypatch.setattr(frame, "jacobi_exponent", recording)
@@ -423,12 +423,12 @@ def test_line_lambda_equals_jacobi_exponent(monkeypatch, p, m_work, levels, poin
         for coeffs in islice(frame._coefficient_grid(ctx, 1, 10 ** 5), points):
             g = GammaCoeffs(ctx, i, coeffs, check=False)
             try:
-                if not homs.in_Hhat(g, i):
+                if not homs.in_Hhat(g):
                     continue
             except PrecisionExhausted:
                 continue
             seen += 1
-            assert lam_of(g, i) == jacobi_exponent(g, i)
+            assert lam_of(g) == jacobi_exponent(g)
     assert (seen, len(direct)) == (members, computed)
 
 
@@ -444,9 +444,9 @@ def test_line_lambda_computes_outside_its_bound(monkeypatch, ctx):
             (Valuation.exactly(24), 1, [g, g2, g], 1), (Valuation.exactly(25), 1, [g, g2], 2),
             (Valuation.at_least(40), 1, [g, g2], 2), (Valuation.exactly(24), 2, [g, g], 2),
             (Valuation.exactly(24), 1, [rough, rough], 2)]:
-        direct = _counting_lambda(monkeypatch, lambda g, i: value)
+        direct = _counting_lambda(monkeypatch, lambda g: value)
         lam_of = frame._line_lambda(coeff_mod)
-        assert [lam_of(x, 7) for x in gammas] == [value] * len(gammas)
+        assert [lam_of(x) for x in gammas] == [value] * len(gammas)
         assert len(direct) == computed
 
 
@@ -476,9 +476,9 @@ def test_lie_class_sweep_takes_the_grid_lambda(monkeypatch):
     # so each has its Lie series swept, on a ring given that lambda
     calls = []
 
-    def counted(g, i=None):
-        calls.append(i)
-        return jacobi_exponent(g, i)
+    def counted(g):
+        calls.append(g.i)
+        return jacobi_exponent(g)
 
     for module in (frame, liering):
         monkeypatch.setattr(module, "jacobi_exponent", counted)

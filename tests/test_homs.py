@@ -180,7 +180,7 @@ def test_vandermonde_row_products_formed_once(monkeypatch):
     for g, row in zip(gammas, reference):
         got = [(e.num.digits, e.num.prec, e.den_exp) for e in homs._row_times_vib(g, vd)]
         assert got == row
-        in_Hhat(g, i)
+        in_Hhat(g)
     assert [images_to_coeffs(ctx, i, imgs).to_json() for imgs in images] == solved
     assert products and not any(products)
 
@@ -239,16 +239,16 @@ def test_level_tables_equal_scratch_route(p, m_work, monkeypatch):
             quotients, precisions, vd = want[i]
             got = homs._basis_quotients(ctx, i)
             assert (got is None) == (i >= m_work) and got == quotients
-            assert [homs._bracket_precisions(g, i) for g in gammas(ctx, i)] == precisions
+            assert [homs._bracket_precisions(g) for g in gammas(ctx, i)] == precisions
             # a level that raises raises again, with the same message
             assert level_outcome(vandermonde, ctx, i) == vd == level_outcome(vandermonde, ctx, i)
 
 
-def row_product_in_hhat(g, i):
+def row_product_in_hhat(g):
     # the oracle: form (c) V_i B in K by CycFrac products and sums, entry by
     # entry, and read integrality and a unit entry off their valuations
     ctx = g.ctx
-    vd = vandermonde(ctx, i)
+    vd = vandermonde(ctx, g.i)
     saw_unit = undecided_unit = False
     for j in range(ctx.l):
         acc = CycFrac(ctx.zero())
@@ -270,9 +270,9 @@ def row_product_in_hhat(g, i):
     return False
 
 
-def hhat_outcome(decide, g, i):
+def hhat_outcome(decide, g):
     try:
-        return decide(g, i)
+        return decide(g)
     except PrecisionExhausted:
         return "raised"
 
@@ -313,15 +313,15 @@ def test_in_hhat_agrees_with_the_row_product():
     outcomes = {}
     for ctx, i, coeffs in hhat_grid_cases():
         g = GammaCoeffs(ctx, i, coeffs, check=False)
-        want = hhat_outcome(row_product_in_hhat, g, i)
-        assert hhat_outcome(in_Hhat, g, i) == want, (ctx, i, g)
+        want = hhat_outcome(row_product_in_hhat, g)
+        assert hhat_outcome(in_Hhat, g) == want, (ctx, i, g)
         outcomes[want] = outcomes.get(want, 0) + 1
     # p = 7 at M_work 16 cannot form V_i B for i >= 8, as at p = 5, M_work 20, i >= 10
     assert set(outcomes) == {True, False, "raised"}
     outcomes = {}
     for g in reduced_precision_vectors(random.Random(15), 1500):
-        want = hhat_outcome(row_product_in_hhat, g, g.i)
-        assert hhat_outcome(in_Hhat, g, g.i) == want, g
+        want = hhat_outcome(row_product_in_hhat, g)
+        assert hhat_outcome(in_Hhat, g) == want, g
         outcomes[want] = outcomes.get(want, 0) + 1
     # here V_i B is formed, so every raise is an entry of precision 0
     assert set(outcomes) == {True, False, "raised"} and min(outcomes.values()) >= 50
@@ -330,8 +330,8 @@ def test_in_hhat_agrees_with_the_row_product():
     for g in reduced_precision_vectors(random.Random(16), 100):
         g = GammaCoeffs(g.ctx, g.i, [CycFrac(c.num, (n + 1) % 3) for n, c in enumerate(g.coeffs)],
                         check=False)
-        want = hhat_outcome(row_product_in_hhat, g, g.i)
-        assert hhat_outcome(in_Hhat, g, g.i) == want, g
+        want = hhat_outcome(row_product_in_hhat, g)
+        assert hhat_outcome(in_Hhat, g) == want, g
         outcomes[want] = outcomes.get(want, 0) + 1
     assert set(outcomes) == {True, False, "raised"}
 
@@ -351,7 +351,7 @@ def test_in_hhat_forms_no_product_on_integral_vectors(monkeypatch):
                                                        rng.randrange(45))) for _ in range(2)],
                           check=False)
               for i in (9, 10) for _ in range(30)]
-    want = [hhat_outcome(row_product_in_hhat, g, g.i) for g in gammas]
+    want = [hhat_outcome(row_product_in_hhat, g) for g in gammas]
     cols = {i: vandermonde(ctx, i).residue_cols for i in (9, 10)}
     vb = {id(x) for i in (9, 10) for row in vandermonde(ctx, i).VB for x in row}
     formed, vb_read = [], []
@@ -373,7 +373,7 @@ def test_in_hhat_forms_no_product_on_integral_vectors(monkeypatch):
     monkeypatch.setattr(homs.CycElt, "__mul__", mul)
     monkeypatch.setattr(homs.CycElt, "__add__", add)
     monkeypatch.setattr(homs.CycElt, "valuation", valuation)
-    assert [hhat_outcome(in_Hhat, g, g.i) for g in gammas] == want
+    assert [hhat_outcome(in_Hhat, g) for g in gammas] == want
     assert set(want) == {True, False, "raised"}
     assert formed == [] and vb_read == []
     assert built == [9, 10] and all(vandermonde(ctx, i).residue_cols is cols[i] for i in (9, 10))
@@ -392,11 +392,11 @@ def test_v_a_factor_is_the_diagonal_entry(ctx7):
 
 def test_in_hhat_examples(ctx5, ctx7):
     g0 = GammaCoeffs.from_integers(ctx5, 7, [0], check=False)
-    assert not in_Hhat(g0, 7)
+    assert not in_Hhat(g0)
     for i in (0, 1, 5, 7, 12):
         g = GammaCoeffs.from_integers(ctx5, i, [1])
-        assert in_Hhat(g, i)
-    assert in_Hhat(GammaCoeffs.from_integers(ctx7, 5, [0, 1]), 5)
+        assert in_Hhat(g)
+    assert in_Hhat(GammaCoeffs.from_integers(ctx7, 5, [0, 1]))
 
 
 def test_in_hhat_probe_consistency(ctx7):
@@ -405,8 +405,8 @@ def test_in_hhat_probe_consistency(ctx7):
         i = rng.randrange(10)
         g = GammaCoeffs(ctx7, i, [CycFrac(ctx7.element([rng.randrange(49) for _ in range(6)]))
                                   for _ in range(2)], check=False)
-        probe = min_probe_valuation(g, i)
-        assert in_Hhat(g, i) == (probe.exact and probe.value == 2 * i + 1)
+        probe = min_probe_valuation(g)
+        assert in_Hhat(g) == (probe.exact and probe.value == 2 * i + 1)
 
 
 def test_hhat_constructor_rejects(ctx5):
@@ -437,7 +437,7 @@ def test_images_to_coeffs_single(ctx5):
     vinv = vandermonde(ctx5, i).V_diag[0].unit_inverse()
     assert g.coeffs[0].den_exp == 0
     assert (g.coeffs[0].num - vinv.reduce_to(g.coeffs[0].num.prec)).is_zero()
-    assert in_Hhat(g, i)
+    assert in_Hhat(g)
 
 
 def test_images_to_coeffs_denominator_cap(ctx7):
@@ -461,17 +461,22 @@ def test_images_must_lie_in_target_ideal(ctx5):
         images_to_coeffs(ctx5, 7, [ctx5.kappa_power(3)])
 
 
-def test_shift_check(ctx5, ctx7):
+def test_shift_check(ctx5, ctx7, monkeypatch):
     rng = random.Random(5)
-    assert shift_check(GammaCoeffs.from_integers(ctx5, 3, [1]), 3)
+    assert shift_check(GammaCoeffs.from_integers(ctx5, 3, [1]))
+    # membership is tested at g.i, then on the same coefficients at g.i + p - 1
+    g, levels, real = GammaCoeffs.from_integers(ctx5, 3, [2]), [], homs.in_Hhat
+    monkeypatch.setattr(homs, "in_Hhat", lambda g: levels.append((g.i, g.key)) or real(g))
+    assert shift_check(g) and levels == [(3, g.key), (7, g.key)]
+    monkeypatch.undo()
     for _ in range(10):
         i = rng.randrange(8)
         g = GammaCoeffs(ctx7, i, [CycFrac(ctx7.element([rng.randrange(49) for _ in range(6)]))
                                   for _ in range(2)], check=False)
-        if in_Hhat(g, i):
-            assert shift_check(g, i)
+        if in_Hhat(g):
+            assert shift_check(g)
     with pytest.raises(NotInHhat):
-        shift_check(GammaCoeffs.from_integers(ctx5, 7, [0], check=False), 7)
+        shift_check(GammaCoeffs.from_integers(ctx5, 7, [0], check=False))
 
 
 def test_cycfrac_canonical_and_inverse(ctx5):
@@ -543,6 +548,16 @@ def test_denominator_cap_enforced(ctx5):
         GammaCoeffs(ctx5, 7, [CycFrac(ctx5.one(), 9)], check=False)
 
 
+@pytest.mark.parametrize("den_exp", [-1, 1.5, True, "1"])
+def test_cycfrac_from_json_refuses_a_bad_den_exp(ctx7, den_exp):
+    # a negative den_exp made galois raise "pow needs n >= 0" later
+    obj = {"num": ctx7.one().to_json(), "den_exp": den_exp}
+    with pytest.raises(ValueError, match=f"^den_exp must be an int >= 0, got {den_exp!r}$"):
+        CycFrac.from_json(ctx7, obj)
+    q = CycFrac.from_json(ctx7, dict(obj, den_exp=2))
+    assert q.den_exp == 2 and q.num == ctx7.one()
+
+
 def test_gamma_serialization(ctx7):
     g = GammaCoeffs.from_integers(ctx7, 5, [4, 1])
     obj = g.to_json()
@@ -551,17 +566,17 @@ def test_gamma_serialization(ctx7):
                for a, b in zip(g.coeffs, g2.coeffs))
 
 
-def quotient_outcome(f, g, i):
-    """The (digits, precision) of each quotient f(g, i) gives, in pair order, or the class and message of its error."""
+def quotient_outcome(f, g):
+    """The (digits, precision) of each quotient f(g) gives, in pair order, or the class and message of its error."""
     try:
-        return [(e.digits, e.prec) for e in f(g, i)]
+        return [(e.digits, e.prec) for e in f(g)]
     except MaxclassError as exc:
         return type(exc), str(exc)
 
 
-def ring_route_quotients(g, i):
+def ring_route_quotients(g):
     # the ring route: every basis bracket by CycElt ring operations, then each divided by kappa^i
-    return [e.div_kappa(i) for e in route.basis_brackets(g, i).values()]
+    return [e.div_kappa(g.i) for e in route.basis_brackets(g, g.i).values()]
 
 
 def test_bracket_quotients_equal_ring_route():
@@ -589,10 +604,10 @@ def test_bracket_quotients_equal_ring_route():
             prec = m_work if rng.random() < 0.4 else rng.randrange(1, m_work + 1)
             coeffs.append(CycFrac(ctx.element(digits, prec), rng.randrange(5)))
         g = GammaCoeffs(ctx, i, coeffs, check=False, den_cap=4)
-        got = quotient_outcome(homs.bracket_quotients, g, i)
-        want = quotient_outcome(ring_route_quotients, g, i)
+        got = quotient_outcome(homs.bracket_quotients, g)
+        want = quotient_outcome(ring_route_quotients, g)
         try:
-            member = in_Hhat(g, i)
+            member = in_Hhat(g)
         except MaxclassError:
             member = False
         raised = isinstance(got, tuple)
@@ -621,4 +636,4 @@ def test_coefficient_of_another_context_is_refused_at_construction():
     # an equal context held in another object passes, as in a ring operation
     twin = PrimeContext(7, 60)
     g = GammaCoeffs(ctx, 9, [CycFrac(twin.from_int(1)), CycFrac(ctx.from_int(1))], check=False)
-    assert jacobi_exponent(g, 9) == Valuation.exactly(30)
+    assert jacobi_exponent(g) == Valuation.exactly(30)

@@ -169,7 +169,7 @@ def test_moves_preserve_hhat(ctx, units):
     c = GammaCoeffs.from_integers(ctx, I, [3])
     for _ in range(10):
         mv = IsoMove(units[rng.randrange(len(units))], rng.randrange(1, 5))
-        assert in_Hhat(apply_move(c, mv, M), I)
+        assert in_Hhat(apply_move(c, mv, M))
 
 
 def test_witness_map_and_verify(ctx, units):
@@ -314,7 +314,7 @@ def p7_grid_gammas():
     # the Hhat_9 members of the grid of enumerate --p 7 --i 9 --m-max 18 --coeff-mod 1
     ctx = PrimeContext(7, 60)
     gammas = [GammaCoeffs(ctx, 9, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
-    return [g for g in gammas if in_Hhat(g, 9)]
+    return [g for g in gammas if in_Hhat(g)]
 
 
 def quotient_candidates(c, c2, k):
@@ -611,7 +611,7 @@ def test_verify_witness_verdicts_equal_gamma_eval_route(p, i, m, m_work):
     levels = list(range(i, m_work + 2))
     units = [u.lift_to(m_work) for u in enumerate_units(ctx, 2)]
     gammas = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
-    gammas = [g for g in gammas if in_Hhat(g, i)]
+    gammas = [g for g in gammas if in_Hhat(g)]
     # probe-image vectors, times kappa^D to clear the kappa-denominators they bring at p = 7
     for _ in range(3):
         g = images_to_coeffs(ctx, i, [ctx.kappa_power(2 * i + 1) * ctx.element(
@@ -769,7 +769,7 @@ def test_find_certified_move_raises_where_the_scan_raises():
     ctx, i = PrimeContext(5, 20), I
     rng = random.Random(7)
     gammas = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 2, 100)]
-    gammas = [g for g in gammas if in_Hhat(g, i)]
+    gammas = [g for g in gammas if in_Hhat(g)]
     units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, 2)]
     pool = gammas + [apply_move(rng.choice(gammas), IsoMove(rng.choice(units), rng.randrange(1, 5)), m)
                      for m in (i + 3, 14, 18, 20) for _ in range(3)]
@@ -791,7 +791,7 @@ def varied_searches(ctx, i, rng, count):
     # image of c at or near level m, perhaps perturbed at level m - 1, m or
     # m + 1, or varied in turn
     grid = [GammaCoeffs(ctx, i, coeffs, check=False) for coeffs in _coefficient_grid(ctx, 1, 100)]
-    grid = [g for g in grid if in_Hhat(g, i)]
+    grid = [g for g in grid if in_Hhat(g)]
     units = [u.lift_to(ctx.M_work) for u in enumerate_units(ctx, 2)]
 
     def vary(g):

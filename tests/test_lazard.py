@@ -127,8 +127,8 @@ def test_table_serialization_round_trip(tmp_path):
 def ring5():
     ctx = PrimeContext(5, 44)
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    lam = jacobi_exponent(g, 7)
-    return LieRingSpec(ctx, 7, 24, g, lam=lam)
+    lam = jacobi_exponent(g)
+    return LieRingSpec(g, 24, lam=lam)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ def test_group_identity_inverse(ring5, table5):
 def test_abelian_case_is_addition():
     ctx = PrimeContext(5, 30)
     g = GammaCoeffs.from_integers(ctx, 7, [1])
-    spec = LieRingSpec(ctx, 7, 15, g)
+    spec = LieRingSpec(g, 15)
     tab = build_bch_table(1)
     x = spec.element(ctx.kappa_power(7))
     y = spec.element(ctx.kappa_power(8) * 3)
@@ -185,7 +185,7 @@ def test_commutator_two_paths(ring5, table5):
 def test_commutator_reduces_to_bracket_at_class_2():
     ctx = PrimeContext(5, 20)
     g = GammaCoeffs.from_integers(ctx, 1, [1])
-    spec = LieRingSpec(ctx, 1, 4, g)
+    spec = LieRingSpec(g, 4)
     tab = build_bch_table(2, p=5)
     x = spec.element(ctx.kappa_power(1))
     y = spec.element(ctx.kappa_power(2) + ctx.kappa_power(1) * 3)

@@ -64,7 +64,7 @@ def test_jacobi_exponent_pinned_against_oracle(ctx5):
     for i in (1, 4, 7, 11):
         for c in (1, 2, 3):
             g = GammaCoeffs.from_integers(ctx5, i, [c])
-            lam = jacobi_exponent(g, i)
+            lam = jacobi_exponent(g)
             assert lam == Valuation.exactly(3 * i + 3)
             assert oracles.jacobi_exponent(5, i, {2: c}) == 3 * i + 3
 
@@ -73,7 +73,7 @@ def test_jacobi_exponent_oracle_p7():
     ctx = PrimeContext(7, 60)
     for coeffs, want in [({2: 1}, 27), ({3: 1}, 29), ({2: 1, 3: 1}, 27)]:
         g = GammaCoeffs.from_integers(ctx, 8, [coeffs.get(2, 0), coeffs.get(3, 0)])
-        assert jacobi_exponent(g, 8) == Valuation.exactly(want)
+        assert jacobi_exponent(g) == Valuation.exactly(want)
         assert oracles.jacobi_exponent(7, 8, coeffs) == want
 
 
@@ -90,9 +90,9 @@ def test_jacobi_exponent_brackets_each_basis_pair_once(p, i, evaluations, monkey
     real_theta = homs.theta_a_eval
     monkeypatch.setattr(liering, "gamma_eval", lambda *a: calls.append(a) or gamma_eval(*a))
     monkeypatch.setattr(homs, "theta_a_eval", lambda *a: thetas.append(a) or real_theta(*a))
-    jacobi_exponent(GammaCoeffs.from_integers(ctx, i, [1] + [3] * (ctx.l - 1)), i)
+    jacobi_exponent(GammaCoeffs.from_integers(ctx, i, [1] + [3] * (ctx.l - 1)))
     assert calls == [] and thetas == []
-    jacobi_exponent(GammaCoeffs.from_integers(ctx, i, [2] + [1] * (ctx.l - 1)), i)
+    jacobi_exponent(GammaCoeffs.from_integers(ctx, i, [2] + [1] * (ctx.l - 1)))
     assert calls == [] and thetas == []
     # probe images give coefficients known below M_work, and at p = 7 kappa-denominators
     images = [ctx.kappa_power(2 * i + 1) * ctx.element(digs)
@@ -100,7 +100,7 @@ def test_jacobi_exponent_brackets_each_basis_pair_once(p, i, evaluations, monkey
     g = images_to_coeffs(ctx, i, images)
     assert any(c.den_exp > 0 for c in g.coeffs) == (p == 7)
     assert all(c.num.prec < ctx.M_work for c in g.coeffs)
-    jacobi_exponent(g, i)
+    jacobi_exponent(g)
     basis = [ctx.kappa_power(i + r) for r in range(d)]
     assert [(x, y) for _, x, y in calls[:comb(d, 2)]] == [(basis[r], basis[s])
                                                          for r, s in combinations(range(d), 2)]
@@ -130,15 +130,16 @@ def test_jacobi_exponent_equals_nested_jacobiators(p, m_work, i):
             ctx.kappa_power(2 * i + 1) * ctx.element([rng.randrange(p) for _ in range(ctx.d)])
             for _ in range(ctx.l)]) for _ in range(4)]
         assert all(any(c.den_exp > 0 for c in g.coeffs) for g in gammas[6:])
-    lams = [jacobi_exponent(g, i) for g in gammas]
+    lams = [jacobi_exponent(g) for g in gammas]
     assert lams == [nested_jacobiator_lambda(g, i) for g in gammas]
     assert all(lam.exact for lam in lams) == (m_work >= {5: 44, 7: 40, 11: 48}[p])
     full = [GammaCoeffs(ctx, i, [CycFrac(ctx.element([rng.randrange(1, p ** 3) for _ in range(ctx.d)]))
                                  for _ in range(ctx.l)], check=False) for _ in range(2)]
     assert all(all(c.num.digits) for g in full for c in g.coeffs)
-    assert [jacobi_exponent(g, i) for g in full] == [nested_jacobiator_lambda(g, i) for g in full]
+    assert [jacobi_exponent(g) for g in full] == [nested_jacobiator_lambda(g, i) for g in full]
     for j, g in zip((m_work, m_work + 5), (gammas[0], full[0])):
-        assert jacobi_exponent(g, j) == nested_jacobiator_lambda(g, j) == Valuation.at_least(m_work)
+        g_j = GammaCoeffs(ctx, j, g.coeffs, check=False)
+        assert jacobi_exponent(g_j) == nested_jacobiator_lambda(g, j) == Valuation.at_least(m_work)
 
 
 def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
@@ -150,7 +151,7 @@ def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
     for i, coeff_mod in product(range(13), (1, 2)):
         for coeffs in _coefficient_grid(ctx, coeff_mod, 100_000):
             g = GammaCoeffs(ctx, i, coeffs, check=False)
-            lams.append(jacobi_exponent(g, i))
+            lams.append(jacobi_exponent(g))
             assert lams[-1] == nested_jacobiator_lambda(g, i)
     assert any(not lam.exact for lam in lams) and any(lam.exact for lam in lams)
 
@@ -192,7 +193,7 @@ def floors_met(g, i, rows=None):
     the triples whose exact residue valuation is the floor 2i + r + s + t, after
     asserting that none lies below it."""
     want, vals = full_contraction(g, i, rows)
-    assert jacobi_exponent(g, i) == want, (g, i)
+    assert jacobi_exponent(g) == want, (g, i)
     floors = {rst: 2 * i + sum(rst) for rst in vals}
     assert all(v.value >= floors[rst] for rst, v in vals.items() if v.exact), (g, i)
     return want, [rst for rst, v in vals.items() if v.exact and v.value == floors[rst]]
@@ -205,7 +206,7 @@ def scan_members(p, m_work, i_max, coeff_mod):
         for coeffs in _coefficient_grid(ctx, coeff_mod, 100_000):
             g = GammaCoeffs(ctx, i, coeffs, check=False)
             try:
-                if in_Hhat(g, i):
+                if in_Hhat(g):
                     yield g, i
             except PrecisionExhausted:
                 continue
@@ -223,12 +224,12 @@ def test_jacobi_exponent_equals_full_contraction_on_scan_grids(monkeypatch, p, m
     # and test_bracket_table_is_divided_basis_brackets, compare that table with
     # the divided brackets of the ring route, which cost several numerator_tables
     rows = {}
-    monkeypatch.setattr(liering, "numerator_table", lambda g, i: rows[g, i])
+    monkeypatch.setattr(liering, "numerator_table", lambda g: rows[g])
     lams, met = [], 0
     for g, i in scan_members(p, m_work, i_max, coeff_mod):
         rows.clear()
-        rows[g, i] = homs.numerator_table(g, i)
-        lam, at_floor = floors_met(g, i, rows[g, i])
+        rows[g] = homs.numerator_table(g)
+        lam, at_floor = floors_met(g, i, rows[g])
         lams.append(lam)
         met += bool(at_floor)
     assert (len(lams), sum(not lam.exact for lam in lams)) == (members, atleast)
@@ -276,37 +277,42 @@ def test_jacobi_exponent_walks_triples_in_floor_order(monkeypatch):
         ctx = PrimeContext(p, 60)
         g = GammaCoeffs.from_integers(ctx, i, coeffs, check=False)
         residues.clear()
-        assert jacobi_exponent(g, i) == Valuation.exactly(lam)
+        assert jacobi_exponent(g) == Valuation.exactly(lam)
         want, vals = full_contraction(g, i)
         assert want == Valuation.exactly(lam)
         assert [e.valuation() for e in residues] == [vals[rst] for rst in walked]
     h = GammaCoeffs(ctx, 9, [ctx.element([1, 1]), ctx.from_int(3)] + [ctx.zero()] * (ctx.l - 2))
-    assert jacobi_exponent(h, 9) == full_contraction(GammaCoeffs(ctx, 9, h.coeffs), 9)[0]
+    assert jacobi_exponent(h) == full_contraction(GammaCoeffs(ctx, 9, h.coeffs), 9)[0]
     assert len(tables) == len(cases) + 1
 
 
 def test_jacobi_lower_bound_and_shift(ctx5, g5):
-    lam7 = jacobi_exponent(g5, 7)
+    lam7 = jacobi_exponent(g5)
     assert lam7.value >= 3 * 7 + 3 - 5
     g11 = GammaCoeffs.from_integers(ctx5, 11, [1])
-    assert jacobi_exponent(g11, 11).value == lam7.value + 12
+    assert jacobi_exponent(g11).value == lam7.value + 12
 
 
 def test_spec_construction_guards(ctx5, g5):
     with pytest.raises(ValueError):
-        LieRingSpec(ctx5, 7, 25, g5)  # m > lambda = 24
+        LieRingSpec(g5, 25)  # m > lambda = 24
     with pytest.raises(ValueError):
-        LieRingSpec(ctx5, 7, 6, g5)  # m < i
+        LieRingSpec(g5, 6)  # m < i
     with pytest.raises(NotInHhat):
-        LieRingSpec(ctx5, 7, 10, GammaCoeffs.from_integers(ctx5, 7, [0], check=False))
+        LieRingSpec(GammaCoeffs.from_integers(ctx5, 7, [0], check=False), 10)
     from maxclass import PrecisionExhausted
-    with pytest.raises(PrecisionExhausted):
-        LieRingSpec(PrimeContext(5, 10), 7, 12,
-                    GammaCoeffs.from_integers(PrimeContext(5, 30), 7, [1]))
+    # an unchecked gamma on a context too short for P^12: the M_work guard, not
+    # the Hhat_7 test, which would need P^15
+    with pytest.raises(PrecisionExhausted, match=r"^M_work=10 cannot represent cosets mod P\^12$"):
+        LieRingSpec(GammaCoeffs.from_integers(PrimeContext(5, 10), 7, [1], check=False), 12)
+    # the ring's context and level are its gamma's
+    spec = LieRingSpec(g5, 20)
+    assert spec.ctx is g5.ctx and spec.i == g5.i == 7
+    assert (spec.truncate(9).ctx, spec.truncate(9).i) == (g5.ctx, 7)
 
 
 def test_bracket_identities(ctx5, g5):
-    spec = LieRingSpec(ctx5, 7, 24, g5)
+    spec = LieRingSpec(g5, 24)
     basis = spec.basis()
     for x in basis:
         assert x.bracket(x).is_zero()
@@ -321,7 +327,7 @@ def test_bracket_identities(ctx5, g5):
 
 
 def test_lcs_profile_pinned(ctx5, g5):
-    spec = LieRingSpec(ctx5, 7, 24, g5)
+    spec = LieRingSpec(g5, 24)
     prof = spec.lcs_profile()
     assert prof.exponents == (7, 15, 23, 24)
     assert prof.nilpotency_class == 3
@@ -332,8 +338,8 @@ def test_lcs_w2_and_increments(ctx5):
     rng = random.Random(0)
     for i in (5, 8, 10):
         g = GammaCoeffs.from_integers(ctx5, i, [1 + rng.randrange(4)])
-        lam = jacobi_exponent(g, i)
-        spec = LieRingSpec(ctx5, i, min(lam.value, ctx5.M_work - 6), g, lam=lam)
+        lam = jacobi_exponent(g)
+        spec = LieRingSpec(g, min(lam.value, ctx5.M_work - 6), lam=lam)
         prof = spec.lcs_profile()
         assert prof.exponents[1] == 2 * i + 1
         for w, w_next in zip(prof.exponents[1:], prof.exponents[2:]):
@@ -342,9 +348,9 @@ def test_lcs_w2_and_increments(ctx5):
 
 
 def test_lcs_prefix_property(ctx5, g5):
-    lam = jacobi_exponent(g5, 7)
-    full = LieRingSpec(ctx5, 7, 24, g5, lam=lam).lcs_profile()
-    short = LieRingSpec(ctx5, 7, 16, g5, lam=lam).lcs_profile()
+    lam = jacobi_exponent(g5)
+    full = LieRingSpec(g5, 24, lam=lam).lcs_profile()
+    short = LieRingSpec(g5, 16, lam=lam).lcs_profile()
     clamped = tuple(min(w, 16) for w in full.exponents[:len(short.exponents)])
     assert short.exponents == clamped
 
@@ -354,13 +360,13 @@ def test_truncate_equals_fresh_spec(p, i, monkeypatch):
     # gamma = theta_2; lambda = 24 at (5, 7) and 32 at (7, 9)
     ctx = PrimeContext(p, 44)
     g = GammaCoeffs.from_integers(ctx, i, [1] + [0] * (ctx.l - 1))
-    lam = jacobi_exponent(g, i)
+    lam = jacobi_exponent(g)
     assert lam.exact
-    cached = LieRingSpec(ctx, i, lam.value, g, lam=lam)
+    cached = LieRingSpec(g, lam.value, lam=lam)
     cached.lcs_profile()
-    lazy = LieRingSpec(ctx, i, lam.value, g, lam=lam)
+    lazy = LieRingSpec(g, lam.value, lam=lam)
     chain = oracles.lcs_chain(p, i, {2: 1}, lam.value)
-    fresh = {m: LieRingSpec(ctx, i, m, g, lam=lam) for m in range(i, lam.value + 1)}
+    fresh = {m: LieRingSpec(g, m, lam=lam) for m in range(i, lam.value + 1)}
 
     def boom(*args):
         raise AssertionError("truncate must not recompute Hhat_i membership or lambda")
@@ -383,13 +389,13 @@ def test_truncate_equals_fresh_spec(p, i, monkeypatch):
 
 
 def test_abelian_truncation_class_1(ctx5, g5):
-    spec = LieRingSpec(ctx5, 7, 15, g5)
+    spec = LieRingSpec(g5, 15)
     assert spec.lcs_profile().nilpotency_class == 1
     assert spec.lcs_profile().exponents == (7, 15)
 
 
 def test_class_bounds_report(ctx5, g5):
-    spec = LieRingSpec(ctx5, 7, 24, g5)
+    spec = LieRingSpec(g5, 24)
     rep = check_class_bounds(spec)
     assert rep["class"] == 3
     assert rep["violations"] == []
@@ -410,14 +416,14 @@ def test_class_bounds_report(ctx5, g5):
 
 def test_class_bounds_preconditions(ctx5):
     g = GammaCoeffs.from_integers(ctx5, 2, [1])
-    lam = jacobi_exponent(g, 2)
-    spec = LieRingSpec(ctx5, 2, min(lam.value, 9), g, lam=lam)
+    lam = jacobi_exponent(g)
+    spec = LieRingSpec(g, min(lam.value, 9), lam=lam)
     with pytest.raises(ValueError):
         check_class_bounds(spec)
 
 
 def test_enumerate_elements(ctx5, g5):
-    spec = LieRingSpec(ctx5, 7, 10, g5)
+    spec = LieRingSpec(g5, 10)
     els = list(spec.enumerate_elements())
     assert len(els) == 125 and len(set(els)) == 125
     for e in els:
@@ -425,7 +431,7 @@ def test_enumerate_elements(ctx5, g5):
 
 
 def test_element_valuation_guard(ctx5, g5):
-    spec = LieRingSpec(ctx5, 7, 12, g5)
+    spec = LieRingSpec(g5, 12)
     with pytest.raises(ValueError):
         spec.element(ctx5.kappa_power(3))
     x = spec.element(ctx5.kappa_power(12))
@@ -443,14 +449,14 @@ def test_lower_central_series_guards():
 
 
 def test_spec_equality_by_value(ctx5):
-    a = LieRingSpec(ctx5, 7, 20, GammaCoeffs.from_integers(ctx5, 7, [1]))
-    b = LieRingSpec(ctx5, 7, 20, GammaCoeffs.from_integers(ctx5, 7, [1]))
+    a = LieRingSpec(GammaCoeffs.from_integers(ctx5, 7, [1]), 20)
+    b = LieRingSpec(GammaCoeffs.from_integers(ctx5, 7, [1]), 20)
     assert a.gamma is not b.gamma
     assert a == b and hash(a) == hash(b)
     x, y = a.basis()[0], b.basis()[1]
     assert x + y == b.element(x.value + y.value)
     assert x.bracket(y) == b.basis()[0].bracket(a.basis()[1])
-    c = LieRingSpec(ctx5, 7, 20, GammaCoeffs.from_integers(ctx5, 7, [2]))
+    c = LieRingSpec(GammaCoeffs.from_integers(ctx5, 7, [2]), 20)
     assert a != c
     with pytest.raises(MaxclassError):
         x + c.basis()[1]
