@@ -268,8 +268,12 @@ def _line_key(g: GammaCoeffs) -> tuple[int, ...]:
     a point of P^{l-1}(F_p) or zero, the partition that orbit_canonical(c, 1)
     names by its least element.
     """
-    p = g.ctx.p
-    v = [ca.num.digits[0] % p for ca in g.coeffs]
+    return _line_of_residues(g.ctx.p, [ca.num.digits[0] for ca in g.coeffs])
+
+
+def _line_of_residues(p: int, residues) -> tuple[int, ...]:
+    """The line of a vector of integers mod p, scaled to lead with 1; zero is its own line."""
+    v = [x % p for x in residues]
     scale = pow(next((x for x in v if x), 1), -1, p)
     return tuple(x * scale % p for x in v)
 
@@ -294,6 +298,8 @@ def _line_lambda(coeff_mod: int):
     below 3i+p-1, t being a unit; an exact lambda < 3i+p-1 is then lambda of
     gamma' too, and also below M_work, so jacobi_exponent labels it Exact.  For
     coeff_mod >= 2 two points of a line differ by an element of P, not of pO.
+    lam.stored(i, line) is the lambda kept for (i, line), or None, with no
+    gamma at hand: a scan reads it for every later point of a line.
     """
     memo: dict[tuple, Valuation] = {}
 
@@ -308,6 +314,7 @@ def _line_lambda(coeff_mod: int):
                 memo[key] = v
         return v
 
+    lam.stored = lambda i, line: memo.get((i, line))
     return lam
 
 

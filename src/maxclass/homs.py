@@ -354,7 +354,9 @@ class GammaCoeffs:
     def from_json(cls, ctx: PrimeContext, obj: dict, check: bool = True) -> GammaCoeffs:
         if obj["p"] != ctx.p:
             raise ContextMismatch(f"serialized p={obj['p']} vs context p={ctx.p}")
-        return cls(ctx, int(obj["i"]), [CycFrac.from_json(ctx, c) for c in obj["coeffs"]], check=check)
+        if type(i := obj["i"]) is not int:
+            raise ValueError(f"i must be an int, got {i!r}")
+        return cls(ctx, i, [CycFrac.from_json(ctx, c) for c in obj["coeffs"]], check=check)
 
 
 def gamma_eval(g: GammaCoeffs, x: CycElt, y: CycElt) -> CycElt:
@@ -551,6 +553,16 @@ def in_Hhat(g: GammaCoeffs) -> bool:
     entry is unknown mod P: the undecided unit, which raises when no other
     entry is a unit.  No valuation is negative.  VandermondeData keeps the
     residues, precisions and valuation bounds of VB, once per (ctx, i).
+
+    So the verdict, or the error, is constant on a line mod P of the
+    coeff_mod 1 grid (frame._line_key), which scan_conjecture1 tests once.
+    Each c_a there is an integer in 0..p-1 known mod P^M_work, and a point of
+    the line of c is c' with c'_a = t c_a mod p, t in 1..p-1.  c'_a is zero
+    exactly where c_a is, and a nonzero one is a unit, so prec c'_a = M_work
+    and v(c'_a) (0, or the bound M_work of zero) are those of c_a: each n_j
+    is the same for c and c'.  Each digit-0 sum for c' is t times that for c
+    mod p, t a unit, so it is zero exactly when c's is.  The unit entries and
+    the undecided ones, and so the verdict or the PrecisionExhausted, are c's.
 
     A vector with kappa-denominators forms the row product in K
     (_row_times_vib).  Only there can an entry have a negative valuation:

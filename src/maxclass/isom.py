@@ -94,7 +94,9 @@ class IsoMove:
 
     @classmethod
     def from_json(cls, ctx: PrimeContext, obj: dict) -> IsoMove:
-        return cls(CycElt.from_json(ctx, obj["u"]), int(obj["k"]))
+        if type(k := obj["k"]) is not int:
+            raise ValueError(f"k must be an int, got {k!r}")
+        return cls(CycElt.from_json(ctx, obj["u"]), k)
 
 
 def rho(a: int, u: CycElt) -> CycElt:

@@ -34,8 +34,8 @@ from .lazard import (
     theta_power_map,
 )
 from .liering import LieElt, LieRingSpec, check_class_bounds, jacobi_exponent, lcs_profile
-from .frame import (SGroup, _coefficient_grid, _line_lambda, classify, quotient_edge,
-                    verify_maximal_class)
+from .frame import (SGroup, _coefficient_grid, _line_lambda, _line_of_residues, classify,
+                    quotient_edge, verify_maximal_class)
 
 
 class CheckResult:
@@ -451,35 +451,72 @@ def suite_membership_shift(p: int, samples: int = 30, seed: int = 0) -> CheckRes
 SCAN_M_WORK = 60   # the default M_work of scan_conjecture1, and of scan-conjecture1 --m-work
 
 
+def _scan_grid(ctx: PrimeContext, coeff_mod: int, budget: int) -> tuple[list[str], list]:
+    """The entry text and the line of each grid point, the same at every level.
+
+    The text is repr of the point's key, GammaCoeffs.key, joined from one text
+    per residue.  The line is the line mod P of the digits 0 at coeff_mod 1,
+    one tuple per line, and the text itself at coeff_mod >= 2.
+    """
+    parts: dict[tuple, str] = {}
+    texts, lines, line_of = [], [], {}
+    for coeffs in _coefficient_grid(ctx, coeff_mod, budget):
+        for c in coeffs:
+            if c.digits not in parts:
+                parts[c.digits] = repr((0, c.digits))
+        text = ", ".join([parts[c.digits] for c in coeffs])
+        texts.append(f"({text},)" if ctx.l == 1 else f"({text})")
+        if coeff_mod == 1:
+            line = _line_of_residues(ctx.p, [c.digits[0] for c in coeffs])
+            lines.append(line_of.setdefault(line, line))
+        else:
+            lines.append(texts[-1])
+    return texts, lines
+
+
 def scan_conjecture1(p: int, i_max: int, coeff_mod: int = 1, m_work: int = SCAN_M_WORK,
                      budget: int = DEFAULT_BUDGET) -> dict:
     """Sweep the coefficient grid and report lambda for every member of Hhat_i.
 
     AtLeast outcomes, and grid points whose Hhat_i membership is undecided at
     working precision, are flagged as unresolved, never asserted either way;
-    exact outcomes are summarized by the slack lambda - (3i+3-p).  lambda comes
-    from frame._line_lambda, once per line mod P where its proof allows.
+    exact outcomes are summarized by the slack lambda - (3i+3-p).
+
+    Each grid point's entry text and its line are formed once, for every
+    level (_scan_grid).  At coeff_mod 1 the line is the line mod P, on
+    which the Hhat_i verdict, or its PrecisionExhausted, is constant (in_Hhat)
+    and so is lambda where frame._line_lambda keeps it; at coeff_mod >= 2 each
+    point is its own line.  The first point of each (i, line) is tested and a
+    verdict is kept for the rest of the line; an error is not, so every point
+    of an undecided line is tested and reported on its own.  A point builds
+    its gamma only when it is tested or its lambda is not kept.
     """
     ctx = PrimeContext(p, m_work)
     lam_of = _line_lambda(coeff_mod)
+    texts, lines = _scan_grid(ctx, coeff_mod, budget)
     entries = []
     unresolved = 0
     slack_hist: dict[int, int] = {}
     for i in range(i_max + 1):
-        for coeffs in _coefficient_grid(ctx, coeff_mod, budget):
-            g = GammaCoeffs(ctx, i, coeffs, check=False)
-            try:
-                if not in_Hhat(g):
+        verdicts: dict = {}
+        for coeffs, text, line in zip(_coefficient_grid(ctx, coeff_mod, budget), texts, lines):
+            g = None
+            member = verdicts.get(line)
+            if member is None:
+                g = GammaCoeffs(ctx, i, coeffs, check=False)
+                try:
+                    member = verdicts[line] = in_Hhat(g)
+                except PrecisionExhausted:
+                    unresolved += 1
+                    entries.append({"i": i, "coeffs": text,
+                                    "lambda": None, "exact": False,
+                                    "flag": "Hhat_i membership undecided at working precision; "
+                                            "raise M_work"})
                     continue
-            except PrecisionExhausted:
-                unresolved += 1
-                entries.append({"i": i, "coeffs": repr(g.key),
-                                "lambda": None, "exact": False,
-                                "flag": "Hhat_i membership undecided at working precision; "
-                                        "raise M_work"})
+            if not member:
                 continue
-            lam = lam_of(g)
-            entry = {"i": i, "coeffs": repr(g.key),
+            lam = lam_of.stored(i, line) or lam_of(g or GammaCoeffs(ctx, i, coeffs, check=False))
+            entry = {"i": i, "coeffs": text,
                      "lambda": lam.value, "exact": lam.exact}
             if lam.exact:
                 if i > p - 2:

@@ -80,10 +80,10 @@ def vandermonde(ctx, i: int) -> VandermondeData:
     return VandermondeData(ctx, i, v_diag, b_mat, u)
 
 
-def basis_brackets(g, i: int) -> dict:
-    """gamma(kappa^{i+r} ^ kappa^{i+s}) by pair r < s, from the theta_a values of basis_thetas."""
+def basis_brackets(g) -> dict:
+    """gamma(kappa^{i+r} ^ kappa^{i+s}) by pair r < s, i = g.i, from the theta_a values of basis_thetas."""
     ctx = g.ctx
-    thetas = basis_thetas(ctx, i)[0]
+    thetas = basis_thetas(ctx, g.i)[0]
     return {rs: combine(g, lambda a: thetas[a - 2][k], ctx.M_work)
             for k, rs in enumerate(combinations(range(ctx.d), 2))}
 

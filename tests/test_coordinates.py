@@ -190,9 +190,9 @@ def test_bracket_table_is_divided_basis_brackets(p, i, m_work):
     for g in gammas:
         if i >= m_work:
             with pytest.raises(PrecisionExhausted):
-                route.basis_brackets(g, i)[0, 1].div_kappa(i)
+                route.basis_brackets(g)[0, 1].div_kappa(i)
         else:
-            quotients = [e.div_kappa(i) for e in route.basis_brackets(g, i).values()]
+            quotients = [e.div_kappa(i) for e in route.basis_brackets(g).values()]
             if g.is_integral():
                 assert homs.numerator_table(g) == [e.digits for e in quotients]
         if m_work < 2 * i + 2:

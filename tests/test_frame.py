@@ -470,6 +470,109 @@ def test_jacobi_exponent_calls_per_line(monkeypatch, job, calls, atleast):
         assert out["coeff_mod"] == 1 or calls == len(lams)
 
 
+def hhat_outcome(g):
+    """in_Hhat(g), or PrecisionExhausted when it raises."""
+    try:
+        return homs.in_Hhat(g)
+    except PrecisionExhausted:
+        return PrecisionExhausted
+
+
+@pytest.mark.parametrize("p, m_work, i_max, lines, outcomes", [
+    (5, 20, 12, 2, {True, False, PrecisionExhausted}), (5, 60, 12, 2, {True, False}),
+    (7, 20, 14, 9, {True, False, PrecisionExhausted}), (7, 24, 14, 9, {True, False, PrecisionExhausted}),
+    (7, 60, 14, 9, {True, False})])
+def test_hhat_outcome_is_constant_on_each_line_mod_p(p, m_work, i_max, lines, outcomes):
+    # every point of the coeff_mod 1 grid at every level has the verdict, or the
+    # error, of the first point of its line (the proof in in_Hhat's docstring)
+    ctx = PrimeContext(p, m_work)
+    grid = list(frame._coefficient_grid(ctx, 1, 10 ** 5))
+    seen = set()
+    for i in range(i_max + 1):
+        first = {}
+        for coeffs in grid:
+            g = GammaCoeffs(ctx, i, coeffs, check=False)
+            out = hhat_outcome(g)
+            assert first.setdefault(frame._line_key(g), out) == out, (i, g.key)
+            seen.add(out)
+        assert len(first) == lines
+    assert seen == outcomes
+
+
+def reference_scan(p, i_max, coeff_mod=1, m_work=verify.SCAN_M_WORK):
+    """The entries of scan_conjecture1 by a per-point loop: every grid point at
+    every level builds its gamma, is tested on its own and, if a member, has its
+    lambda from jacobi_exponent."""
+    ctx = PrimeContext(p, m_work)
+    entries = []
+    for i in range(i_max + 1):
+        for coeffs in frame._coefficient_grid(ctx, coeff_mod, 10 ** 5):
+            g = GammaCoeffs(ctx, i, coeffs, check=False)
+            member = hhat_outcome(g)
+            if member is PrecisionExhausted:
+                entries.append({"i": i, "coeffs": repr(g.key), "lambda": None, "exact": False,
+                                "flag": "Hhat_i membership undecided at working precision; "
+                                        "raise M_work"})
+            elif member:
+                lam = jacobi_exponent(g)
+                entry = {"i": i, "coeffs": repr(g.key), "lambda": lam.value, "exact": lam.exact}
+                if not lam.exact:
+                    entry["flag"] = "unresolved at working precision; raise M_work"
+                elif i > p - 2:
+                    entry["slack"] = lam.value - (3 * i + 3 - p)
+                entries.append(entry)
+    return entries
+
+
+SCANS = [((7, 14), {}), ((5, 12), {"m_work": 20}), ((5, 12), {"m_work": 20, "coeff_mod": 2})]
+SCAN_IDS = ["scan-p7", "scan-p5-m20", "scan-p5-mod2"]
+
+
+@pytest.mark.parametrize("args, kwargs", SCANS, ids=SCAN_IDS)
+def test_scan_equals_the_per_point_reference(args, kwargs):
+    report = verify.scan_conjecture1(*args, **kwargs)
+    assert report["entries"] == reference_scan(*args, **kwargs)
+    assert report["unresolved_atleast"] == sum("flag" in e for e in report["entries"])
+
+
+@pytest.mark.parametrize("p, m_work, coeff_mod", [(5, 20, 1), (5, 20, 2), (7, 60, 1)])
+def test_scan_grid_text_and_line_are_those_of_every_level(p, m_work, coeff_mod):
+    ctx = PrimeContext(p, m_work)
+    # at coeff_mod 2 each point is its own line, named by its text
+    raw = list(frame._coefficient_grid(ctx, coeff_mod, 10 ** 5))
+    texts, lines = verify._scan_grid(ctx, coeff_mod, 10 ** 5)
+    assert len(texts) == len(lines) == len(raw) == p ** (coeff_mod * ctx.l)
+    for i in (0, 9, 14):
+        for coeffs, text, line in zip(raw, texts, lines):
+            g = GammaCoeffs(ctx, i, coeffs, check=False)
+            assert text == repr(g.key)
+            assert line == (frame._line_key(g) if coeff_mod == 1 else text)
+    assert len(set(lines)) == ((len(raw) - 1) // (p - 1) + 1 if coeff_mod == 1 else len(raw))
+
+
+@pytest.mark.parametrize("scan, calls, raised", [
+    (SCANS[0], 135, 0),
+    # one call per line and level, and one per point of an undecided line: those 15 raise
+    (SCANS[1], 35, 15),
+    # at coeff_mod 2 each point is its own line
+    (SCANS[2], 325, 75)], ids=SCAN_IDS)
+def test_in_Hhat_calls_per_line(monkeypatch, scan, calls, raised):
+    outcomes = []
+    real = homs.in_Hhat
+
+    def counting(g):
+        outcomes.append(PrecisionExhausted)   # left in place when the call raises
+        outcomes[-1] = real(g)
+        return outcomes[-1]
+
+    for module in (homs, verify):
+        monkeypatch.setattr(module, "in_Hhat", counting)
+    report = verify.scan_conjecture1(*scan[0], **scan[1])
+    undecided = [e for e in report["entries"] if e["lambda"] is None]
+    assert len(outcomes) == calls
+    assert outcomes.count(PrecisionExhausted) == len(undecided) == raised
+
+
 def test_lie_class_sweep_takes_the_grid_lambda(monkeypatch):
     # enumerate --p 5 --i 1 --coeff-mod 1: the grid's four gammas lie on one
     # line mod P, whose lambda is computed once; each reaches m_max = 6 > p*i,

@@ -566,6 +566,15 @@ def test_gamma_serialization(ctx7):
                for a, b in zip(g.coeffs, g2.coeffs))
 
 
+@pytest.mark.parametrize("i", [9.7, True, "9", None])
+def test_gamma_from_json_refuses_a_level_that_is_not_an_int(ctx7, i):
+    # int() read 9.7 as level 9 and True as level 1
+    obj = GammaCoeffs.from_integers(ctx7, 9, [1, 3]).to_json()
+    with pytest.raises(ValueError, match=f"^i must be an int, got {i!r}$"):
+        GammaCoeffs.from_json(ctx7, dict(obj, i=i))
+    assert GammaCoeffs.from_json(ctx7, obj).i == 9
+
+
 def quotient_outcome(f, g):
     """The (digits, precision) of each quotient f(g) gives, in pair order, or the class and message of its error."""
     try:
@@ -576,7 +585,7 @@ def quotient_outcome(f, g):
 
 def ring_route_quotients(g):
     # the ring route: every basis bracket by CycElt ring operations, then each divided by kappa^i
-    return [e.div_kappa(g.i) for e in route.basis_brackets(g, g.i).values()]
+    return [e.div_kappa(g.i) for e in route.basis_brackets(g).values()]
 
 
 def test_bracket_quotients_equal_ring_route():

@@ -282,6 +282,14 @@ def test_move_serialization(ctx, units):
     assert mv2.k == mv.k and mv2.u == mv.u
 
 
+@pytest.mark.parametrize("k", [2.9, True, "3", None])
+def test_move_from_json_refuses_a_galois_index_that_is_not_an_int(ctx, units, k):
+    # int() read 2.9 as k = 2 and True as k = 1
+    obj = IsoMove(units[4], 3).to_json()
+    with pytest.raises(ValueError, match=f"^k must be an int, got {k!r}$"):
+        IsoMove.from_json(ctx, dict(obj, k=k))
+
+
 def derived_units(c, c2, k):
     # the derived candidates of find_certified_move for Galois index k
     return _zp_units(_quotients(c, c2, k), c.ctx.p)
@@ -383,7 +391,7 @@ def witness_differences_by_gamma_eval(c, c2, mv):
     phi = witness_map(mv)
     basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
     phis = [phi(x) for x in basis]
-    brackets2 = route.basis_brackets(c2, i)
+    brackets2 = route.basis_brackets(c2)
     theta, theta_k = ctx.theta(), ctx.theta(mv.k)
     for r in range(ctx.d):
         d = phi(theta * basis[r]) - theta_k * phis[r]

@@ -107,9 +107,9 @@ def test_jacobi_exponent_brackets_each_basis_pair_once(p, i, evaluations, monkey
     assert len(calls) == comb(d, 2) + 3 * comb(d, 3) == evaluations
 
 
-def nested_jacobiator_lambda(g, i):
+def nested_jacobiator_lambda(g):
     ctx = g.ctx
-    basis = [ctx.kappa_power(i + r) for r in range(ctx.d)]
+    basis = [ctx.kappa_power(g.i + r) for r in range(ctx.d)]
     return Valuation.minimum(jacobiator(g, *(basis[k] for k in rst)).valuation()
                              for rst in combinations(range(ctx.d), 3))
 
@@ -131,15 +131,15 @@ def test_jacobi_exponent_equals_nested_jacobiators(p, m_work, i):
             for _ in range(ctx.l)]) for _ in range(4)]
         assert all(any(c.den_exp > 0 for c in g.coeffs) for g in gammas[6:])
     lams = [jacobi_exponent(g) for g in gammas]
-    assert lams == [nested_jacobiator_lambda(g, i) for g in gammas]
+    assert lams == [nested_jacobiator_lambda(g) for g in gammas]
     assert all(lam.exact for lam in lams) == (m_work >= {5: 44, 7: 40, 11: 48}[p])
     full = [GammaCoeffs(ctx, i, [CycFrac(ctx.element([rng.randrange(1, p ** 3) for _ in range(ctx.d)]))
                                  for _ in range(ctx.l)], check=False) for _ in range(2)]
     assert all(all(c.num.digits) for g in full for c in g.coeffs)
-    assert [jacobi_exponent(g) for g in full] == [nested_jacobiator_lambda(g, i) for g in full]
+    assert [jacobi_exponent(g) for g in full] == [nested_jacobiator_lambda(g) for g in full]
     for j, g in zip((m_work, m_work + 5), (gammas[0], full[0])):
         g_j = GammaCoeffs(ctx, j, g.coeffs, check=False)
-        assert jacobi_exponent(g_j) == nested_jacobiator_lambda(g, j) == Valuation.at_least(m_work)
+        assert jacobi_exponent(g_j) == nested_jacobiator_lambda(g_j) == Valuation.at_least(m_work)
 
 
 def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
@@ -152,29 +152,29 @@ def test_jacobi_exponent_equals_nested_jacobiators_on_p5_grid():
         for coeffs in _coefficient_grid(ctx, coeff_mod, 100_000):
             g = GammaCoeffs(ctx, i, coeffs, check=False)
             lams.append(jacobi_exponent(g))
-            assert lams[-1] == nested_jacobiator_lambda(g, i)
+            assert lams[-1] == nested_jacobiator_lambda(g)
     assert any(not lam.exact for lam in lams) and any(lam.exact for lam in lams)
 
 
-def divided_brackets(g, i):
-    """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by pair r < s, as digits mod P^{M_work-i}:
-    the ring route's basis_brackets(g, i) divided by kappa^i, so no numerator_table is read."""
-    return [e.div_kappa(i).digits for e in route.basis_brackets(g, i).values()]
+def divided_brackets(g):
+    """C[r][s] = gamma(kappa^{i+r} ^ kappa^{i+s})/kappa^i by pair r < s, i = g.i, as digits mod
+    P^{M_work-i}: the ring route's basis_brackets(g) divided by kappa^i, so no numerator_table is read."""
+    return [e.div_kappa(g.i).digits for e in route.basis_brackets(g).values()]
 
 
-def full_contraction(g, i, rows=None):
+def full_contraction(g, rows=None):
     """lambda of an integral gamma from every basis triple, and each triple's residue valuation.
 
     jacobi_exponent's contraction before the floor order and the early stop, kept
     as the oracle: J(r, s, t)/kappa^i mod P^{M_work-i} contracted on rows, by
-    default divided_brackets(g, i), for all binom(p-1, 3) triples, with no early stop.
+    default divided_brackets(g), for all binom(p-1, 3) triples, i = g.i, with no early stop.
     """
-    ctx, d = g.ctx, g.ctx.d
+    ctx, d, i = g.ctx, g.ctx.d, g.i
     n = ctx.M_work - i
     if n <= 0:
         return Valuation.at_least(ctx.M_work), {}
     table = [[(0,) * d for _ in range(d)] for _ in range(d)]
-    for (r, s), e in zip(combinations(range(d), 2), divided_brackets(g, i) if rows is None else rows):
+    for (r, s), e in zip(combinations(range(d), 2), divided_brackets(g) if rows is None else rows):
         table[r][s] = e
         table[s][r] = tuple(map(neg, e))
     # cols[t][k]: digit k of C[u][t], as a tuple over u
@@ -188,14 +188,14 @@ def full_contraction(g, i, rows=None):
     return Valuation.exactly(i + v.value) if v.exact else Valuation.at_least(ctx.M_work), vals
 
 
-def floors_met(g, i, rows=None):
+def floors_met(g, rows=None):
     """jacobi_exponent equals the full contraction on rows, exact or AtLeast; returns
     the triples whose exact residue valuation is the floor 2i + r + s + t, after
     asserting that none lies below it."""
-    want, vals = full_contraction(g, i, rows)
-    assert jacobi_exponent(g) == want, (g, i)
-    floors = {rst: 2 * i + sum(rst) for rst in vals}
-    assert all(v.value >= floors[rst] for rst, v in vals.items() if v.exact), (g, i)
+    want, vals = full_contraction(g, rows)
+    assert jacobi_exponent(g) == want, g
+    floors = {rst: 2 * g.i + sum(rst) for rst in vals}
+    assert all(v.value >= floors[rst] for rst, v in vals.items() if v.exact), g
     return want, [rst for rst, v in vals.items() if v.exact and v.value == floors[rst]]
 
 
@@ -207,7 +207,7 @@ def scan_members(p, m_work, i_max, coeff_mod):
             g = GammaCoeffs(ctx, i, coeffs, check=False)
             try:
                 if in_Hhat(g):
-                    yield g, i
+                    yield g
             except PrecisionExhausted:
                 continue
 
@@ -226,10 +226,10 @@ def test_jacobi_exponent_equals_full_contraction_on_scan_grids(monkeypatch, p, m
     rows = {}
     monkeypatch.setattr(liering, "numerator_table", lambda g: rows[g])
     lams, met = [], 0
-    for g, i in scan_members(p, m_work, i_max, coeff_mod):
+    for g in scan_members(p, m_work, i_max, coeff_mod):
         rows.clear()
         rows[g] = homs.numerator_table(g)
-        lam, at_floor = floors_met(g, i, rows[g])
+        lam, at_floor = floors_met(g, rows[g])
         lams.append(lam)
         met += bool(at_floor)
     assert (len(lams), sum(not lam.exact for lam in lams)) == (members, atleast)
@@ -251,7 +251,7 @@ def test_jacobi_exponent_equals_full_contraction_off_the_grid(p, m_work):
         for g in (GammaCoeffs.from_integers(ctx, i, ints, check=False),
                   GammaCoeffs(ctx, i, digits, check=False)):
             assert g.is_integral()
-            lams.append(floors_met(g, i)[0])
+            lams.append(floors_met(g)[0])
     assert any(lam.exact for lam in lams) and any(not lam.exact for lam in lams)
 
 
@@ -278,11 +278,11 @@ def test_jacobi_exponent_walks_triples_in_floor_order(monkeypatch):
         g = GammaCoeffs.from_integers(ctx, i, coeffs, check=False)
         residues.clear()
         assert jacobi_exponent(g) == Valuation.exactly(lam)
-        want, vals = full_contraction(g, i)
+        want, vals = full_contraction(g)
         assert want == Valuation.exactly(lam)
         assert [e.valuation() for e in residues] == [vals[rst] for rst in walked]
     h = GammaCoeffs(ctx, 9, [ctx.element([1, 1]), ctx.from_int(3)] + [ctx.zero()] * (ctx.l - 2))
-    assert jacobi_exponent(h) == full_contraction(GammaCoeffs(ctx, 9, h.coeffs), 9)[0]
+    assert jacobi_exponent(h) == full_contraction(GammaCoeffs(ctx, 9, h.coeffs))[0]
     assert len(tables) == len(cases) + 1
 
 
